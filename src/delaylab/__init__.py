@@ -23,7 +23,6 @@ from .experiments import (
     run_experiment,
     RunSummary,
 )
-from .manifold import AmbientPoint, CirclePoint, circle_distance, embed_ambient, PolarPoint, ProductPoint, wrap_circle
 from .observables import evaluate, monomial_basis, Observable, perturb
 from .predictability import (
     chi_sigma,

@@ -1,8 +1,11 @@
 """Scalar map cores and long-orbit loops, jitted when numba is present.
 
-Everything here is written in the nopython subset; the public contract
-wrappers live in dynamics.py and call the same cores, so the fast loops and
-the tested step functions cannot drift apart.
+Everything here is written in the nopython subset.  dynamics.step_state
+calls the same cores one step at a time and is the scalar reference the
+loops are tested against, so the two cannot drift apart.  Each loop fills a
+(state_dim, n) block, so the (n, state_dim) view that dynamics.trajectory
+returns has contiguous columns; it writes through 1-D row views, which cost
+an interpreted loop half as much per store as 2-D indexing.
 """
 
 import math
@@ -69,12 +72,6 @@ def phi_core(r, phi, kappa):
 
 
 @njit(cache=False)
-def g_core(t):
-    s = math.sin(math.pi * t)
-    return (t + G_AMPLITUDE * s * s) % 1.0
-
-
-@njit(cache=False)
 def angle_dist_core(phi, target):
     d = abs(phi - target) % TWO_PI
     if d > math.pi:
@@ -119,9 +116,9 @@ def radial_orbit(r0, kappa, n):
 
 @njit(cache=False)
 def spiral_orbit(r0, phi0, kappa, n, burn_in):
-    """(r_i, phi_i) for n states after burn_in; phi kept wrapped to [0, 2*pi)."""
-    rs = np.empty(n)
-    ps = np.empty(n)
+    """(2, n) block of (r_i, phi_i) after burn_in; phi kept wrapped to [0, 2*pi)."""
+    out = np.empty((2, n))
+    rs, ps = out[0], out[1]
     r = r0
     phi = phi0 % TWO_PI
     for _ in range(burn_in):
@@ -132,15 +129,14 @@ def spiral_orbit(r0, phi0, kappa, n, burn_in):
         ps[i] = phi
         phi = phi_core(r, phi, kappa) % TWO_PI
         r = r_core(r, kappa)
-    return rs, ps
+    return out
 
 
 @njit(cache=False)
 def skew_orbit(r0, phi0, t0, kappa, delta, alpha, n, burn_in):
-    """(r_i, phi_i, t_i) along the skew product; base advances as in spiral_orbit."""
-    rs = np.empty(n)
-    ps = np.empty(n)
-    ts = np.empty(n)
+    """(3, n) block of (r_i, phi_i, t_i) along the skew product; base as in spiral_orbit."""
+    out = np.empty((3, n))
+    rs, ps, ts = out[0], out[1], out[2]
     r = r0
     phi = phi0 % TWO_PI
     t = t0 % 1.0
@@ -157,19 +153,19 @@ def skew_orbit(r0, phi0, t0, kappa, delta, alpha, n, burn_in):
         phi = phi_core(r, phi, kappa) % TWO_PI
         r = r_core(r, kappa)
         t = tn
-    return rs, ps, ts
+    return out
 
 
 @njit(cache=False)
 def henon_orbit(x0, y0, a, b, n, burn_in):
-    """Henon iterates.
+    """Henon iterates as a (2, n) block of (x_i, y_i).
 
-    Returns (xs, ys, fail): fail == 0 on success; fail < 0 means divergence at
-    burn-in step -fail (arrays empty); fail > 0 means the state at output index
-    fail went non-finite and only the prefix [:fail] is returned.
+    Returns (block, fail): fail == 0 on success; fail < 0 means divergence at
+    burn-in step -fail (block empty); fail > 0 means the state at output index
+    fail went non-finite and only the prefix [:, :fail] is returned.
     """
-    xs = np.empty(n)
-    ys = np.empty(n)
+    out = np.empty((2, n))
+    xs, ys = out[0], out[1]
     x = x0
     y = y0
     for i in range(burn_in):
@@ -177,7 +173,7 @@ def henon_orbit(x0, y0, a, b, n, burn_in):
         y = b * x
         x = xn
         if not (math.isfinite(x) and math.isfinite(y)):
-            return xs[:0], ys[:0], -(i + 1)
+            return out[:, :0], -(i + 1)
     for i in range(n):
         xs[i] = x
         ys[i] = y
@@ -186,36 +182,5 @@ def henon_orbit(x0, y0, a, b, n, burn_in):
         x = xn
         if not (math.isfinite(x) and math.isfinite(y)):
             if i + 1 < n:
-                return xs[: i + 1], ys[: i + 1], i + 1
-    return xs, ys, 0
-
-
-@njit(cache=False)
-def ikeda_orbit(x0, y0, c0, c1, c2, c3, n, burn_in):
-    """Ikeda iterates; same (xs, ys, fail) convention as henon_orbit."""
-    xs = np.empty(n)
-    ys = np.empty(n)
-    x = x0
-    y = y0
-    for i in range(burn_in):
-        w = c1 - c3 / (1.0 + x * x + y * y)
-        cw = math.cos(w)
-        sw = math.sin(w)
-        xn = c0 + c2 * (x * cw - y * sw)
-        y = c2 * (x * sw + y * cw)
-        x = xn
-        if not (math.isfinite(x) and math.isfinite(y)):
-            return xs[:0], ys[:0], -(i + 1)
-    for i in range(n):
-        xs[i] = x
-        ys[i] = y
-        w = c1 - c3 / (1.0 + x * x + y * y)
-        cw = math.cos(w)
-        sw = math.sin(w)
-        xn = c0 + c2 * (x * cw - y * sw)
-        y = c2 * (x * sw + y * cw)
-        x = xn
-        if not (math.isfinite(x) and math.isfinite(y)):
-            if i + 1 < n:
-                return xs[: i + 1], ys[: i + 1], i + 1
-    return xs, ys, 0
+                return out[:, : i + 1], i + 1
+    return out, 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .manifold import product_ambient_array
+from .dynamics import ambient_of_states, sample_model_states, SystemConfig
 
 _WEIGHT_TOL = 1e-12
 
@@ -92,27 +92,17 @@ def _fit(log_eps, values):
     return slope, intercept, min(max(r2, 0.0), 1.0)
 
 
-def sample_model_measure(n, seed, circle_radius=1.0, ambient=True):
+def sample_model_measure(n, seed):
     """n draws from the half atom / half uniform-circle model measure.
 
-    Each sample is independently the marked product point with probability
-    one half, otherwise a uniform point of the marked circle; weights are
-    equal.  With ambient=True the points live in the R^5 product embedding.
+    The samples of dynamics.sample_model_states under
+    np.random.default_rng(seed) (a Generator is used as it is), as equally
+    weighted points of the R^5 product embedding.
     """
     if n < 2:
         raise ValueError("need n >= 2 samples")
-    rng = np.random.default_rng(seed)
-    atom = rng.random(n) < 0.5
-    t = rng.random(n)
-    if ambient:
-        r = np.full(n, circle_radius)
-        phi = np.where(atom, 0.0, math.pi)
-        tt = np.where(atom, 0.0, t)
-        pts = product_ambient_array(r, phi, tt)
-    else:
-        pts = np.column_stack([np.where(atom, 0.0, np.cos(2 * np.pi * t)),
-                               np.where(atom, 2.0, np.sin(2 * np.pi * t))])
-    return EmpiricalMeasure.uniform(pts)
+    states = sample_model_states(n, np.random.default_rng(seed))
+    return EmpiricalMeasure.uniform(ambient_of_states(SystemConfig("model_T0"), states))
 
 
 def ball_mass_dimension(mu, ladder, n_centers, seed):

@@ -1,9 +1,11 @@
-"""Dynamical systems: circle rotation, the slow circle map g, the planar
-spiral diffeomorphism, its skew-product extension over the circle, the
-two-piece model system, and the Henon/Ikeda benchmark maps.
+"""Dynamical systems: circle rotation, the planar spiral diffeomorphism, its
+skew-product extension over the circle, the two-piece model system, and the
+Henon benchmark map.
 
-Step functions are the tested scalar contract; ``trajectory`` runs the same
-cores inside compiled loops (see _kernels) so long orbits stay cheap.
+Every state is a tuple (one step) or an (n, state_dim) float array (an
+orbit).  ``step_state`` is the scalar reference: it advances one state
+through the same cores (see _kernels) that ``trajectory``'s compiled loops
+iterate, so long orbits stay cheap and are tested against it.
 """
 
 import math
@@ -12,30 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels as _k
-from .manifold import (
-    CirclePoint,
-    PolarPoint,
-    ProductPoint,
-    angle_distance,
-    wrap_circle,
-)
+from .manifold import circle_ambient_array, product_ambient_array, sphere_coords
 
 GOLDEN_ROTATION = (math.sqrt(5.0) - 1.0) / 2.0
 
-SYSTEM_IDS = ("rotation", "circle_g", "spiral_f", "skew_T", "model_T0", "henon", "ikeda")
+SYSTEM_IDS = ("rotation", "spiral_f", "skew_T", "model_T0", "henon")
 
 HENON_DEFAULTS = {"a": 1.4, "b": 0.3}
-IKEDA_DEFAULTS = {"c0": 1.0, "c1": 0.4, "c2": 0.9, "c3": 6.0}
-
-STATE_DIM = {
-    "rotation": 1,
-    "circle_g": 1,
-    "spiral_f": 2,
-    "skew_T": 3,
-    "model_T0": 2,
-    "henon": 2,
-    "ikeda": 2,
-}
 
 
 class DivergenceError(RuntimeError):
@@ -72,8 +57,6 @@ class SystemConfig:
     def params(self):
         if self.system_id == "henon":
             return {**HENON_DEFAULTS, **self.map_params}
-        if self.system_id == "ikeda":
-            return {**IKEDA_DEFAULTS, **self.map_params}
         return dict(self.map_params)
 
 
@@ -106,147 +89,19 @@ class VisitRecord:
             raise ValueError("visit durations must be positive")
 
 
-# -- single steps -------------------------------------------------------------
-
-
-def rotation_step(t, alpha):
-    return wrap_circle(t.t + alpha)
-
-
-def g_step(t):
-    """Slow circle map t + sin^2(pi t)/100; fixes 0, attracts everything to it."""
-    return CirclePoint(_k.g_core(t.t))
-
-
-def R_map(r, kappa):
-    """Radial map r + kappa * r (1-r)^3 / (1 + r^4); fixes 0 and 1."""
-    if r < 0.0:
-        raise ValueError(f"negative radius {r!r}")
-    return _k.r_core(r, kappa)
-
-
-def theta_fn(phi):
-    """Angular speed profile sin^2(phi): pi-periodic, zero exactly at k*pi."""
-    if not math.isfinite(phi):
-        raise ValueError("non-finite angle")
-    return _k.theta_core(phi)
-
-
-def eta_fn(r):
-    """Radial cutoff: identically 1 on [1/2, 3/2], positive, and with
-    (1-r)^2 * eta(r) -> 0 at r -> 0+ and r -> infinity."""
-    if r <= 0.0:
-        raise ValueError(f"eta_fn needs r > 0, got {r!r}")
-    return _k.eta_core(r)
-
-
-def Phi_map(r, phi, kappa):
-    """Angle update phi + kappa * theta(phi) + (1-r)^2 eta(r), unwrapped."""
-    if r <= 0.0:
-        raise ValueError(f"Phi_map needs r > 0, got {r!r}")
-    return _k.phi_core(r, phi, kappa)
-
-
-def f_step(z, kappa):
-    """One step of the planar spiral map in polar coordinates.
-
-    The origin and infinity are fixed by convention; the unit circle is
-    invariant with fixed points p = (1, 0) and q = (1, pi).
-    """
-    if z.at_infinity or z.r == 0.0:
-        return z
-    return PolarPoint(R_map(z.r, kappa), Phi_map(z.r, z.phi, kappa))
-
-
-def lambda_bump(z, delta):
-    """Fiber interpolation weight around p: 1 on U_p, 0 off its 2*delta box."""
-    if z.at_infinity:
-        return 0.0
-    return _k.lambda_bump_core(z.r, z.phi, delta)
-
-
-def rho_bump(z, delta):
-    """Fiber interpolation weight around q."""
-    if z.at_infinity:
-        return 0.0
-    return _k.rho_bump_core(z.r, z.phi, delta)
-
-
-def fiber_map(z, t, cfg):
-    """Circle diffeomorphism attached to base point z.
-
-    Equals g on U_p, the rotation by alpha on U_q, the identity far from
-    both, and a smooth interpolation in between; the derivative in t stays
-    positive for every z.
-    """
-    if z.at_infinity:
-        return t
-    return CirclePoint(_k.fiber_core(z.r, z.phi, t.t, cfg.kappa, cfg.delta, cfg.alpha))
-
-
-def skew_step(x, cfg):
-    """One step (z, t) -> (f(z), h_z(t)) of the skew product."""
-    return ProductPoint(f_step(x.base, cfg.kappa), fiber_map(x.base, x.fiber, cfg))
-
-
-P0_FIBER = CirclePoint(0.0)
-
-
-def model_T0_step(x, cfg):
-    """Two-piece model: the marked point stays fixed, the marked circle rotates.
-
-    The marked point is (p, 0) and the marked circle is the fiber circle over
-    q; anything else is off the model set and rejected.
-    """
-    base = x.base
-    if base.at_infinity:
-        raise ValueError("state off the model set")
-    if base.r == 1.0 and angle_distance(base.phi, 0.0) == 0.0:
-        if x.fiber.t != 0.0:
-            raise ValueError("state off the model set")
-        return x
-    if base.r == 1.0 and angle_distance(base.phi, math.pi) == 0.0:
-        return ProductPoint(base, rotation_step(x.fiber, cfg.alpha))
-    raise ValueError("state off the model set")
-
-
-def henon_step(x, y, a, b):
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError("non-finite state")
-    xn = 1.0 - a * x * x + y
-    yn = b * x
-    if not (math.isfinite(xn) and math.isfinite(yn)):
-        raise DivergenceError(1)
-    return xn, yn
-
-
-def ikeda_step(x, y, params=None):
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError("non-finite state")
-    p = {**IKEDA_DEFAULTS, **(params or {})}
-    w = p["c1"] - p["c3"] / (1.0 + x * x + y * y)
-    xn = p["c0"] + p["c2"] * (x * math.cos(w) - y * math.sin(w))
-    yn = p["c2"] * (x * math.sin(w) + y * math.cos(w))
-    if not (math.isfinite(xn) and math.isfinite(yn)):
-        raise DivergenceError(1)
-    return xn, yn
-
-
-# -- generic state stepping (tuple states, used by delay maps and tests) ------
+# -- one step and ambient coordinates -----------------------------------------
 
 
 def step_state(cfg, state):
     """Advance one tuple-encoded state of the configured system.
 
-    Encodings: rotation/circle_g (t,), spiral_f (r, phi), skew_T (r, phi, t),
+    Encodings: rotation (t,), spiral_f (r, phi), skew_T (r, phi, t),
     model_T0 (component, t) with component 0 = marked point / 1 = circle,
-    henon/ikeda (x, y).
+    henon (x, y).
     """
     sid = cfg.system_id
     if sid == "rotation":
         return ((state[0] + cfg.alpha) % 1.0,)
-    if sid == "circle_g":
-        return (_k.g_core(state[0]),)
     if sid == "spiral_f":
         r, phi = state
         return (_k.r_core(r, cfg.kappa), _k.phi_core(r, phi, cfg.kappa))
@@ -264,23 +119,32 @@ def step_state(cfg, state):
         return (1.0, (t + cfg.alpha) % 1.0)
     if sid == "henon":
         p = cfg.params()
-        return henon_step(state[0], state[1], p["a"], p["b"])
-    if sid == "ikeda":
-        return ikeda_step(state[0], state[1], cfg.params())
+        x, y = state
+        return (1.0 - p["a"] * x * x + y, p["b"] * x)
     raise ValueError(sid)
+
+
+def sample_model_states(n, rng):
+    """n iid model_T0 states drawn from the model's invariant measure.
+
+    Each draw is the marked point (0, 0) with probability one half, else
+    (1, t) with t uniform on the circle.  The atom mask is drawn before t,
+    so a generator in a given state yields the same sample for every caller.
+    """
+    atom = rng.random(n) < 0.5
+    t = rng.random(n)
+    return np.column_stack([np.where(atom, 0.0, 1.0), np.where(atom, 0.0, t)])
 
 
 def ambient_of_states(cfg, states):
     """Ambient coordinate rows for an (n, state_dim) array of tuple states.
 
-    Circle systems embed in R^2, the spiral base in R^3 (sphere coordinates),
-    product systems in R^5; the planar benchmark maps are their own ambient.
+    The circle embeds in R^2, the spiral base in R^3 (sphere coordinates),
+    product systems in R^5; the Henon map is its own ambient.
     """
-    from .manifold import circle_ambient_array, product_ambient_array, sphere_coords
-
     states = np.atleast_2d(np.asarray(states, dtype=float))
     sid = cfg.system_id
-    if sid in ("rotation", "circle_g"):
+    if sid == "rotation":
         return circle_ambient_array(states[:, 0])
     if sid == "spiral_f":
         x1, x2, x3 = sphere_coords(states[:, 0], states[:, 1])
@@ -294,20 +158,9 @@ def ambient_of_states(cfg, states):
         phi = np.where(comp == 0.0, 0.0, math.pi)
         tt = np.where(comp == 0.0, 0.0, t)
         return product_ambient_array(r, phi, tt)
-    if sid in ("henon", "ikeda"):
-        return states[:, :2].copy()
+    if sid == "henon":
+        return states
     raise ValueError(sid)
-
-
-AMBIENT_DIM_BY_SYSTEM = {
-    "rotation": 2,
-    "circle_g": 2,
-    "spiral_f": 3,
-    "skew_T": 5,
-    "model_T0": 5,
-    "henon": 2,
-    "ikeda": 2,
-}
 
 
 # -- trajectories --------------------------------------------------------------
@@ -315,12 +168,10 @@ AMBIENT_DIM_BY_SYSTEM = {
 
 DEFAULT_X0 = {
     "rotation": (0.2,),
-    "circle_g": (0.2,),
     "spiral_f": (0.5, 1.0),
     "skew_T": (0.5, 1.0, 0.3),
     "model_T0": (1.0, 0.2),
     "henon": (0.0, 0.0),
-    "ikeda": (0.1, 0.0),
 }
 
 
@@ -332,38 +183,30 @@ def default_x0(cfg):
 def trajectory(cfg, x0, n, burn_in=0):
     """n states of the configured system after discarding burn_in iterates.
 
-    Returns an (n, state_dim) float array in the encoding of step_state.
-    Raises DivergenceError with the failing absolute iterate index if the
-    state leaves the finite range (Henon/Ikeda only; the compact systems
-    cannot diverge).
+    Returns an (n, state_dim) float array in the encoding of step_state; the
+    spiral, skew and Henon orbits are views of their kernel's coordinate
+    block, so each column is contiguous and no second copy is made.  Raises
+    DivergenceError with the failing absolute iterate index if the state
+    leaves the finite range (Henon only; the compact systems cannot diverge).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
+    if not all(math.isfinite(v) for v in x0):
+        raise ValueError(f"non-finite start state {tuple(x0)!r}")
     sid = cfg.system_id
     if sid == "rotation":
         t0 = x0[0] % 1.0
         idx = np.arange(burn_in, burn_in + n, dtype=float)
         return ((t0 + idx * cfg.alpha) % 1.0)[:, None]
-    if sid == "circle_g":
-        out = np.empty((n, 1))
-        t = x0[0] % 1.0
-        for _ in range(burn_in):
-            t = _k.g_core(t)
-        for i in range(n):
-            out[i, 0] = t
-            t = _k.g_core(t)
-        return out
     if sid == "spiral_f":
-        rs, ps = _k.spiral_orbit(float(x0[0]), float(x0[1]), cfg.kappa, n, burn_in)
-        return np.column_stack([rs, ps])
+        return _k.spiral_orbit(float(x0[0]), float(x0[1]), cfg.kappa, n, burn_in).T
     if sid == "skew_T":
-        rs, ps, ts = _k.skew_orbit(
+        return _k.skew_orbit(
             float(x0[0]), float(x0[1]), float(x0[2]),
             cfg.kappa, cfg.delta, cfg.alpha, n, burn_in,
-        )
-        return np.column_stack([rs, ps, ts])
+        ).T
     if sid == "model_T0":
         comp, t0 = float(x0[0]), float(x0[1])
         if comp == 0.0:
@@ -372,22 +215,12 @@ def trajectory(cfg, x0, n, burn_in=0):
         return np.column_stack([np.ones(n), (t0 + idx * cfg.alpha) % 1.0])
     if sid == "henon":
         p = cfg.params()
-        xs, ys, fail = _k.henon_orbit(float(x0[0]), float(x0[1]), p["a"], p["b"], n, burn_in)
+        block, fail = _k.henon_orbit(float(x0[0]), float(x0[1]), p["a"], p["b"], n, burn_in)
         if fail < 0:
             raise DivergenceError(-fail)
         if fail > 0:
             raise DivergenceError(burn_in + fail)
-        return np.column_stack([xs, ys])
-    if sid == "ikeda":
-        p = cfg.params()
-        xs, ys, fail = _k.ikeda_orbit(
-            float(x0[0]), float(x0[1]), p["c0"], p["c1"], p["c2"], p["c3"], n, burn_in
-        )
-        if fail < 0:
-            raise DivergenceError(-fail)
-        if fail > 0:
-            raise DivergenceError(burn_in + fail)
-        return np.column_stack([xs, ys])
+        return block.T
     raise ValueError(sid)
 
 

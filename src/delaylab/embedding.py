@@ -7,6 +7,8 @@ import numpy as np
 from .dynamics import ambient_of_states, step_state
 from .observables import evaluate
 
+_MEASURE_CHUNK = 1_000_000
+
 
 @dataclass(frozen=True)
 class DelaySeries:
@@ -97,8 +99,17 @@ def delay_map(h, k, cfg, x):
 
 
 def measure_states(h, cfg, states):
-    """Observable values along an (n, state_dim) state array."""
-    return evaluate(h, ambient_of_states(cfg, states))
+    """Observable values along an (n, state_dim) state array.
+
+    Evaluated in blocks of _MEASURE_CHUNK rows, so the ambient coordinates of
+    a long orbit never exist all at once; every step is elementwise, so the
+    values do not depend on the block size.
+    """
+    states = np.atleast_2d(np.asarray(states, dtype=float))
+    out = np.empty(len(states))
+    for a in range(0, len(states), _MEASURE_CHUNK):
+        out[a:a + _MEASURE_CHUNK] = evaluate(h, ambient_of_states(cfg, states[a:a + _MEASURE_CHUNK]))
+    return out
 
 
 def series_rows(series):

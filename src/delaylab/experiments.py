@@ -17,6 +17,7 @@ import numpy as np
 from . import _kernels as _k
 from .csvio import emit_csv, format_cell
 from .dimension import (
+    _fit,
     ball_mass_dimension,
     box_counting_idim,
     EmpiricalMeasure,
@@ -25,15 +26,14 @@ from .dimension import (
     sample_model_measure,
     uniform_segment_measure,
 )
-from .dynamics import (GOLDEN_ROTATION, SystemConfig, box_flags, default_x0,
-                       trajectory, visit_gaps, visit_statistics)
-from .embedding import delay_series, measure_states, PairedVectors
-from .manifold import product_ambient_array
+from .dynamics import (GOLDEN_ROTATION, SystemConfig, ambient_of_states, box_flags,
+                       sample_model_states, trajectory, visit_gaps, visit_statistics)
+from .embedding import measure_states, PairedVectors
 from .observables import evaluate, monomial_basis, Observable, perturb
 from .predictability import (
     default_ladder,
     make_engine,
-    profile_references,
+    predictability_report,
     Sorted1DEngine,
 )
 
@@ -97,6 +97,8 @@ class ExperimentConfig:
         for key, val in self.overrides.items():
             if key not in defaults:
                 raise ValueError(f"unknown key {key!r} for {self.experiment_id}")
+            if not math.isfinite(float(val)):
+                raise ValueError(f"key {key!r} must be finite, got {val!r}")
             if isinstance(defaults[key], int) and not float(val).is_integer():
                 raise ValueError(f"key {key!r} must be an integer")
             if isinstance(val, (int, float)) and val <= 0 and key != "seed":
@@ -168,13 +170,6 @@ def parse_config(text):
     return ExperimentConfig(experiment, seed, overrides)
 
 
-def _ols_slope(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    vx = x - x.mean()
-    return float(vx @ (y - y.mean()) / (vx @ vx))
-
-
 def _logspaced_ints(lo, hi, n=200):
     vals = np.unique(np.round(np.logspace(math.log10(lo), math.log10(hi), n)).astype(int))
     return vals[(vals >= lo) & (vals <= hi)]
@@ -193,11 +188,10 @@ def _run_e1(cfg, out):
     rs = _k.radial_orbit(cfg.param("rho_r0"), kappa, cfg.param("rho_n"))
     rho = 1.0 - rs
     ns = _logspaced_ints(cfg.param("rho_fit_lo"), min(cfg.param("rho_fit_hi"), len(rs)))
-    slope = _ols_slope(np.log(ns), np.log(rho[ns - 1]))
+    slope = _fit(np.log(ns), np.log(rho[ns - 1]))[0]
     timings["rho_seconds"] = time.perf_counter() - t0
     metrics["rho_slope"] = slope
     flags["rho_slope_in_band"] = -0.55 <= slope <= -0.45
-    flags["rho_runtime_ok"] = timings["rho_seconds"] < 30.0
     emit_csv(out / "rho.csv", ["n", "rho"], [[float(n), float(rho[n - 1])] for n in ns])
 
     t0 = time.perf_counter()
@@ -226,7 +220,7 @@ def _run_e1(cfg, out):
     diff_band = (i_arr >= 20) & (i_arr <= 200)
     absdiff = np.abs(n_p - n_q)
     if diff_band.sum() >= 2:
-        metrics["absdiff_slope"] = _ols_slope(i_arr[diff_band], absdiff[diff_band])
+        metrics["absdiff_slope"] = _fit(i_arr[diff_band], absdiff[diff_band])[0]
     else:
         metrics["absdiff_slope"] = float("nan")
     flags["bounded_discrepancy"] = abs(metrics["absdiff_slope"]) <= 0.05
@@ -291,22 +285,6 @@ def _run_e2(cfg, out):
 # -- E3: model system, k = 1 ----------------------------------------------------
 
 
-def _model_pairs(n, alpha, rng):
-    """(pred, succ) ambient rows of n iid model-measure samples and their images."""
-    atom = rng.random(n) < 0.5
-    t = rng.random(n)
-    r = np.ones(n)
-    phi = np.where(atom, 0.0, math.pi)
-    t_pred = np.where(atom, 0.0, t)
-    t_succ = np.where(atom, 0.0, (t + alpha) % 1.0)
-    return (
-        product_ambient_array(r, phi, t_pred),
-        product_ambient_array(r, phi, t_succ),
-        atom,
-        t,
-    )
-
-
 def _circle_restriction(h):
     """Coefficients (c, a4, a5) of h on the fiber circle over q: c + a4 cos + a5 sin."""
     c = 0.0
@@ -360,9 +338,14 @@ def _run_e3(cfg, out):
     min_count = cfg.param("min_count")
     threshold = cfg.param("threshold")
 
-    pred_amb, succ_amb, _, _ = _model_pairs(n, alpha, rng_for(cfg.seed, "E3", "samples"))
+    model = SystemConfig("model_T0", alpha=alpha)
+    states = sample_model_states(n, rng_for(cfg.seed, "E3", "samples"))
+    pred_amb = ambient_of_states(model, states)
+    # one model step per row: the circle rotates by alpha, and the marked
+    # point's rows keep component 0, which ambient_of_states maps to p at t = 0
+    succ_amb = ambient_of_states(model, np.column_stack([states[:, 0], (states[:, 1] + alpha) % 1.0]))
     ref_t = rng_for(cfg.seed, "E3", "refs").random(n_refs)
-    ref_amb = product_ambient_array(np.ones(n_refs), np.full(n_refs, math.pi), ref_t)
+    ref_amb = ambient_of_states(model, np.column_stack([np.ones(n_refs), ref_t]))
 
     base = Observable(5, "cosine_fiber", degree_bound=1)
     basis_size = len(monomial_basis(5, 1))
@@ -420,10 +403,11 @@ def _run_e4(cfg, out):
     threshold = cfg.param("threshold")
     min_count = cfg.param("min_count")
 
+    sys_cfg = SystemConfig("skew_T", alpha=alpha, kappa=kappa, delta=delta)
     t0 = time.perf_counter()
-    r, phi, t = _k.skew_orbit(cfg.param("start_r"), cfg.param("start_phi"), cfg.param("start_t"),
-                              kappa, delta, alpha, n, 0)
+    orbit = trajectory(sys_cfg, (cfg.param("start_r"), cfg.param("start_phi"), cfg.param("start_t")), n)
     timings["orbit_seconds"] = time.perf_counter() - t0
+    r, phi, t = orbit.T  # contiguous column views, no copy
 
     in_p, in_q = box_flags(r, phi, delta)
     late = np.zeros(n, dtype=bool)
@@ -451,7 +435,7 @@ def _run_e4(cfg, out):
         amps = rng_for(cfg.seed, "E4", f"obs{j}").uniform(
             -cfg.param("pert_scale"), cfg.param("pert_scale"), basis_size)
         h = perturb(base, amplitudes=amps)
-        m = _chunked_measurements(h, r, phi, t)
+        m = measure_states(h, sys_cfg, orbit)
         pairs = PairedVectors(1, m[:-1, None], m[1:, None])
         ladder = default_ladder(pairs, levels=cfg.param("ladder_levels"), top=cfg.param("ladder_top"))
         engine = Sorted1DEngine(pairs)
@@ -467,6 +451,10 @@ def _run_e4(cfg, out):
                     float(est.sigma_hat_count),
                 ])
     timings["profiles_seconds"] = time.perf_counter() - t1
+    for side, sigmas, pool in (("marked-point", p_sigmas, pool_p), ("fiber", q_sigmas, pool_q)):
+        if not sigmas:
+            raise ValueError(f"no {side} reference was defined: none reached min_count = {min_count} "
+                             f"in a pool of {len(pool)} late passages")
 
     p_arr = np.asarray(p_sigmas)
     q_arr = np.asarray(q_sigmas)
@@ -479,14 +467,6 @@ def _run_e4(cfg, out):
     emit_csv(out / "skew_refs.csv",
              ["obs", "side", "ref_idx", "sigma_hat", "sigma_hat_eps", "count"], rows)
     return metrics, flags, timings
-
-
-def _chunked_measurements(h, r, phi, t, chunk=1_000_000):
-    out = np.empty(len(r))
-    for a in range(0, len(r), chunk):
-        b = min(a + chunk, len(r))
-        out[a:b] = evaluate(h, product_ambient_array(r[a:b], phi[a:b], t[a:b]))
-    return out
 
 
 # -- E5: predictability trend for ergodic benchmarks ----------------------------
@@ -506,51 +486,38 @@ def _monotone_last4(estimates, min_count):
     return (monotone / eligible if eligible else float("nan")), eligible
 
 
-def _trend_case(cfg, stage, sys_cfg, k, n_orbit, burn_in, base_id, degree):
-    rng = rng_for(cfg.seed, "E5", f"{stage}_obs")
-    ambient_dim = 2
-    base = Observable(ambient_dim, base_id, degree_bound=degree)
-    amps = rng.uniform(-cfg.param("pert_scale"), cfg.param("pert_scale"),
-                       len(monomial_basis(ambient_dim, degree)))
-    h = perturb(base, amplitudes=amps)
-    orbit = trajectory(sys_cfg, default_x0(sys_cfg), n_orbit, burn_in)
-    series = delay_series(measure_states(h, sys_cfg, orbit), k)
-    n_pred = len(series) - 1
-    tail = np.arange(n_pred // 2, n_pred)
-    refs = np.sort(rng_for(cfg.seed, "E5", f"{stage}_refs").choice(
-        tail, size=min(cfg.param("n_refs"), len(tail)), replace=False))
-    ladder = default_ladder(series, levels=cfg.param("ladder_levels"), top=cfg.param("ladder_top"))
-    report = profile_references(series, series.vectors[refs], ladder=ladder,
-                                min_count=cfg.param("min_count"),
-                                threshold=cfg.param("threshold"), ref_indices=refs)
-    return report
-
-
 def _run_e5(cfg, out):
     metrics = {}
     flags = {}
     min_count = cfg.param("min_count")
-    rows = []
-
     rot_cfg = SystemConfig("rotation", alpha=cfg.param("alpha"))
-    rot = _trend_case(cfg, "rotation", rot_cfg, 2, cfg.param("rot_n"), 0, "cosine_fiber", 3)
-    frac, eligible = _monotone_last4(rot.estimates, min_count)
-    metrics["rotation_k2_monotone_fraction"] = frac
-    metrics["rotation_k2_eligible_refs"] = float(eligible)
-    metrics["rotation_k2_predictable_fraction"] = rot.predictable_fraction
-    flags["rotation_k2_trend"] = frac >= 0.9
-    rows += _trend_rows("rotation_k2", rot)
-
     henon_cfg = SystemConfig("henon")
-    for k in (2, 3):
-        rep = _trend_case(cfg, f"henon_k{k}", henon_cfg, k,
-                          cfg.param("henon_n"), cfg.param("henon_burn"), "coord:0", 2 * k - 1)
-        frac, eligible = _monotone_last4(rep.estimates, min_count)
-        metrics[f"henon_k{k}_monotone_fraction"] = frac
-        metrics[f"henon_k{k}_eligible_refs"] = float(eligible)
-        rows += _trend_rows(f"henon_k{k}", rep)
-        if k == 3:
-            flags["henon_k3_trend"] = frac >= 0.8
+    henon_n = cfg.param("henon_n")
+    henon_burn = cfg.param("henon_burn")
+    cases = (  # (case, RNG stage, system, k, orbit length, burn-in, base observable, degree)
+        ("rotation_k2", "rotation", rot_cfg, 2, cfg.param("rot_n"), 0, "cosine_fiber", 3),
+        ("henon_k2", "henon_k2", henon_cfg, 2, henon_n, henon_burn, "coord:0", 3),
+        ("henon_k3", "henon_k3", henon_cfg, 3, henon_n, henon_burn, "coord:0", 5),
+    )
+    reports = {}
+    rows = []
+    for case, stage, sys_cfg, k, n_orbit, burn_in, base_id, degree in cases:
+        amps = rng_for(cfg.seed, "E5", f"{stage}_obs").uniform(
+            -cfg.param("pert_scale"), cfg.param("pert_scale"), len(monomial_basis(2, degree)))
+        h = perturb(Observable(2, base_id, degree_bound=degree), amplitudes=amps)
+        reports[case] = predictability_report(
+            sys_cfg, h, k, n_orbit, cfg.param("n_refs"),
+            levels=cfg.param("ladder_levels"), top=cfg.param("ladder_top"),
+            threshold=cfg.param("threshold"), min_count=min_count, burn_in=burn_in,
+            seed=rng_for(cfg.seed, "E5", f"{stage}_refs"))
+        frac, eligible = _monotone_last4(reports[case].estimates, min_count)
+        metrics[f"{case}_monotone_fraction"] = frac
+        metrics[f"{case}_eligible_refs"] = float(eligible)
+        rows += _trend_rows(case, reports[case])
+
+    metrics["rotation_k2_predictable_fraction"] = reports["rotation_k2"].predictable_fraction
+    flags["rotation_k2_trend"] = metrics["rotation_k2_monotone_fraction"] >= 0.9
+    flags["henon_k3_trend"] = metrics["henon_k3_monotone_fraction"] >= 0.8
     emit_csv(out / "trend_refs.csv", ["case", "ref_idx", "eps", "count", "sigma"], rows)
     return metrics, flags, {}
 
@@ -602,11 +569,10 @@ def _run_e6(cfg, out):
     record("point_mass", ball, "ball")
     record("point_mass", box_counting_idim(pm, ladder), "box")
 
-    r, phi, t = _k.skew_orbit(0.5, 1.0, 0.3, cfg.param("kappa"), cfg.param("delta"),
-                              cfg.param("alpha"), cfg.param("skew_orbit_n"), 0)
-    stride = cfg.param("skew_stride")
-    pts = product_ambient_array(r[::stride], phi[::stride], t[::stride])
-    mu_skew = EmpiricalMeasure.uniform(pts)
+    skew = SystemConfig("skew_T", alpha=cfg.param("alpha"), kappa=cfg.param("kappa"),
+                        delta=cfg.param("delta"))
+    orbit = trajectory(skew, (0.5, 1.0, 0.3), cfg.param("skew_orbit_n"))
+    mu_skew = EmpiricalMeasure.uniform(ambient_of_states(skew, orbit[::cfg.param("skew_stride")]))
     ball, _ = ball_mass_dimension(
         mu_skew, ladder, n_centers, int(rng_for(cfg.seed, "E6", "skew_centers").integers(0, 2**63)))
     record("skew_orbit", ball, "ball")

@@ -1,101 +1,11 @@
-"""Coordinate charts on the product of a 2-sphere and a circle.
+"""Ambient coordinates of the product of a 2-sphere and a circle.
 
-The sphere is the plane plus a point at infinity, handled in polar
-coordinates; the ambient model is R^5: the sphere goes through the inverse
-stereographic projection, the circle through (cos 2*pi*t, sin 2*pi*t).
+States carry the sphere as the plane in polar coordinates (r, phi) and the
+circle as t in turns; the ambient model is R^5: the sphere goes through the
+inverse stereographic projection, the circle through (cos 2*pi*t, sin 2*pi*t).
 """
 
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
-
-AMBIENT_DIM = 5
-
-_SPHERE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class CirclePoint:
-    """Angle coordinate on R/Z, stored in turn units within [0, 1)."""
-
-    t: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.t < 1.0):
-            raise ValueError(f"circle coordinate {self.t!r} outside [0, 1)")
-
-
-@dataclass(frozen=True)
-class PolarPoint:
-    """Point of the sphere in polar chart: radius r >= 0, angle phi in radians.
-
-    ``at_infinity`` marks the second chart point; r and phi are ignored there.
-    Finite points with r == 0 carry phi == 0 canonically.
-    """
-
-    r: float = 0.0
-    phi: float = 0.0
-    at_infinity: bool = False
-
-    def __post_init__(self):
-        if self.at_infinity:
-            return
-        if not (math.isfinite(self.r) and math.isfinite(self.phi)):
-            raise ValueError("non-finite polar coordinates")
-        if self.r < 0.0:
-            raise ValueError(f"negative radius {self.r!r}")
-        if self.r == 0.0 and self.phi != 0.0:
-            raise ValueError("origin must carry phi == 0")
-
-
-@dataclass(frozen=True)
-class ProductPoint:
-    """State on the sphere-times-circle product."""
-
-    base: PolarPoint
-    fiber: CirclePoint
-
-
-@dataclass(frozen=True)
-class AmbientPoint:
-    """Image of a ProductPoint in R^5 (unit sphere coords, unit circle coords)."""
-
-    coords: tuple = field()
-
-    def __post_init__(self):
-        c = self.coords
-        if len(c) != AMBIENT_DIM:
-            raise ValueError(f"expected {AMBIENT_DIM} coordinates, got {len(c)}")
-        if abs(c[0] ** 2 + c[1] ** 2 + c[2] ** 2 - 1.0) > _SPHERE_TOL:
-            raise ValueError("sphere coordinates off the unit sphere")
-        if abs(c[3] ** 2 + c[4] ** 2 - 1.0) > _SPHERE_TOL:
-            raise ValueError("fiber coordinates off the unit circle")
-
-    def as_array(self):
-        return np.asarray(self.coords, dtype=float)
-
-
-def wrap_circle(t):
-    """Reduce a finite real angle (in turns) to [0, 1)."""
-    if not math.isfinite(t):
-        raise ValueError(f"non-finite circle coordinate {t!r}")
-    w = t % 1.0
-    if w == 1.0:  # t % 1.0 rounds up for tiny negative t
-        w = 0.0
-    return CirclePoint(w)
-
-
-def circle_distance(a, b):
-    """Shorter-arc distance on R/Z; lies in [0, 1/2]."""
-    d = abs(a.t - b.t) % 1.0
-    return min(d, 1.0 - d)
-
-
-def angle_distance(phi, target):
-    """Distance of two radian angles on the circle of circumference 2*pi."""
-    d = math.fmod(abs(phi - target), 2.0 * math.pi)
-    return min(d, 2.0 * math.pi - d)
 
 
 def sphere_coords(r, phi):
@@ -113,16 +23,6 @@ def sphere_coords(r, phi):
 def fiber_coords(t):
     t = np.asarray(t, dtype=float)
     return np.cos(2.0 * np.pi * t), np.sin(2.0 * np.pi * t)
-
-
-def embed_ambient(p):
-    """Ambient R^5 image of a ProductPoint; infinity maps to the north pole."""
-    x4, x5 = fiber_coords(p.fiber.t)
-    if p.base.at_infinity:
-        x1, x2, x3 = 0.0, 0.0, 1.0
-    else:
-        x1, x2, x3 = sphere_coords(p.base.r, p.base.phi)
-    return AmbientPoint((float(x1), float(x2), float(x3), float(x4), float(x5)))
 
 
 def product_ambient_array(r, phi, t):

@@ -118,8 +118,8 @@ def perturb(h, amplitudes=None, scale=0.1, rng_seed=None):
 
 
 def evaluate(h, x):
-    """Observable value at an AmbientPoint, a coordinate vector, or (n, d) rows."""
-    coords = x.as_array() if hasattr(x, "as_array") else np.asarray(x, dtype=float)
+    """Observable value at a coordinate vector, or at each of (n, d) rows."""
+    coords = np.asarray(x, dtype=float)
     scalar = coords.ndim == 1
     rows = coords[None, :] if scalar else coords
     if rows.shape[1] != h.ambient_dim:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dimension import _fit
 from .dynamics import default_x0, trajectory
 from .embedding import delay_series, measure_states
 
@@ -68,27 +69,18 @@ def neighbor_indices(series, y, eps):
     """Indices i (ascending) with a successor and ||y_i - y|| < eps."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    pred, _ = _pair_arrays(series)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    d = np.linalg.norm(pred - y, axis=1)
-    return np.flatnonzero(d < eps)
+    return np.flatnonzero(BruteEngine(series).distances(y) < eps)
 
 
 def chi_sigma(series, y, eps):
     """Conditional mean and RMS deviation of successors over the eps-ball.
 
-    Returns (chi, sigma, count); count == 0 signals an empty ball and chi,
-    sigma are None then (distinct from a zero sigma).
+    The one-level BruteEngine profile.  Returns (chi, sigma, count);
+    count == 0 signals an empty ball and chi, sigma are None then (distinct
+    from a zero sigma).
     """
-    idx = neighbor_indices(series, y, eps)
-    count = int(len(idx))
-    if count == 0:
-        return None, None, 0
-    _, succ = _pair_arrays(series)
-    cloud = succ[idx]
-    chi = cloud.mean(axis=0)
-    sigma = float(np.sqrt(np.mean(np.sum((cloud - chi) ** 2, axis=1))))
-    return chi, sigma, count
+    entry = BruteEngine(series).profile(y, [eps], min_count=2).ladder[0]
+    return entry.chi, entry.sigma, entry.count
 
 
 def predict_next(series, eps):
@@ -143,7 +135,7 @@ def _finish_profile(y, entries, min_count, threshold):
     if len(admissible) >= 2:
         lx = np.log([e.eps for e in admissible])
         ly = np.log([e.sigma for e in admissible])
-        slope = float(np.polyfit(lx, ly, 1)[0])
+        slope = _fit(lx, ly)[0]
     predictable = None if sigma_hat is None else bool(sigma_hat < threshold)
     return SigmaEstimate(
         y=np.asarray(y, dtype=float).reshape(-1),
@@ -156,6 +148,15 @@ def _finish_profile(y, entries, min_count, threshold):
     )
 
 
+def _ball_entry(eps, cloud):
+    """Ladder entry of one ball from its successor cloud, by the exact two-pass formulas."""
+    if len(cloud) == 0:
+        return LadderEntry(eps, 0, None, None)
+    chi = cloud.mean(axis=0)
+    sigma = float(np.sqrt(np.mean(np.sum((cloud - chi) ** 2, axis=1))))
+    return LadderEntry(eps, len(cloud), chi, sigma)
+
+
 class BruteEngine:
     """Exact per-reference ball statistics via one distance pass per reference."""
 
@@ -163,24 +164,18 @@ class BruteEngine:
         self.pred, self.succ = _pair_arrays(series)
         self.k = self.pred.shape[1]
 
+    def distances(self, y):
+        """Euclidean distance of every predecessor to y."""
+        return np.linalg.norm(self.pred - np.asarray(y, dtype=float).reshape(-1), axis=1)
+
     def profile(self, y, ladder, min_count=DEFAULT_MIN_COUNT, threshold=DEFAULT_THRESHOLD):
         ladder = _validate_ladder(ladder, min_count)
         y = np.asarray(y, dtype=float).reshape(-1)
-        d = np.linalg.norm(self.pred - y, axis=1)
+        d = self.distances(y)
         coarse = d < ladder[0]
         d_sub = d[coarse]
         s_sub = self.succ[coarse]
-        entries = []
-        for eps in ladder:
-            mask = d_sub < eps
-            count = int(mask.sum())
-            if count == 0:
-                entries.append(LadderEntry(eps, 0, None, None))
-                continue
-            cloud = s_sub[mask]
-            chi = cloud.mean(axis=0)
-            sigma = float(np.sqrt(np.mean(np.sum((cloud - chi) ** 2, axis=1))))
-            entries.append(LadderEntry(eps, count, chi, sigma))
+        entries = [_ball_entry(eps, s_sub[d_sub < eps]) for eps in ladder]
         return _finish_profile(y, entries, min_count, threshold)
 
 
@@ -312,12 +307,11 @@ class PredictabilityReport:
 
 
 def profile_references(series, ref_vectors, ladder=None, min_count=DEFAULT_MIN_COUNT,
-                       threshold=DEFAULT_THRESHOLD, ref_indices=None, engine=None):
+                       threshold=DEFAULT_THRESHOLD, ref_indices=None):
     """Profiles for a batch of reference vectors over a shared ladder."""
     if ladder is None:
         ladder = default_ladder(series)
-    if engine is None:
-        engine = make_engine(series)
+    engine = make_engine(series)
     estimates = tuple(
         engine.profile(y, ladder, min_count, threshold) for y in np.atleast_2d(ref_vectors)
     )
@@ -332,21 +326,21 @@ def profile_references(series, ref_vectors, ladder=None, min_count=DEFAULT_MIN_C
     )
 
 
-def predictability_report(cfg, h, k, n_orbit, n_refs, ladder=None,
-                          threshold=DEFAULT_THRESHOLD, min_count=DEFAULT_MIN_COUNT,
-                          x0=None, burn_in=0, seed=0):
+def predictability_report(cfg, h, k, n_orbit, n_refs, levels=DEFAULT_LADDER_LEVELS,
+                          top=DEFAULT_LADDER_TOP, threshold=DEFAULT_THRESHOLD,
+                          min_count=DEFAULT_MIN_COUNT, burn_in=0, seed=0):
     """End-to-end report: orbit, measurements, delay series, sampled references.
 
-    References are drawn uniformly (seeded) from the second half of the
-    series, which samples the push-forward of the orbit's empirical measure.
+    The orbit starts at default_x0(cfg).  References are drawn uniformly from
+    the second half of the series with np.random.default_rng(seed), which
+    samples the push-forward of the orbit's empirical measure; a Generator
+    passed as seed is used as it is.  The ladder is default_ladder(series,
+    levels, top).
     """
     if n_orbit < k + 1 or n_refs < 1:
         raise ValueError("resources must be positive")
-    if x0 is None:
-        x0 = default_x0(cfg)
-    orbit = trajectory(cfg, x0, n_orbit, burn_in)
-    measurements = measure_states(h, cfg, orbit)
-    series = delay_series(measurements, k)
+    orbit = trajectory(cfg, default_x0(cfg), n_orbit, burn_in)
+    series = delay_series(measure_states(h, cfg, orbit), k)
     n_pred = len(series) - 1
     tail = np.arange(n_pred // 2, n_pred)
     rng = np.random.default_rng(seed)
@@ -354,12 +348,10 @@ def predictability_report(cfg, h, k, n_orbit, n_refs, ladder=None,
         refs = np.sort(rng.choice(tail, size=n_refs, replace=False))
     else:
         refs = tail
-    if ladder is None:
-        ladder = default_ladder(series)
     return profile_references(
         series,
         series.vectors[refs],
-        ladder=ladder,
+        ladder=default_ladder(series, levels, top),
         min_count=min_count,
         threshold=threshold,
         ref_indices=refs,

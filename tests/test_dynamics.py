@@ -1,198 +1,183 @@
-import cmath
 import math
 
 import numpy as np
 import pytest
 
+from delaylab import _kernels as _k
 from delaylab.dynamics import (
     box_flags,
-    CirclePoint,
     DivergenceError,
-    eta_fn,
-    f_step,
-    fiber_map,
-    g_step,
     GOLDEN_ROTATION,
-    henon_step,
-    ikeda_step,
-    lambda_bump,
-    model_T0_step,
-    Phi_map,
-    PolarPoint,
-    ProductPoint,
-    R_map,
-    rho_bump,
-    rotation_step,
     step_state,
     SystemConfig,
-    theta_fn,
     trajectory,
     visit_gaps,
     visit_statistics,
 )
 
 ALPHA = GOLDEN_ROTATION
+KAPPA = 0.05
+DELTA = 0.1
+
+
+def fiber(r, phi, t, alpha=ALPHA):
+    return _k.fiber_core(r, phi, t, KAPPA, DELTA, alpha)
 
 
 def test_rotation_step_examples():
-    assert rotation_step(CirclePoint(0.0), ALPHA).t == pytest.approx(ALPHA, abs=1e-15)
-    assert rotation_step(CirclePoint(0.5), 0.25).t == pytest.approx(0.75, abs=1e-15)
-    assert rotation_step(CirclePoint(0.9), 0.25).t == pytest.approx(0.15, abs=1e-15)
+    assert step_state(SystemConfig("rotation"), (0.0,))[0] == pytest.approx(ALPHA, abs=1e-15)
+    quarter = SystemConfig("rotation", alpha=0.25)
+    assert step_state(quarter, (0.5,))[0] == pytest.approx(0.75, abs=1e-15)
+    assert step_state(quarter, (0.9,))[0] == pytest.approx(0.15, abs=1e-15)
 
 
 def test_g_step_examples():
-    assert g_step(CirclePoint(0.0)).t == 0.0
-    assert g_step(CirclePoint(0.5)).t == pytest.approx(0.51, abs=1e-15)
-    assert g_step(CirclePoint(0.25)).t == pytest.approx(0.255, abs=1e-15)
+    # on U_p the fiber map is g(t) = t + sin^2(pi t)/100, which fixes 0
+    assert fiber(1.0, 0.0, 0.0) == 0.0
+    assert fiber(1.0, 0.0, 0.5) == pytest.approx(0.51, abs=1e-15)
+    assert fiber(1.0, 0.0, 0.25) == pytest.approx(0.255, abs=1e-15)
 
 
 def test_g_derivative_positive():
-    # 1 + (pi/100) sin(2 pi t) > 0 guarantees an orientation-preserving diffeo
-    t = np.linspace(0, 1, 10_001)
-    deriv = 1.0 + (math.pi / 100.0) * np.sin(2 * math.pi * t)
-    assert deriv.min() > 0
+    """Every fiber map h_z is orientation preserving: a finite difference in t
+    of fiber_core is positive on U_p (where h_z = g), on U_q (the rotation), in
+    the transition annuli of both bumps, and far from both boxes."""
+    bases = [
+        (1.0, 0.0), (1.05, -0.05),                      # U_p
+        (1.0, math.pi), (0.95, math.pi + 0.05),         # U_q
+        (1.0, 1.5 * DELTA), (1.15, 0.0),                # annulus around p
+        (1.0, math.pi - 1.5 * DELTA), (0.85, math.pi),  # annulus around q
+        (1.0, math.pi / 2), (0.5, 1.0), (2.0, 4.0),     # far from both
+    ]
+    h = 1e-7
+    t = np.linspace(0.0, 1.0 - h, 2_001)
+    for r, phi in bases:
+        for alpha in (ALPHA, 0.9):
+            for s in t:
+                # the shorter signed arc, so an image crossing the cut at 0 still counts
+                step = (fiber(r, phi, s + h, alpha) - fiber(r, phi, s, alpha) + 0.5) % 1.0 - 0.5
+                assert step > 0.0, (r, phi, alpha, s)
 
 
 def test_R_map_fixed_points_and_value():
-    assert R_map(1.0, 0.05) == 1.0  # (1-r)^3 is exactly zero at r = 1
-    assert R_map(0.0, 0.05) == 0.0
-    assert R_map(0.5, 0.05) == pytest.approx(0.5029411764705882, abs=1e-16)
-    with pytest.raises(ValueError):
-        R_map(-0.1, 0.05)
+    assert _k.r_core(1.0, 0.05) == 1.0  # (1-r)^3 is exactly zero at r = 1
+    assert _k.r_core(0.0, 0.05) == 0.0
+    assert _k.r_core(0.5, 0.05) == pytest.approx(0.5029411764705882, abs=1e-16)
 
 
 @pytest.mark.parametrize("kappa", [0.01, 0.05, 0.1])
 def test_R_map_strictly_monotone(kappa):
     r = np.linspace(0.0, 3.0, 10_000)
-    vals = np.array([R_map(x, kappa) for x in r])
+    vals = np.array([_k.r_core(x, kappa) for x in r])
     assert np.all(np.diff(vals) > 0)
 
 
 def test_R_map_pushes_toward_unit_circle():
-    assert R_map(0.5, 0.05) > 0.5
-    assert R_map(1.5, 0.05) < 1.5
+    assert _k.r_core(0.5, 0.05) > 0.5
+    assert _k.r_core(1.5, 0.05) < 1.5
 
 
 def test_theta_examples():
-    assert theta_fn(0.0) == 0.0
-    assert theta_fn(math.pi) < 1e-30
-    assert theta_fn(math.pi / 2) == pytest.approx(1.0, abs=1e-15)
+    assert _k.theta_core(0.0) == 0.0
+    assert _k.theta_core(math.pi) < 1e-30
+    assert _k.theta_core(math.pi / 2) == pytest.approx(1.0, abs=1e-15)
     # quadratic tangency at zero
-    assert theta_fn(1e-4) == pytest.approx(1e-8, rel=1e-6)
+    assert _k.theta_core(1e-4) == pytest.approx(1e-8, rel=1e-6)
 
 
 def test_eta_examples():
-    assert eta_fn(1.0) == 1.0
-    assert eta_fn(0.75) == 1.0
+    assert _k.eta_core(1.0) == 1.0
+    assert _k.eta_core(0.75) == 1.0
     r = 1e-6
-    assert (1.0 - r) ** 2 * eta_fn(r) < 1e-3
-    assert (1.0 - 10.0) ** 2 * eta_fn(10.0) < 1e-2
-    assert eta_fn(2.0) > 0.0
-    with pytest.raises(ValueError):
-        eta_fn(0.0)
+    assert (1.0 - r) ** 2 * _k.eta_core(r) < 1e-3
+    assert (1.0 - 10.0) ** 2 * _k.eta_core(10.0) < 1e-2
+    assert _k.eta_core(2.0) > 0.0
 
 
 def test_Phi_examples():
-    assert Phi_map(1.0, 0.0, 0.05) == 0.0
-    assert Phi_map(1.0, math.pi, 0.05) == pytest.approx(math.pi, abs=1e-15)
-    assert Phi_map(1.0, math.pi / 2, 0.05) == pytest.approx(math.pi / 2 + 0.05, abs=1e-15)
+    assert _k.phi_core(1.0, 0.0, 0.05) == 0.0
+    assert _k.phi_core(1.0, math.pi, 0.05) == pytest.approx(math.pi, abs=1e-15)
+    assert _k.phi_core(1.0, math.pi / 2, 0.05) == pytest.approx(math.pi / 2 + 0.05, abs=1e-15)
 
 
 def test_Phi_strictly_increasing_in_phi():
     phi = np.linspace(-7, 7, 20_001)
     for r in (0.3, 1.0, 1.7):
-        vals = np.array([Phi_map(r, p, 0.1) for p in phi])
+        vals = np.array([_k.phi_core(r, p, 0.1) for p in phi])
         assert np.all(np.diff(vals) > 0)
 
 
 def test_f_step_fixed_points():
-    p = PolarPoint(1.0, 0.0)
-    q = PolarPoint(1.0, math.pi)
-    fp = f_step(p, 0.05)
-    fq = f_step(q, 0.05)
-    assert fp.r == 1.0 and fp.phi == 0.0
-    assert fq.r == 1.0 and abs(fq.phi - math.pi) < 1e-15
-    assert f_step(PolarPoint(0.0, 0.0), 0.05) == PolarPoint(0.0, 0.0)
-    inf = PolarPoint(at_infinity=True)
-    assert f_step(inf, 0.05).at_infinity
+    cfg = SystemConfig("spiral_f", kappa=0.05)
+    assert step_state(cfg, (1.0, 0.0)) == (1.0, 0.0)
+    r, phi = step_state(cfg, (1.0, math.pi))
+    assert r == 1.0 and abs(phi - math.pi) < 1e-15
 
 
 def test_f_step_generic_value():
-    out = f_step(PolarPoint(0.5, 0.1), 0.05)
+    r, phi = step_state(SystemConfig("spiral_f", kappa=0.05), (0.5, 0.1))
     r_exp = 0.5 + 0.05 * 0.5 * 0.125 / 1.0625
     phi_exp = 0.1 + 0.05 * math.sin(0.1) ** 2 + 0.25 * 1.0  # eta == 1 at r = 0.5
-    assert out.r == pytest.approx(r_exp, abs=1e-16)
-    assert out.phi == pytest.approx(phi_exp, abs=1e-15)
+    assert r == pytest.approx(r_exp, abs=1e-16)
+    assert phi == pytest.approx(phi_exp, abs=1e-15)
 
 
 def test_fiber_map_regimes():
-    cfg = SystemConfig("skew_T", kappa=0.05, delta=0.1)
-    on_p = PolarPoint(1.0, 0.0)
-    on_q = PolarPoint(1.0, math.pi)
-    far = PolarPoint(1.0, math.pi / 2)
-    assert fiber_map(on_p, CirclePoint(0.5), cfg).t == pytest.approx(0.51, abs=1e-15)
-    assert fiber_map(on_q, CirclePoint(0.1), cfg).t == pytest.approx((0.1 + ALPHA) % 1, abs=1e-15)
-    assert lambda_bump(far, cfg.delta) == 0.0
-    assert rho_bump(far, cfg.delta) == 0.0
-    assert fiber_map(far, CirclePoint(0.37), cfg).t == 0.37
+    far = (1.0, math.pi / 2)
+    assert fiber(1.0, 0.0, 0.5) == pytest.approx(0.51, abs=1e-15)  # g on U_p
+    assert fiber(1.0, math.pi, 0.1) == pytest.approx((0.1 + ALPHA) % 1, abs=1e-15)  # rotation on U_q
+    assert _k.lambda_bump_core(*far, DELTA) == 0.0
+    assert _k.rho_bump_core(*far, DELTA) == 0.0
+    assert fiber(*far, 0.37) == 0.37  # identity far from both boxes
 
 
 def test_bump_supports():
-    delta = 0.1
-    assert lambda_bump(PolarPoint(1.05, 0.05), delta) == 1.0
-    assert lambda_bump(PolarPoint(1.0, 2.5 * delta), delta) == 0.0
-    assert lambda_bump(PolarPoint(1.35, 0.0), delta) == 0.0
-    assert 0.0 < lambda_bump(PolarPoint(1.0, 1.5 * delta), delta) < 1.0
-    assert rho_bump(PolarPoint(1.0, math.pi + 0.05), delta) == 1.0
-    assert rho_bump(PolarPoint(1.0, math.pi + 2.5 * delta), delta) == 0.0
+    lam = _k.lambda_bump_core
+    rho = _k.rho_bump_core
+    assert lam(1.05, 0.05, DELTA) == 1.0
+    assert lam(1.0, 2.5 * DELTA, DELTA) == 0.0
+    assert lam(1.35, 0.0, DELTA) == 0.0
+    assert 0.0 < lam(1.0, 1.5 * DELTA, DELTA) < 1.0
+    assert rho(1.0, math.pi + 0.05, DELTA) == 1.0
+    assert rho(1.0, math.pi + 2.5 * DELTA, DELTA) == 0.0
+    # both bumps vanish outside the 2*delta boxes, on a grid around the circle
+    for r in np.linspace(0.5, 1.5, 41):
+        for phi in np.linspace(0.0, 2 * math.pi, 181):
+            outside_r = abs(1.0 - r) >= 2 * DELTA
+            if outside_r or _k.angle_dist_core(phi, 0.0) >= 2 * DELTA:
+                assert lam(r, phi, DELTA) == 0.0
+            if outside_r or _k.angle_dist_core(phi, math.pi) >= 2 * DELTA:
+                assert rho(r, phi, DELTA) == 0.0
 
 
 def test_skew_step_fixed_point_and_q_rotation():
-    from delaylab.dynamics import skew_step
-
     cfg = SystemConfig("skew_T")
-    p0 = ProductPoint(PolarPoint(1.0, 0.0), CirclePoint(0.0))
-    stepped = skew_step(p0, cfg)
-    assert stepped.base.r == 1.0 and stepped.base.phi == 0.0 and stepped.fiber.t == 0.0
-    q = ProductPoint(PolarPoint(1.0, math.pi), CirclePoint(0.3))
-    sq = skew_step(q, cfg)
-    assert sq.base.r == 1.0 and abs(sq.base.phi - math.pi) < 1e-15
-    assert sq.fiber.t == pytest.approx((0.3 + ALPHA) % 1, abs=1e-15)
+    assert step_state(cfg, (1.0, 0.0, 0.0)) == (1.0, 0.0, 0.0)
+    r, phi, t = step_state(cfg, (1.0, math.pi, 0.3))
+    assert r == 1.0 and abs(phi - math.pi) < 1e-15
+    assert t == pytest.approx((0.3 + ALPHA) % 1, abs=1e-15)
 
 
 def test_model_T0_step():
     cfg = SystemConfig("model_T0")
-    p0 = ProductPoint(PolarPoint(1.0, 0.0), CirclePoint(0.0))
-    assert model_T0_step(p0, cfg) == p0
-    c0 = ProductPoint(PolarPoint(1.0, math.pi), CirclePoint(0.0))
-    assert model_T0_step(c0, cfg).fiber.t == pytest.approx(ALPHA, abs=1e-15)
-    c5 = ProductPoint(PolarPoint(1.0, math.pi), CirclePoint(0.5))
-    assert model_T0_step(c5, cfg).fiber.t == pytest.approx((0.5 + ALPHA) % 1, abs=1e-15)
-    with pytest.raises(ValueError):
-        model_T0_step(ProductPoint(PolarPoint(0.5, 1.0), CirclePoint(0.1)), cfg)
+    assert step_state(cfg, (0.0, 0.0)) == (0.0, 0.0)
+    assert step_state(cfg, (1.0, 0.0))[1] == pytest.approx(ALPHA, abs=1e-15)
+    assert step_state(cfg, (1.0, 0.5))[1] == pytest.approx((0.5 + ALPHA) % 1, abs=1e-15)
+    traj = trajectory(cfg, (1.0, 0.5), 3)
+    assert traj[2, 1] == pytest.approx((0.5 + 2 * ALPHA) % 1, abs=1e-15)
+    assert np.all(trajectory(cfg, (0.0, 0.0), 4) == 0.0)
 
 
 def test_henon_examples():
-    assert henon_step(0.0, 0.0, 1.4, 0.3) == (1.0, 0.0)
-    assert henon_step(1.0, 0.0, 1.4, 0.3) == pytest.approx((-0.4, 0.3), abs=1e-15)
+    cfg = SystemConfig("henon")
+    assert step_state(cfg, (0.0, 0.0)) == (1.0, 0.0)
+    assert step_state(cfg, (1.0, 0.0)) == pytest.approx((-0.4, 0.3), abs=1e-15)
     # fixed point from the quadratic formula, residual below 1e-12
     a, b = 1.4, 0.3
     x_star = (b - 1 + math.sqrt((1 - b) ** 2 + 4 * a)) / (2 * a)
     y_star = b * x_star
-    nx, ny = henon_step(x_star, y_star, a, b)
+    nx, ny = step_state(cfg, (x_star, y_star))
     assert abs(nx - x_star) < 1e-12 and abs(ny - y_star) < 1e-12
-
-
-def test_ikeda_examples():
-    assert ikeda_step(0.0, 0.0) == pytest.approx((1.0, 0.0), abs=1e-15)
-    w_origin = 0.4 - 6.0 / (1.0 + 0.0)
-    assert w_origin == -5.6
-    # independent complex-arithmetic route for one step from (1, 0)
-    w = 0.4 - 6.0 / 2.0
-    z = 1.0 + 0.9 * (1.0 + 0.0j) * cmath.exp(1j * w)
-    out = ikeda_step(1.0, 0.0)
-    assert out[0] == pytest.approx(z.real, abs=1e-14)
-    assert out[1] == pytest.approx(z.imag, abs=1e-14)
 
 
 def test_trajectory_rotation():
@@ -233,9 +218,7 @@ def test_trajectory_matches_step_state():
     for system, x0, n, tol in [
         ("spiral_f", (0.5, 1.0), 1_000, 1e-9),
         ("skew_T", (0.5, 1.0, 0.3), 1_000, 1e-9),
-        ("circle_g", (0.2,), 500, 1e-12),
         ("henon", (0.0, 0.0), 30, 1e-10),
-        ("ikeda", (0.1, 0.0), 30, 1e-10),
     ]:
         cfg = SystemConfig(system)
         traj = trajectory(cfg, x0, n)

@@ -50,6 +50,12 @@ def test_parse_config_unknown_key_named():
         parse_config("experiment = E1\nfrobnicate = 3\n")
 
 
+@pytest.mark.parametrize("key,val", [("threshold", "nan"), ("pert_scale", "inf")])
+def test_parse_config_rejects_nonfinite(key, val):
+    with pytest.raises(ValueError, match=key):
+        parse_config(f"experiment = E3\n{key} = {val}\n")
+
+
 def test_config_override_type_check():
     with pytest.raises(ValueError, match="n_obs"):
         ExperimentConfig("E3_model_nonpredict", 0, {"n_obs": 2.5})
@@ -157,6 +163,12 @@ def test_stage_failure_names_stage(tmp_path):
     cfg = ExperimentConfig("E4_counterexample", 0, {"orbit_n": 2_000})
     with pytest.raises(RuntimeError, match="counterexample"):
         run_experiment(cfg, tmp_path)  # late-time pools are empty on a tiny orbit
+
+
+def test_e4_undefined_marked_point_named(tmp_path):
+    cfg = ExperimentConfig("E4_counterexample", 0, {"orbit_n": 200_000, "min_count": 10_000_000})
+    with pytest.raises(RuntimeError, match="'counterexample'.*no marked-point reference was defined"):
+        run_experiment(cfg, tmp_path)
 
 
 def test_cli_list(capsys):

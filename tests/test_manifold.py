@@ -4,75 +4,67 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from delaylab.manifold import (
-    AmbientPoint,
-    angle_distance,
-    CirclePoint,
-    circle_distance,
-    embed_ambient,
-    PolarPoint,
-    product_ambient_array,
-    ProductPoint,
-    wrap_circle,
-)
+from delaylab._kernels import angle_dist_core
+from delaylab.dynamics import SystemConfig, trajectory
+from delaylab.manifold import product_ambient_array
 
-finite_floats = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e9, max_value=1e9)
+TWO_PI = 2 * math.pi
 
 
 def test_wrap_examples():
-    assert wrap_circle(1.25).t == 0.25
-    assert wrap_circle(-0.5).t == 0.5
-    assert wrap_circle(0.0).t == 0.0
+    # start states are wrapped onto the circle before the first iterate
+    rotation = SystemConfig("rotation", alpha=0.25)
+    assert trajectory(rotation, (1.25,), 1)[0, 0] == 0.25
+    assert trajectory(rotation, (-0.5,), 1)[0, 0] == 0.5
+    assert trajectory(rotation, (0.0,), 1)[0, 0] == 0.0
+    skew = trajectory(SystemConfig("skew_T"), (0.5, 1.0 + TWO_PI, 1.25), 1)
+    assert skew[0, 1] == pytest.approx(1.0, abs=1e-15)
+    assert skew[0, 2] == 0.25
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_wrap_rejects_nonfinite(bad):
-    with pytest.raises(ValueError):
-        wrap_circle(bad)
-
-
-@given(finite_floats)
-def test_wrap_idempotent(t):
-    once = wrap_circle(t)
-    assert wrap_circle(once.t).t == once.t
+    with pytest.raises(ValueError, match="non-finite start state"):
+        trajectory(SystemConfig("rotation"), (bad,), 1)
+    with pytest.raises(ValueError, match="non-finite start state"):
+        trajectory(SystemConfig("skew_T"), (0.5, 1.0, bad), 1)
 
 
 def test_circle_distance_examples():
-    assert circle_distance(CirclePoint(0.1), CirclePoint(0.9)) == pytest.approx(0.2, abs=1e-15)
-    assert circle_distance(CirclePoint(0.37), CirclePoint(0.37)) == 0.0
-    assert circle_distance(CirclePoint(0.0), CirclePoint(0.5)) == 0.5
+    assert angle_dist_core(0.1, TWO_PI - 0.1) == pytest.approx(0.2, abs=1e-15)
+    assert angle_dist_core(2.37, 2.37) == 0.0
+    assert angle_dist_core(0.0, math.pi) == math.pi
+    assert angle_dist_core(-0.3, 0.0) == pytest.approx(0.3, abs=1e-15)
 
 
-@given(st.floats(0, 0.999), st.floats(0, 0.999))
+@given(st.floats(0, 6.28), st.floats(0, 6.28))
 def test_circle_distance_symmetric_and_bounded(a, b):
-    pa, pb = CirclePoint(a), CirclePoint(b)
-    d = circle_distance(pa, pb)
-    assert d == circle_distance(pb, pa)
-    assert 0.0 <= d <= 0.5
+    d = angle_dist_core(a, b)
+    assert d == angle_dist_core(b, a)
+    assert 0.0 <= d <= math.pi
 
 
 def test_circle_distance_rotation_invariant():
     rng = np.random.default_rng(0)
-    for a, b, s in rng.random((200, 3)):
-        d0 = circle_distance(CirclePoint(a), CirclePoint(b))
-        d1 = circle_distance(wrap_circle(a + s), wrap_circle(b + s))
+    for a, b, s in TWO_PI * rng.random((200, 3)):
+        d0 = angle_dist_core(a, b)
+        d1 = angle_dist_core((a + s) % TWO_PI, (b + s) % TWO_PI)
         assert d1 == pytest.approx(d0, abs=1e-12)
 
 
 def test_circle_distance_triangle_inequality():
     rng = np.random.default_rng(1)
-    for a, b, c in rng.random((500, 3)):
-        pa, pb, pc = CirclePoint(a), CirclePoint(b), CirclePoint(c)
-        assert circle_distance(pa, pc) <= circle_distance(pa, pb) + circle_distance(pb, pc) + 1e-12
+    for a, b, c in TWO_PI * rng.random((500, 3)):
+        assert angle_dist_core(a, c) <= angle_dist_core(a, b) + angle_dist_core(b, c) + 1e-12
 
 
 def test_embed_examples():
-    p = embed_ambient(ProductPoint(PolarPoint(1.0, 0.0), CirclePoint(0.0)))
-    assert p.coords == pytest.approx((1, 0, 0, 1, 0), abs=1e-15)
-    inf = embed_ambient(ProductPoint(PolarPoint(at_infinity=True), CirclePoint(0.25)))
-    assert inf.coords == pytest.approx((0, 0, 1, 0, 1), abs=1e-15)
-    origin = embed_ambient(ProductPoint(PolarPoint(0.0, 0.0), CirclePoint(0.0)))
-    assert origin.coords == pytest.approx((0, 0, -1, 1, 0), abs=1e-15)
+    p = product_ambient_array([1.0], [0.0], [0.0])
+    assert p[0] == pytest.approx((1, 0, 0, 1, 0), abs=1e-15)
+    origin = product_ambient_array([0.0], [0.0], [0.25])
+    assert origin[0] == pytest.approx((0, 0, -1, 0, 1), abs=1e-15)
+    q = product_ambient_array([1.0], [math.pi], [0.5])
+    assert q[0] == pytest.approx((-1, 0, 0, -1, 0), abs=1e-15)
 
 
 def test_ambient_norms_on_random_points():
@@ -87,33 +79,14 @@ def test_ambient_norms_on_random_points():
 
 def test_embed_injective_on_separated_sample():
     rng = np.random.default_rng(3)
-    pts = []
-    for _ in range(300):
-        pts.append(ProductPoint(PolarPoint(rng.uniform(0.1, 3.0), rng.uniform(0, 2 * math.pi)),
-                                CirclePoint(rng.random())))
-    for i in range(0, 298, 2):
-        a, b = pts[i], pts[i + 1]
-        sep = max(abs(a.base.r - b.base.r), angle_distance(a.base.phi, b.base.phi),
-                  circle_distance(a.fiber, b.fiber))
+    n = 300
+    r = rng.uniform(0.1, 3.0, n)
+    phi = rng.uniform(0, TWO_PI, n)
+    t = rng.random(n)
+    coords = product_ambient_array(r, phi, t)
+    for i in range(0, n - 2, 2):
+        dt = abs(t[i] - t[i + 1]) % 1.0
+        sep = max(abs(r[i] - r[i + 1]), angle_dist_core(phi[i], phi[i + 1]), min(dt, 1.0 - dt))
         if sep < 1e-6:
             continue
-        da = np.asarray(embed_ambient(a).coords) - np.asarray(embed_ambient(b).coords)
-        assert np.linalg.norm(da) > 1e-9
-
-
-def test_ambient_point_validation():
-    with pytest.raises(ValueError):
-        AmbientPoint((1.0, 0.0, 0.1, 1.0, 0.0))
-    with pytest.raises(ValueError):
-        AmbientPoint((1.0, 0.0, 0.0, 0.9, 0.0))
-    with pytest.raises(ValueError):
-        AmbientPoint((1.0, 0.0, 0.0, 1.0))
-
-
-def test_polar_point_validation():
-    with pytest.raises(ValueError):
-        PolarPoint(-0.5, 0.0)
-    with pytest.raises(ValueError):
-        PolarPoint(0.0, 1.0)
-    with pytest.raises(ValueError):
-        CirclePoint(1.0)
+        assert np.linalg.norm(coords[i] - coords[i + 1]) > 1e-9
