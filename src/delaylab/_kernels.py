@@ -1,34 +1,39 @@
-"""Scalar map cores and long-orbit loops, jitted when numba is present.
+"""Scalar map cores and the long-orbit loops that iterate them.
 
-Everything here is written in the nopython subset.  dynamics.step_state
-calls the same cores one step at a time and is the scalar reference the
-loops are tested against, so the two cannot drift apart.  Each loop fills a
-(state_dim, n) block, so the (n, state_dim) view that dynamics.trajectory
-returns has contiguous columns; it writes through 1-D row views, which cost
-an interpreted loop half as much per store as 2-D indexing.
+dynamics.step_state calls the same cores one step at a time and is the
+scalar reference the loops are tested against, so the two cannot drift
+apart.  Each loop fills a (state_dim, n) block, so the (n, state_dim) view
+that dynamics.trajectory returns has contiguous columns; it writes through
+1-D row views, which cost an interpreted loop half as much per store as 2-D
+indexing.
+
+The loops exist twice.  The ``*_py`` functions here are the reference;
+``_orbits.c`` repeats them statement for statement.  The first orbit call
+compiles it with gcc into ``__pycache__`` beside this file (the file name
+carries the sha256 of the source and flags) and loads it with ctypes; later
+processes load the cached library.  The public ``*_orbit`` names run the C
+loops and fall back to the Python ones when gcc is missing or the build or
+load fails.  BACKEND names the loops in use, "c" or "python", once an orbit
+has been asked for.  Both compute every double as CPython does, so their
+blocks are bitwise equal.
 """
 
+import ctypes
+import hashlib
 import math
+import os
+import shutil
+import subprocess
+import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
 
 TWO_PI = 2.0 * math.pi
 G_AMPLITUDE = 1.0 / 100.0
 
 
-@njit(cache=False)
 def smooth_step(x):
     """C-infinity step: 0 for x <= 0, 1 for x >= 1, strictly monotone between."""
     if x <= 0.0:
@@ -40,19 +45,16 @@ def smooth_step(x):
     return a / (a + b)
 
 
-@njit(cache=False)
 def r_core(r, kappa):
     omr = 1.0 - r
     return r + kappa * r * omr * omr * omr / (1.0 + r * r * r * r)
 
 
-@njit(cache=False)
 def theta_core(phi):
     s = math.sin(phi)
     return s * s
 
 
-@njit(cache=False)
 def eta_core(r):
     # 1 on [1/2, 3/2]; decays fast enough for (1-r)^2 * eta to vanish at 0+ and inf
     lo = smooth_step((0.5 - r) * 4.0)
@@ -65,13 +67,11 @@ def eta_core(r):
     return out
 
 
-@njit(cache=False)
 def phi_core(r, phi, kappa):
     omr = 1.0 - r
     return phi + kappa * theta_core(phi) + omr * omr * eta_core(r)
 
 
-@njit(cache=False)
 def angle_dist_core(phi, target):
     d = abs(phi - target) % TWO_PI
     if d > math.pi:
@@ -79,7 +79,6 @@ def angle_dist_core(phi, target):
     return d
 
 
-@njit(cache=False)
 def lambda_bump_core(r, phi, delta):
     """1 on U_p, 0 outside the 2*delta box around p; smooth in between."""
     fr = smooth_step(2.0 - abs(1.0 - r) / delta)
@@ -87,7 +86,6 @@ def lambda_bump_core(r, phi, delta):
     return fr * fa
 
 
-@njit(cache=False)
 def rho_bump_core(r, phi, delta):
     """Same bump shape around q (angle pi)."""
     fr = smooth_step(2.0 - abs(1.0 - r) / delta)
@@ -95,7 +93,6 @@ def rho_bump_core(r, phi, delta):
     return fr * fa
 
 
-@njit(cache=False)
 def fiber_core(r, phi, t, kappa, delta, alpha):
     lam = lambda_bump_core(r, phi, delta)
     rho = rho_bump_core(r, phi, delta)
@@ -103,8 +100,16 @@ def fiber_core(r, phi, t, kappa, delta, alpha):
     return (t + lam * G_AMPLITUDE * s * s + rho * alpha) % 1.0
 
 
-@njit(cache=False)
-def radial_orbit(r0, kappa, n):
+def wrap(x, period):
+    """x mod period in [0, period): a tiny negative x rounds x % period up to period."""
+    w = x % period
+    return 0.0 if w == period else w
+
+
+# -- the reference loops --------------------------------------------------------
+
+
+def radial_orbit_py(r0, kappa, n):
     """n iterates of the radial map, r_1 .. r_n from r_0."""
     out = np.empty(n)
     r = r0
@@ -114,13 +119,12 @@ def radial_orbit(r0, kappa, n):
     return out
 
 
-@njit(cache=False)
-def spiral_orbit(r0, phi0, kappa, n, burn_in):
+def spiral_orbit_py(r0, phi0, kappa, n, burn_in):
     """(2, n) block of (r_i, phi_i) after burn_in; phi kept wrapped to [0, 2*pi)."""
     out = np.empty((2, n))
     rs, ps = out[0], out[1]
     r = r0
-    phi = phi0 % TWO_PI
+    phi = wrap(phi0, TWO_PI)
     for _ in range(burn_in):
         phi = phi_core(r, phi, kappa) % TWO_PI
         r = r_core(r, kappa)
@@ -132,14 +136,13 @@ def spiral_orbit(r0, phi0, kappa, n, burn_in):
     return out
 
 
-@njit(cache=False)
-def skew_orbit(r0, phi0, t0, kappa, delta, alpha, n, burn_in):
-    """(3, n) block of (r_i, phi_i, t_i) along the skew product; base as in spiral_orbit."""
+def skew_orbit_py(r0, phi0, t0, kappa, delta, alpha, n, burn_in):
+    """(3, n) block of (r_i, phi_i, t_i) along the skew product; base as in spiral_orbit_py."""
     out = np.empty((3, n))
     rs, ps, ts = out[0], out[1], out[2]
     r = r0
-    phi = phi0 % TWO_PI
-    t = t0 % 1.0
+    phi = wrap(phi0, TWO_PI)
+    t = wrap(t0, 1.0)
     for _ in range(burn_in):
         tn = fiber_core(r, phi, t, kappa, delta, alpha)
         phi = phi_core(r, phi, kappa) % TWO_PI
@@ -156,8 +159,7 @@ def skew_orbit(r0, phi0, t0, kappa, delta, alpha, n, burn_in):
     return out
 
 
-@njit(cache=False)
-def henon_orbit(x0, y0, a, b, n, burn_in):
+def henon_orbit_py(x0, y0, a, b, n, burn_in):
     """Henon iterates as a (2, n) block of (x_i, y_i).
 
     Returns (block, fail): fail == 0 on success; fail < 0 means divergence at
@@ -183,4 +185,106 @@ def henon_orbit(x0, y0, a, b, n, burn_in):
         if not (math.isfinite(x) and math.isfinite(y)):
             if i + 1 < n:
                 return out[:, : i + 1], i + 1
+    return out, 0
+
+
+# -- the compiled loops ---------------------------------------------------------
+
+_SOURCE = Path(__file__).with_name("_orbits.c")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
+_D, _I64 = ctypes.c_double, ctypes.c_int64
+_SIGNATURES = {  # name: (restype, argtypes); the last argument is the block
+    "radial_orbit": (None, (_D, _D, _I64, ctypes.c_void_p)),
+    "spiral_orbit": (ctypes.c_int, (_D, _D, _D, _I64, _I64, ctypes.c_void_p)),
+    "skew_orbit": (ctypes.c_int, (_D, _D, _D, _D, _D, _D, _I64, _I64, ctypes.c_void_p)),
+    "henon_orbit": (_I64, (_D, _D, _D, _D, _I64, _I64, ctypes.c_void_p)),
+}
+
+BACKEND = None  # "c" or "python" once an orbit has been asked for
+_lib = None
+_load_lock = threading.Lock()
+
+
+def _build_library():
+    """Path of the compiled _orbits.c, compiling it into __pycache__ if absent."""
+    source = _SOURCE.read_bytes()
+    key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+    cache = _SOURCE.with_name("__pycache__")
+    target = cache / f"_orbits-{key}.so"
+    if target.exists():
+        return target
+    cache.mkdir(exist_ok=True)
+    tmp = cache / f"_orbits-{key}.{os.getpid()}.tmp"  # other processes may build at once
+    try:
+        subprocess.run([shutil.which("gcc"), *_CFLAGS, "-o", str(tmp), str(_SOURCE), "-lm"],
+                       check=True, capture_output=True, text=True)
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return target
+
+
+def _library():
+    """The loaded C loops, or None when they cannot be built here."""
+    global BACKEND, _lib
+    with _load_lock:
+        if BACKEND is None:
+            if shutil.which("gcc") is not None:
+                try:
+                    lib = ctypes.CDLL(str(_build_library()))
+                    for name, (restype, argtypes) in _SIGNATURES.items():
+                        getattr(lib, name).restype = restype
+                        getattr(lib, name).argtypes = argtypes
+                    _lib = lib
+                except (OSError, subprocess.SubprocessError, AttributeError) as exc:
+                    detail = getattr(exc, "stderr", None) or exc
+                    warnings.warn(f"orbit loops run interpreted: {_SOURCE.name} did not build "
+                                  f"or load: {detail}", RuntimeWarning, stacklevel=3)
+            BACKEND = "python" if _lib is None else "c"
+    return _lib
+
+
+def radial_orbit(r0, kappa, n):
+    """n iterates of the radial map, r_1 .. r_n from r_0."""
+    lib = _library()
+    if lib is None:
+        return radial_orbit_py(r0, kappa, n)
+    out = np.empty(n)
+    lib.radial_orbit(r0, kappa, n, out.ctypes.data)
+    return out
+
+
+def spiral_orbit(r0, phi0, kappa, n, burn_in):
+    """(2, n) block of (r_i, phi_i) after burn_in; phi kept wrapped to [0, 2*pi)."""
+    lib = _library()
+    if lib is None:
+        return spiral_orbit_py(r0, phi0, kappa, n, burn_in)
+    out = np.empty((2, n))
+    if lib.spiral_orbit(r0, phi0, kappa, n, burn_in, out.ctypes.data):
+        return spiral_orbit_py(r0, phi0, kappa, n, burn_in)  # raises
+    return out
+
+
+def skew_orbit(r0, phi0, t0, kappa, delta, alpha, n, burn_in):
+    """(3, n) block of (r_i, phi_i, t_i) along the skew product; base as in spiral_orbit."""
+    lib = _library()
+    if lib is None:
+        return skew_orbit_py(r0, phi0, t0, kappa, delta, alpha, n, burn_in)
+    out = np.empty((3, n))
+    if lib.skew_orbit(r0, phi0, t0, kappa, delta, alpha, n, burn_in, out.ctypes.data):
+        return skew_orbit_py(r0, phi0, t0, kappa, delta, alpha, n, burn_in)  # raises
+    return out
+
+
+def henon_orbit(x0, y0, a, b, n, burn_in):
+    """Henon iterates as (block, fail), with the fail convention of henon_orbit_py."""
+    lib = _library()
+    if lib is None:
+        return henon_orbit_py(x0, y0, a, b, n, burn_in)
+    out = np.empty((2, n))
+    fail = lib.henon_orbit(x0, y0, a, b, n, burn_in, out.ctypes.data)
+    if fail < 0:
+        return out[:, :0], fail
+    if fail > 0:
+        return out[:, :fail], fail
     return out, 0

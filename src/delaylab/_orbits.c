@@ -1,0 +1,215 @@
+/* The orbit loops of _kernels.py in C, statement for statement.
+ *
+ * Built with -O2 -ffp-contract=off -fno-fast-math, so every double operation
+ * is rounded as in CPython and no multiply-add is fused; sin and exp are the
+ * libm functions CPython's math module calls.  The loops are therefore
+ * bitwise equal to the Python ones.  Where CPython would raise (a zero
+ * divisor, an exp that overflows, the sine of an infinity) the loop stops
+ * and returns 1, and the caller reruns the Python loop, which raises.
+ */
+
+#include <math.h>
+#include <stdint.h>
+
+static const double PI = 3.141592653589793;
+static const double TWO_PI = 2.0 * 3.141592653589793;
+static const double G_AMPLITUDE = 1.0 / 100.0;
+
+static _Thread_local int raises;
+
+/* float.__mod__ for a positive period: fmod, then the sign of the period. */
+static double py_mod(double x, double period)
+{
+    double m = fmod(x, period);
+    if (m != 0.0) {
+        if (m < 0.0)
+            m += period;
+    } else {
+        m = 0.0;
+    }
+    return m;
+}
+
+/* x mod period in [0, period): a tiny negative x rounds x % period up to period. */
+static double wrap(double x, double period)
+{
+    double w = py_mod(x, period);
+    return w == period ? 0.0 : w;
+}
+
+static double py_div(double a, double b)
+{
+    if (b == 0.0)
+        raises = 1;
+    return a / b;
+}
+
+static double py_exp(double x)
+{
+    double y = exp(x);
+    if (isinf(y) && isfinite(x))
+        raises = 1;
+    return y;
+}
+
+static double py_sin(double x)
+{
+    double y = sin(x);
+    if (isnan(y) && !isnan(x))
+        raises = 1;
+    return y;
+}
+
+static double smooth_step(double x)
+{
+    if (x <= 0.0)
+        return 0.0;
+    if (x >= 1.0)
+        return 1.0;
+    double a = py_exp(py_div(-1.0, x));
+    double b = py_exp(py_div(-1.0, 1.0 - x));
+    return py_div(a, a + b);
+}
+
+static double r_core(double r, double kappa)
+{
+    double omr = 1.0 - r;
+    return r + py_div(kappa * r * omr * omr * omr, 1.0 + r * r * r * r);
+}
+
+static double theta_core(double phi)
+{
+    double s = py_sin(phi);
+    return s * s;
+}
+
+static double eta_core(double r)
+{
+    double lo = smooth_step((0.5 - r) * 4.0);
+    double hi = smooth_step(r - 1.5);
+    double out = 1.0;
+    if (lo > 0.0)
+        out *= py_exp(py_div(-lo, r));
+    if (hi > 0.0)
+        out *= py_exp(-hi * r);
+    return out;
+}
+
+static double phi_core(double r, double phi, double kappa)
+{
+    double omr = 1.0 - r;
+    return phi + kappa * theta_core(phi) + omr * omr * eta_core(r);
+}
+
+static double angle_dist_core(double phi, double target)
+{
+    double d = py_mod(fabs(phi - target), TWO_PI);
+    if (d > PI)
+        d = TWO_PI - d;
+    return d;
+}
+
+static double lambda_bump_core(double r, double phi, double delta)
+{
+    double fr = smooth_step(2.0 - py_div(fabs(1.0 - r), delta));
+    double fa = smooth_step(2.0 - py_div(angle_dist_core(phi, 0.0), delta));
+    return fr * fa;
+}
+
+static double rho_bump_core(double r, double phi, double delta)
+{
+    double fr = smooth_step(2.0 - py_div(fabs(1.0 - r), delta));
+    double fa = smooth_step(2.0 - py_div(angle_dist_core(phi, PI), delta));
+    return fr * fa;
+}
+
+static double fiber_core(double r, double phi, double t, double kappa, double delta, double alpha)
+{
+    double lam = lambda_bump_core(r, phi, delta);
+    double rho = rho_bump_core(r, phi, delta);
+    double s = py_sin(PI * t);
+    return py_mod(t + lam * G_AMPLITUDE * s * s + rho * alpha, 1.0);
+}
+
+/* Each loop fills the rows of a C-ordered (state_dim, n) block at out. */
+
+void radial_orbit(double r0, double kappa, int64_t n, double *out)
+{
+    double r = r0;
+    for (int64_t i = 0; i < n; i++) {
+        r = r_core(r, kappa);
+        out[i] = r;
+    }
+}
+
+int spiral_orbit(double r0, double phi0, double kappa, int64_t n, int64_t burn_in, double *out)
+{
+    double *rs = out, *ps = out + n;
+    double r = r0;
+    double phi = wrap(phi0, TWO_PI);
+    raises = 0;
+    for (int64_t i = 0; i < burn_in && !raises; i++) {
+        phi = py_mod(phi_core(r, phi, kappa), TWO_PI);
+        r = r_core(r, kappa);
+    }
+    for (int64_t i = 0; i < n && !raises; i++) {
+        rs[i] = r;
+        ps[i] = phi;
+        phi = py_mod(phi_core(r, phi, kappa), TWO_PI);
+        r = r_core(r, kappa);
+    }
+    return raises;
+}
+
+int skew_orbit(double r0, double phi0, double t0, double kappa, double delta, double alpha,
+               int64_t n, int64_t burn_in, double *out)
+{
+    double *rs = out, *ps = out + n, *ts = out + 2 * n;
+    double r = r0;
+    double phi = wrap(phi0, TWO_PI);
+    double t = wrap(t0, 1.0);
+    double tn;
+    raises = 0;
+    for (int64_t i = 0; i < burn_in && !raises; i++) {
+        tn = fiber_core(r, phi, t, kappa, delta, alpha);
+        phi = py_mod(phi_core(r, phi, kappa), TWO_PI);
+        r = r_core(r, kappa);
+        t = tn;
+    }
+    for (int64_t i = 0; i < n && !raises; i++) {
+        rs[i] = r;
+        ps[i] = phi;
+        ts[i] = t;
+        tn = fiber_core(r, phi, t, kappa, delta, alpha);
+        phi = py_mod(phi_core(r, phi, kappa), TWO_PI);
+        r = r_core(r, kappa);
+        t = tn;
+    }
+    return raises;
+}
+
+/* The fail code of _kernels.henon_orbit_py: 0, -(burn-in step) or the prefix length. */
+int64_t henon_orbit(double x0, double y0, double a, double b, int64_t n, int64_t burn_in,
+                    double *out)
+{
+    double *xs = out, *ys = out + n;
+    double x = x0, y = y0, xn;
+    for (int64_t i = 0; i < burn_in; i++) {
+        xn = 1.0 - a * x * x + y;
+        y = b * x;
+        x = xn;
+        if (!(isfinite(x) && isfinite(y)))
+            return -(i + 1);
+    }
+    for (int64_t i = 0; i < n; i++) {
+        xs[i] = x;
+        ys[i] = y;
+        xn = 1.0 - a * x * x + y;
+        y = b * x;
+        x = xn;
+        if (!(isfinite(x) && isfinite(y)))
+            if (i + 1 < n)
+                return i + 1;
+    }
+    return 0;
+}

@@ -4,6 +4,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from . import _kernels
 from .experiments import (
     DESCRIPTIONS,
     EXPERIMENT_IDS,
@@ -51,7 +52,9 @@ def main(argv=None):
 
     out = args.out if args.out is not None else Path("out") / f"{cfg.experiment_id}_seed{cfg.seed}"
     summary = run_experiment(cfg, out)
-    print(f"{cfg.experiment_id} seed={cfg.seed} wall={summary.wall_time:.1f}s -> {out}")
+    backend = _kernels.BACKEND or "none"  # None: the experiment ran no orbit loop
+    print(f"{cfg.experiment_id} seed={cfg.seed} wall={summary.wall_time:.1f}s "
+          f"backend={backend} -> {out}")
     for key in sorted(summary.metrics):
         print(f"  metric {key} = {summary.metrics[key]}")
     for key in sorted(summary.pass_flags):

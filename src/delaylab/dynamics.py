@@ -197,7 +197,7 @@ def trajectory(cfg, x0, n, burn_in=0):
         raise ValueError(f"non-finite start state {tuple(x0)!r}")
     sid = cfg.system_id
     if sid == "rotation":
-        t0 = x0[0] % 1.0
+        t0 = _k.wrap(x0[0], 1.0)
         idx = np.arange(burn_in, burn_in + n, dtype=float)
         return ((t0 + idx * cfg.alpha) % 1.0)[:, None]
     if sid == "spiral_f":
@@ -208,7 +208,7 @@ def trajectory(cfg, x0, n, burn_in=0):
             cfg.kappa, cfg.delta, cfg.alpha, n, burn_in,
         ).T
     if sid == "model_T0":
-        comp, t0 = float(x0[0]), float(x0[1])
+        comp, t0 = float(x0[0]), _k.wrap(float(x0[1]), 1.0)
         if comp == 0.0:
             return np.column_stack([np.zeros(n), np.zeros(n)])
         idx = np.arange(burn_in, burn_in + n, dtype=float)

@@ -103,6 +103,9 @@ class ExperimentConfig:
                 raise ValueError(f"key {key!r} must be an integer")
             if isinstance(val, (int, float)) and val <= 0 and key != "seed":
                 raise ValueError(f"key {key!r} must be positive")
+            if key == "p_ref_fiber_gate" and val > 0.5:
+                # min(t, 1 - t) never exceeds 1/2, so a wider gate admits every fiber point
+                raise ValueError(f"key {key!r} must be at most 0.5, got {val!r}")
 
     def param(self, key):
         defaults = DEFAULTS[self.experiment_id]

@@ -63,6 +63,16 @@ def test_config_override_type_check():
         ExperimentConfig("E9_nope", 0)
 
 
+def test_fiber_gate_at_most_half():
+    # min(t, 1 - t) never exceeds 1/2, so a wider gate would admit every fiber point
+    with pytest.raises(ValueError, match="p_ref_fiber_gate"):
+        ExperimentConfig("E4_counterexample", 0, {"p_ref_fiber_gate": 0.51})
+    with pytest.raises(ValueError, match="p_ref_fiber_gate"):
+        parse_config("experiment = E4\np_ref_fiber_gate = 2\n")
+    assert ExperimentConfig("E4_counterexample", 0, {"p_ref_fiber_gate": 0.5}).param(
+        "p_ref_fiber_gate") == 0.5
+
+
 def test_emit_csv(tmp_path):
     path = tmp_path / "t.csv"
     emit_csv(path, ["a", "b"], [[0.1, 2.0]])
@@ -189,6 +199,7 @@ def test_cli_run_with_config(tmp_path, capsys):
     assert (out_dir / "idim.csv").exists()
     stdout = capsys.readouterr().out
     assert "[PASS]" in stdout or "[FAIL]" in stdout
+    assert "backend=c " in stdout or "backend=python " in stdout  # E6 runs a skew orbit
 
 
 def test_cli_requires_experiment():

@@ -1,0 +1,216 @@
+"""The compiled orbit loops against the Python reference loops, bit for bit."""
+
+import math
+import shutil
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from delaylab import _kernels as _k
+from delaylab.dynamics import DivergenceError, GOLDEN_ROTATION, SystemConfig, trajectory
+from delaylab.experiments import ExperimentConfig, run_experiment
+
+HAVE_GCC = shutil.which("gcc") is not None
+needs_c = pytest.mark.skipif(not HAVE_GCC, reason="no C compiler on PATH")
+
+
+@pytest.fixture(params=["c", "python"])
+def backend(request, monkeypatch):
+    """Run the test once on the compiled loops and once with them unavailable."""
+    if request.param == "c":
+        if _k._library() is None:
+            pytest.skip("the C loops cannot be built here")
+    else:
+        monkeypatch.setattr(_k, "_lib", None)
+        monkeypatch.setattr(_k, "BACKEND", "python")
+    return request.param
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_backend_is_c_when_gcc_present(monkeypatch):
+    # a compiler that is present but unused would silently cost 25x on every orbit
+    if not HAVE_GCC:
+        pytest.skip("no C compiler on PATH")
+    monkeypatch.setattr(_k, "_lib", None)
+    monkeypatch.setattr(_k, "BACKEND", None)
+    _k.radial_orbit(0.5, 0.05, 1)
+    assert _k.BACKEND == "c"
+
+
+@needs_c
+def test_build_into_empty_cache(tmp_path, monkeypatch):
+    source = tmp_path / "_orbits.c"
+    source.write_bytes(_k._SOURCE.read_bytes())
+    monkeypatch.setattr(_k, "_SOURCE", source)
+    path = _k._build_library()
+    assert path.parent == tmp_path / "__pycache__"
+    assert [p.name for p in path.parent.iterdir()] == [path.name]  # no temporary left
+    assert _k._build_library() == path
+
+
+@needs_c
+def test_failed_build_warns_and_runs_python(tmp_path, monkeypatch):
+    broken = tmp_path / "_orbits.c"
+    broken.write_text("this is not C\n")
+    monkeypatch.setattr(_k, "_SOURCE", broken)
+    monkeypatch.setattr(_k, "_lib", None)
+    monkeypatch.setattr(_k, "BACKEND", None)
+    with pytest.warns(RuntimeWarning, match="did not build"):
+        out = _k.radial_orbit(0.5, 0.05, 10)
+    assert _k.BACKEND == "python"
+    assert same_bytes(out, _k.radial_orbit_py(0.5, 0.05, 10))
+
+
+@needs_c
+@pytest.mark.parametrize("r0,kappa", [(0.5, 0.05), (0.1, 0.1), (2.5, 0.02)])
+def test_radial_orbit_bytes_equal(r0, kappa):
+    assert same_bytes(_k.radial_orbit(r0, kappa, 100_000), _k.radial_orbit_py(r0, kappa, 100_000))
+
+
+@needs_c
+@pytest.mark.parametrize("r0,phi0,kappa", [(0.5, 1.0, 0.05), (0.9, 4.0, 0.092), (1.5, -7.0, 0.1)])
+@pytest.mark.parametrize("burn_in", [0, 1_000])
+def test_spiral_orbit_bytes_equal(r0, phi0, kappa, burn_in):
+    args = (r0, phi0, kappa, 100_000, burn_in)
+    assert same_bytes(_k.spiral_orbit(*args), _k.spiral_orbit_py(*args))
+
+
+@needs_c
+@pytest.mark.parametrize("r0,phi0,t0,kappa,delta", [
+    (0.5, 1.0, 0.3, 0.05, 0.1),
+    (0.95, 0.0, 0.0, 0.092, 0.2),
+    (1.4, 9.0, -0.7, 0.02, 0.05),
+])
+@pytest.mark.parametrize("burn_in", [0, 1_000])
+def test_skew_orbit_bytes_equal(r0, phi0, t0, kappa, delta, burn_in):
+    args = (r0, phi0, t0, kappa, delta, GOLDEN_ROTATION, 100_000, burn_in)
+    assert same_bytes(_k.skew_orbit(*args), _k.skew_orbit_py(*args))
+
+
+@needs_c
+@pytest.mark.parametrize("x0,y0,a,b", [(0.0, 0.0, 1.4, 0.3), (0.1, -0.2, 1.2, 0.25)])
+@pytest.mark.parametrize("burn_in", [0, 1_000])
+def test_henon_orbit_bytes_equal(x0, y0, a, b, burn_in):
+    args = (x0, y0, a, b, 100_000, burn_in)
+    (got, got_fail), (want, want_fail) = _k.henon_orbit(*args), _k.henon_orbit_py(*args)
+    assert got_fail == want_fail == 0
+    assert same_bytes(got, want)
+
+
+@needs_c
+@pytest.mark.parametrize("n,burn_in", [(1_000, 0), (1_000, 3), (1_000, 1_000)])
+def test_henon_divergence_same_fail_and_prefix(n, burn_in):
+    args = (2.0, 2.0, 4.0, 0.9, n, burn_in)
+    (got, got_fail), (want, want_fail) = _k.henon_orbit(*args), _k.henon_orbit_py(*args)
+    assert got_fail == want_fail != 0
+    assert same_bytes(got, want)
+
+
+@needs_c
+def test_henon_divergence_on_last_step_keeps_block():
+    # an orbit whose last stored state is finite but whose next image is not
+    _, fail = _k.henon_orbit_py(2.0, 2.0, 4.0, 0.9, 1_000, 0)
+    args = (2.0, 2.0, 4.0, 0.9, fail, 0)
+    (got, got_fail), (want, want_fail) = _k.henon_orbit(*args), _k.henon_orbit_py(*args)
+    assert got_fail == want_fail == 0
+    assert same_bytes(got, want)
+
+
+@pytest.mark.parametrize("burn_in", [0, 1_000])
+def test_henon_divergence_index_same_across_backends(backend, burn_in):
+    cfg = SystemConfig("henon", map_params={"a": 4.0, "b": 0.9})
+    _, fail = _k.henon_orbit_py(2.0, 2.0, 4.0, 0.9, 1_000, burn_in)
+    expected = -fail if fail < 0 else burn_in + fail
+    with pytest.raises(DivergenceError) as err:
+        trajectory(cfg, (2.0, 2.0), 1_000, burn_in)
+    assert err.value.index == expected
+
+
+def test_zero_radius_raises_like_python(backend):
+    # eta divides by r inside the inner annulus, so r = 0 is a ZeroDivisionError in CPython
+    with pytest.raises(ZeroDivisionError):
+        _k.spiral_orbit(0.0, 1.0, 0.05, 10, 0)
+    with pytest.raises(ZeroDivisionError):
+        _k.skew_orbit(0.0, 1.0, 0.3, 0.05, 0.1, GOLDEN_ROTATION, 10, 0)
+
+
+@needs_c
+@settings(max_examples=60, deadline=None)
+@given(
+    r0=st.floats(0.01, 3.0), phi0=st.floats(-20.0, 20.0), t0=st.floats(-3.0, 3.0),
+    kappa=st.floats(1e-4, 0.1), delta=st.floats(1e-3, 0.2), alpha=st.floats(0.0, 1.0),
+    n=st.integers(1, 60), burn_in=st.integers(0, 30),
+)
+def test_skew_and_spiral_orbits_equal_property(r0, phi0, t0, kappa, delta, alpha, n, burn_in):
+    args = (r0, phi0, t0, kappa, delta, alpha, n, burn_in)
+    assert same_bytes(_k.skew_orbit(*args), _k.skew_orbit_py(*args))
+    base = (r0, phi0, kappa, n, burn_in)
+    assert same_bytes(_k.spiral_orbit(*base), _k.spiral_orbit_py(*base))
+    assert same_bytes(_k.radial_orbit(r0, kappa, n), _k.radial_orbit_py(r0, kappa, n))
+
+
+@needs_c
+@settings(max_examples=60, deadline=None)
+@given(
+    x0=st.floats(-2.0, 2.0), y0=st.floats(-2.0, 2.0), a=st.floats(0.0, 5.0), b=st.floats(-1.0, 1.0),
+    n=st.integers(1, 80), burn_in=st.integers(0, 40),
+)
+def test_henon_orbit_equal_property(x0, y0, a, b, n, burn_in):
+    args = (x0, y0, a, b, n, burn_in)
+    (got, got_fail), (want, want_fail) = _k.henon_orbit(*args), _k.henon_orbit_py(*args)
+    assert got_fail == want_fail
+    assert same_bytes(got, want)
+
+
+# -- start states just below zero wrap to zero, not to the period ---------------
+
+
+def test_start_wrap_skew(backend):
+    traj = trajectory(SystemConfig("skew_T"), (0.5, -1e-20, -1e-20), 1)
+    assert traj[0, 1] == 0.0 and traj[0, 2] == 0.0
+
+
+def test_start_wrap_spiral(backend):
+    traj = trajectory(SystemConfig("spiral_f"), (0.5, -1e-20), 1)
+    assert traj[0, 1] == 0.0
+
+
+def test_start_wrap_model():
+    traj = trajectory(SystemConfig("model_T0"), (1.0, -1e-20), 2)
+    assert traj[0, 1] == 0.0 and traj[1, 1] == GOLDEN_ROTATION
+
+
+def test_start_wrap_rotation():
+    traj = trajectory(SystemConfig("rotation"), (-1e-20,), 2)
+    assert traj[0, 0] == 0.0 and traj[1, 0] == GOLDEN_ROTATION
+
+
+# -- every artifact is the same whichever loops ran ------------------------------
+
+
+SMALL_RUNS = [
+    ("E1_parabolic", {"rho_n": 20_000, "rho_fit_hi": 20_000, "visits_n": 60_000}),
+    ("E2_natural_measure", {"m_iterates": 30_000}),
+    ("E4_counterexample", {"orbit_n": 200_000, "n_obs": 2, "n_refs": 20}),
+    ("E6_idim", {"n_samples": 5_000, "n_centers": 100, "point_n": 500,
+                 "skew_orbit_n": 50_000, "skew_stride": 5}),
+]
+
+
+@needs_c
+@pytest.mark.parametrize("experiment,overrides", SMALL_RUNS)
+def test_artifacts_equal_across_backends(experiment, overrides, tmp_path, monkeypatch):
+    cfg = ExperimentConfig(experiment, 7, overrides)
+    run_experiment(cfg, tmp_path / "c")
+    assert _k.BACKEND == "c"
+    monkeypatch.setattr(_k, "_lib", None)
+    monkeypatch.setattr(_k, "BACKEND", "python")
+    run_experiment(cfg, tmp_path / "python")
+    files = sorted(p.name for p in (tmp_path / "c").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "python").iterdir())
+    for name in files:
+        assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "python" / name).read_bytes(), name
