@@ -111,8 +111,8 @@ def wrap(x, period):
 
 def radial_orbit_py(r0, kappa, n):
     """n iterates of the radial map, r_1 .. r_n from r_0."""
+    r, kappa = float(r0), float(kappa)
     out = np.empty(n)
-    r = r0
     for i in range(n):
         r = r_core(r, kappa)
         out[i] = r
@@ -121,10 +121,9 @@ def radial_orbit_py(r0, kappa, n):
 
 def spiral_orbit_py(r0, phi0, kappa, n, burn_in):
     """(2, n) block of (r_i, phi_i) after burn_in; phi kept wrapped to [0, 2*pi)."""
+    r, phi, kappa = float(r0), wrap(float(phi0), TWO_PI), float(kappa)
     out = np.empty((2, n))
     rs, ps = out[0], out[1]
-    r = r0
-    phi = wrap(phi0, TWO_PI)
     for _ in range(burn_in):
         phi = phi_core(r, phi, kappa) % TWO_PI
         r = r_core(r, kappa)
@@ -138,11 +137,10 @@ def spiral_orbit_py(r0, phi0, kappa, n, burn_in):
 
 def skew_orbit_py(r0, phi0, t0, kappa, delta, alpha, n, burn_in):
     """(3, n) block of (r_i, phi_i, t_i) along the skew product; base as in spiral_orbit_py."""
+    r, phi, t = float(r0), wrap(float(phi0), TWO_PI), wrap(float(t0), 1.0)
+    kappa, delta, alpha = float(kappa), float(delta), float(alpha)
     out = np.empty((3, n))
     rs, ps, ts = out[0], out[1], out[2]
-    r = r0
-    phi = wrap(phi0, TWO_PI)
-    t = wrap(t0, 1.0)
     for _ in range(burn_in):
         tn = fiber_core(r, phi, t, kappa, delta, alpha)
         phi = phi_core(r, phi, kappa) % TWO_PI
@@ -166,10 +164,9 @@ def henon_orbit_py(x0, y0, a, b, n, burn_in):
     burn-in step -fail (block empty); fail > 0 means the state at output index
     fail went non-finite and only the prefix [:, :fail] is returned.
     """
+    x, y, a, b = float(x0), float(y0), float(a), float(b)
     out = np.empty((2, n))
     xs, ys = out[0], out[1]
-    x = x0
-    y = y0
     for i in range(burn_in):
         xn = 1.0 - a * x * x + y
         y = b * x

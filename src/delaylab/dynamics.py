@@ -196,6 +196,8 @@ def trajectory(cfg, x0, n, burn_in=0):
     if not all(math.isfinite(v) for v in x0):
         raise ValueError(f"non-finite start state {tuple(x0)!r}")
     sid = cfg.system_id
+    if sid in ("spiral_f", "skew_T") and not x0[0] > 0.0:
+        raise ValueError(f"start state {tuple(x0)!r} of {sid} needs a radius r0 > 0")
     if sid == "rotation":
         t0 = _k.wrap(x0[0], 1.0)
         idx = np.arange(burn_in, burn_in + n, dtype=float)

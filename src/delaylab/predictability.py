@@ -44,21 +44,32 @@ class SigmaEstimate:
     """Per-reference ladder of conditional statistics and its extrapolation.
 
     sigma_hat is None when no ladder level reaches min_count; predictable is
-    None in that case as well.  slope is the log-log trend of sigma over the
-    admissible levels (None with fewer than two usable levels).
+    None in that case as well.
     """
 
     y: np.ndarray
     ladder: tuple
+    min_count: int
     sigma_hat: float | None
     sigma_hat_eps: float | None
     sigma_hat_count: int
     predictable: bool | None
-    slope: float | None
 
     @property
     def defined(self):
         return self.sigma_hat is not None
+
+    @property
+    def slope(self):
+        """Log-log trend of sigma over the admissible levels (those holding at
+        least min_count neighbors with sigma > 0); None with fewer than two."""
+        admissible = [e for e in self.ladder
+                      if e.count >= self.min_count and e.sigma is not None and e.sigma > 0.0]
+        if len(admissible) < 2:
+            return None
+        lx = np.log([e.eps for e in admissible])
+        ly = np.log([e.sigma for e in admissible])
+        return _fit(lx, ly)[0]
 
 
 def _pair_arrays(series):
@@ -130,52 +141,75 @@ def _finish_profile(y, entries, min_count, threshold):
             sigma_hat = e.sigma
             hat_eps = e.eps
             hat_count = e.count
-    admissible = [e for e in entries if e.count >= min_count and e.sigma is not None and e.sigma > 0.0]
-    slope = None
-    if len(admissible) >= 2:
-        lx = np.log([e.eps for e in admissible])
-        ly = np.log([e.sigma for e in admissible])
-        slope = _fit(lx, ly)[0]
     predictable = None if sigma_hat is None else bool(sigma_hat < threshold)
     return SigmaEstimate(
         y=np.asarray(y, dtype=float).reshape(-1),
         ladder=tuple(entries),
+        min_count=min_count,
         sigma_hat=sigma_hat,
         sigma_hat_eps=hat_eps,
         sigma_hat_count=hat_count,
         predictable=predictable,
-        slope=slope,
     )
 
 
 def _ball_entry(eps, cloud):
-    """Ladder entry of one ball from its successor cloud, by the exact two-pass formulas."""
+    """Ladder entry of one ball from its C-order (count, k) successor cloud.
+
+    The exact two-pass formulas: chi is cloud.mean(axis=0); the squared
+    deviations are summed column by column, which adds each row's terms in
+    the order sum(axis=1) does.
+    """
     if len(cloud) == 0:
         return LadderEntry(eps, 0, None, None)
     chi = cloud.mean(axis=0)
-    sigma = float(np.sqrt(np.mean(np.sum((cloud - chi) ** 2, axis=1))))
-    return LadderEntry(eps, len(cloud), chi, sigma)
+    dev = np.square(cloud[:, 0] - chi[0])
+    for j in range(1, cloud.shape[1]):
+        dev += np.square(cloud[:, j] - chi[j])
+    return LadderEntry(eps, len(cloud), chi, float(np.sqrt(np.mean(dev))))
 
 
 class BruteEngine:
-    """Exact per-reference ball statistics via one distance pass per reference."""
+    """Exact per-reference ball statistics via one distance pass per reference.
+
+    The predecessor columns are stored contiguously, so a distance pass is a
+    few elementwise passes over the series.  The ladder's balls are nested,
+    so each level filters the survivors of the level above.
+    """
 
     def __init__(self, series):
         self.pred, self.succ = _pair_arrays(series)
         self.k = self.pred.shape[1]
+        self.cols = np.ascontiguousarray(self.pred.T)
 
     def distances(self, y):
-        """Euclidean distance of every predecessor to y."""
-        return np.linalg.norm(self.pred - np.asarray(y, dtype=float).reshape(-1), axis=1)
+        """Euclidean distance of every predecessor to y.
+
+        ((c0 - y0)^2 + (c1 - y1)^2) + ..., summed in the order of
+        np.linalg.norm(pred - y, axis=1), so equal to it bitwise.
+        """
+        y = np.asarray(y, dtype=float).reshape(-1)
+        if len(y) != self.k:
+            raise ValueError(f"reference has {len(y)} coordinates, the series k = {self.k}")
+        sq = np.square(self.cols[0] - y[0])
+        if self.k > 1:
+            term = np.empty_like(sq)
+            for col, v in zip(self.cols[1:], y[1:]):
+                np.subtract(col, v, out=term)
+                sq += np.square(term, out=term)
+        return np.sqrt(sq, out=sq)
 
     def profile(self, y, ladder, min_count=DEFAULT_MIN_COUNT, threshold=DEFAULT_THRESHOLD):
         ladder = _validate_ladder(ladder, min_count)
         y = np.asarray(y, dtype=float).reshape(-1)
         d = self.distances(y)
-        coarse = d < ladder[0]
-        d_sub = d[coarse]
-        s_sub = self.succ[coarse]
-        entries = [_ball_entry(eps, s_sub[d_sub < eps]) for eps in ladder]
+        idx = np.flatnonzero(d < ladder[0])
+        d = d[idx]
+        entries = [_ball_entry(ladder[0], self.succ.take(idx, axis=0))]
+        for eps in ladder[1:]:
+            inside = d < eps
+            idx, d = idx[inside], d[inside]
+            entries.append(_ball_entry(eps, self.succ.take(idx, axis=0)))
         return _finish_profile(y, entries, min_count, threshold)
 
 
@@ -183,7 +217,7 @@ class Sorted1DEngine:
     """Scalar-series engine: interval search on the sorted predecessors.
 
     Large balls are reduced through centered prefix sums (count > _DIRECT_MAX);
-    small ones use the same exact two-pass formulas as BruteEngine.
+    small ones go through _ball_entry, like every BruteEngine ball.
     """
 
     def __init__(self, series):
@@ -203,29 +237,19 @@ class Sorted1DEngine:
         hi = int(np.searchsorted(self.ys, y + eps, side="left"))
         return lo, hi
 
-    def _stats(self, lo, hi):
+    def _stats(self, eps, lo, hi):
         count = hi - lo
         if count <= _DIRECT_MAX:
-            cloud = self.ss[lo:hi]
-            chi = float(cloud.mean())
-            sigma = float(np.sqrt(np.mean((cloud - chi) ** 2)))
-            return chi, sigma
+            return _ball_entry(eps, self.ss[lo:hi, None])
         m1 = (self.s1[hi] - self.s1[lo]) / count
         m2 = (self.s2[hi] - self.s2[lo]) / count
         var = max(m2 - m1 * m1, 0.0)
-        return self.center + m1, math.sqrt(var)
+        return LadderEntry(eps, count, np.array([self.center + m1]), math.sqrt(var))
 
     def profile(self, y, ladder, min_count=DEFAULT_MIN_COUNT, threshold=DEFAULT_THRESHOLD):
         ladder = _validate_ladder(ladder, min_count)
         yv = float(np.asarray(y, dtype=float).reshape(-1)[0])
-        entries = []
-        for eps in ladder:
-            lo, hi = self.interval(yv, eps)
-            if hi <= lo:
-                entries.append(LadderEntry(eps, 0, None, None))
-                continue
-            chi, sigma = self._stats(lo, hi)
-            entries.append(LadderEntry(eps, hi - lo, np.array([chi]), sigma))
+        entries = [self._stats(eps, *self.interval(yv, eps)) for eps in ladder]
         return _finish_profile([yv], entries, min_count, threshold)
 
 

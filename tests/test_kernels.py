@@ -138,6 +138,30 @@ def test_zero_radius_raises_like_python(backend):
         _k.skew_orbit(0.0, 1.0, 0.3, 0.05, 0.1, GOLDEN_ROTATION, 10, 0)
 
 
+@pytest.mark.parametrize("system,start", [
+    ("spiral_f", (0.0, 1.0)), ("skew_T", (0.0, 1.0, 0.3)),
+    ("spiral_f", (-1e-300, 1.0)), ("skew_T", (-1e-300, 1.0, 0.3)),
+])
+def test_trajectory_rejects_nonpositive_radius(system, start):
+    # the loops would raise a bare ZeroDivisionError (r0 = 0) or OverflowError (r0 < 0)
+    with pytest.raises(ValueError, match=r"start state .* r0 > 0"):
+        trajectory(SystemConfig(system), start, 10)
+
+
+@needs_c
+def test_numpy_scalar_arguments_compute_in_double():
+    # the C loops take doubles; the Python loops must not round in the inputs' float32
+    f32 = np.float32
+    assert same_bytes(_k.radial_orbit(f32(0.5), f32(0.05), 3), _k.radial_orbit_py(f32(0.5), f32(0.05), 3))
+    spiral = (f32(0.5), f32(1.0), f32(0.05), 5, 2)
+    assert same_bytes(_k.spiral_orbit(*spiral), _k.spiral_orbit_py(*spiral))
+    skew = (f32(0.9), f32(0.1), f32(0.3), f32(0.05), f32(0.1), f32(GOLDEN_ROTATION), 5, 2)
+    assert same_bytes(_k.skew_orbit(*skew), _k.skew_orbit_py(*skew))
+    henon = (f32(0.1), f32(0.2), f32(1.4), f32(0.3), 5, 2)
+    (got, got_fail), (want, want_fail) = _k.henon_orbit(*henon), _k.henon_orbit_py(*henon)
+    assert got_fail == want_fail == 0 and same_bytes(got, want)
+
+
 @needs_c
 @settings(max_examples=60, deadline=None)
 @given(

@@ -1,10 +1,13 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from delaylab.dynamics import GOLDEN_ROTATION, SystemConfig
 from delaylab.embedding import delay_series, PairedVectors
+from delaylab.experiments import ExperimentConfig, run_experiment
 from delaylab.observables import Observable
 from delaylab.predictability import (
     BruteEngine,
@@ -137,6 +140,7 @@ def test_sigma_profile_undefined_when_sparse():
     assert est.sigma_hat is None
     assert est.predictable is None
     assert not est.defined
+    assert est.slope is None
 
 
 def test_sigma_profile_ladder_validation():
@@ -160,6 +164,9 @@ def test_linear_system_sigma_rate():
     est = sigma_profile(s, [0.6], [0.05 * 2.0**-j for j in range(6)], min_count=10)
     assert est.slope == pytest.approx(1.0, abs=0.3)
     assert est.sigma_hat < 0.01
+    admissible = [e for e in est.ladder if e.count >= 10 and e.sigma > 0.0]
+    x, y = np.log([e.eps for e in admissible]), np.log([e.sigma for e in admissible])
+    assert est.slope == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-12)
 
 
 def test_predict_next_examples():
@@ -273,3 +280,158 @@ def test_report_csv_rows():
     text = report.summary_text()
     assert text.startswith("{") and text.endswith("}")
     assert '"predictable_fraction"' in text and '"median_loglog_slope"' in text
+
+
+# -- BruteEngine against the norm-based reduction it replaced ----------------
+
+
+def norm_profile(pred, succ, y, ladder):
+    """(count, chi, sigma) per level by the full-width norm pass and per-level masks."""
+    d = np.linalg.norm(pred - y, axis=1)
+    coarse = d < ladder[0]
+    d_sub, s_sub = d[coarse], succ[coarse]
+    levels = []
+    for eps in ladder:
+        cloud = s_sub[d_sub < eps]
+        if len(cloud) == 0:
+            levels.append((0, None, None))
+            continue
+        chi = cloud.mean(axis=0)
+        levels.append((len(cloud), chi, float(np.sqrt(np.mean(np.sum((cloud - chi) ** 2, axis=1))))))
+    return levels
+
+
+def assert_same_levels(est, levels):
+    assert len(est.ladder) == len(levels)
+    for entry, (count, chi, sigma) in zip(est.ladder, levels):
+        assert entry.count == count
+        if count == 0:
+            assert entry.chi is None and entry.sigma is None
+        else:
+            assert entry.sigma == sigma
+            assert entry.chi.shape == chi.shape and np.all(entry.chi == chi)
+
+
+# values on a small integer grid, so points and successors repeat
+grid_series = st.builds(
+    lambda k, ticks, offset, spread: (k, offset + spread * np.asarray(ticks, dtype=float)),
+    st.integers(1, 3),
+    st.lists(st.integers(0, 7), min_size=4, max_size=120),
+    st.sampled_from([0.0, 1.0, -3.5e3, 1e6, 1e9]),
+    st.sampled_from([1.0, 0.1, 1e-4, 1e-9]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(series=grid_series, data=st.data())
+def test_brute_profile_equals_norm_reduction(series, data):
+    k, m = series
+    assume(len(m) >= k + 1)
+    s = delay_series(m, k)
+    pred, succ = s.predecessors, s.successors
+    y = s.vectors[data.draw(st.integers(0, len(s) - 1), label="ref")]
+    if data.draw(st.booleans(), label="off-grid"):
+        y = y + data.draw(st.floats(-1.0, 1.0), label="shift") * (m.max() - m.min() + 1e-300)
+    d = np.linalg.norm(pred - y, axis=1)
+    exact = sorted({float(v) for v in d if v > 0.0}, reverse=True)
+    # levels at exactly a point's distance (that point is outside) and between
+    chosen = data.draw(st.lists(st.sampled_from(exact), max_size=6, unique=True), label="exact") if exact else []
+    extra = data.draw(st.lists(st.floats(1e-12, 1e12), max_size=3, unique=True), label="extra")
+    ladder = sorted(set(chosen) | set(extra), reverse=True)
+    assume(ladder)
+    est = BruteEngine(s).profile(y, ladder, min_count=2)
+    assert_same_levels(est, norm_profile(pred, succ, y, ladder))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.integers(1, 3), n=st.integers(2, 300), offset=st.sampled_from([0.0, 2.0**20, -1e8]),
+    spread=st.sampled_from([1.0, 1e-6, 1e-10]), seed=st.integers(0, 2**32 - 1),
+)
+def test_brute_profile_equals_norm_reduction_paired(k, n, offset, spread, seed):
+    # unrelated successors, large offsets with near-zero spread, duplicated rows
+    rng = np.random.default_rng(seed)
+    pred = offset + spread * rng.normal(size=(n, k))
+    pred[rng.integers(0, n, n // 3)] = pred[0]
+    succ = offset + spread * rng.normal(size=(n, k))
+    y = pred[rng.integers(0, n)]
+    ladder = sorted(spread * rng.uniform(0.01, 4.0, 5), reverse=True)
+    est = BruteEngine(PairedVectors(k, pred, succ)).profile(y, ladder, min_count=2)
+    assert_same_levels(est, norm_profile(pred, succ, y, ladder))
+
+
+def test_brute_distances_equal_norm():
+    rng = np.random.default_rng(31)
+    for k in (1, 2, 3):
+        pred = 1e3 + rng.normal(size=(500, k))
+        engine = BruteEngine(PairedVectors(k, pred, pred))
+        y = pred[3] + 1e-9
+        assert np.all(engine.distances(y) == np.linalg.norm(pred - y, axis=1))
+
+
+def test_brute_distances_reject_wrong_width():
+    engine = BruteEngine(delay_series(np.arange(10.0), 2))
+    with pytest.raises(ValueError, match="k = 2"):
+        engine.distances([1.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ticks=st.lists(st.integers(0, 20), min_size=3, max_size=150),
+    offset=st.sampled_from([0.0, -7.0, 1e6, 1e9]), spread=st.sampled_from([1.0, 1e-3]),
+    ref=st.integers(0, 20), data=st.data(),
+)
+def test_sorted1d_and_brute_agree(ticks, offset, spread, ref, data):
+    # levels and the reference sit a quarter tick or more from every point, so
+    # both membership tests decide alike; the sums differ only in their order
+    s = delay_series(offset + spread * np.asarray(ticks, dtype=float), 1)
+    ladder = sorted(data.draw(st.lists(st.sampled_from([0.25, 0.75, 1.25, 2.25, 5.25, 10.25]),
+                                       min_size=1, unique=True), label="ladder"), reverse=True)
+    ladder = [spread * e for e in ladder]
+    y = [offset + spread * (ref + data.draw(st.sampled_from([0.0, 0.5]), label="half"))]
+    a = BruteEngine(s).profile(y, ladder, min_count=2)
+    b = Sorted1DEngine(s).profile(y, ladder, min_count=2)
+    tol = 4 * len(ticks) * np.spacing(abs(offset) + 20 * spread)
+    for la, lb in zip(a.ladder, b.ladder):
+        assert la.count == lb.count
+        if la.count:
+            assert abs(la.chi[0] - lb.chi[0]) <= tol
+            assert abs(la.sigma - lb.sigma) <= tol
+        else:
+            assert lb.chi is None and lb.sigma is None
+    assert a.sigma_hat_eps == b.sigma_hat_eps
+
+
+# -- one Engine.profile call per reference (the interface tracers wrap) ------
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+CONTRACT_RUNS = [
+    ("E3_model_nonpredict", {"n_samples": 60_000, "n_obs": 2, "n_refs": 15}, "model_refs.csv"),
+    ("E4_counterexample", {"orbit_n": 200_000, "n_obs": 2, "n_refs": 10}, "skew_refs.csv"),
+    ("E5_ergodic_predict", {"rot_n": 5_000, "henon_n": 5_000, "n_refs": 12}, "trend_refs.csv"),
+]
+
+
+@pytest.mark.parametrize("experiment,overrides,artifact", CONTRACT_RUNS)
+def test_one_profile_call_per_reference(experiment, overrides, artifact, tmp_path, monkeypatch):
+    calls = []
+    for cls in (BruteEngine, Sorted1DEngine):
+        def counted(engine, y, ladder, min_count, threshold, _orig=cls.profile):
+            calls.append(float(np.asarray(y, dtype=float).reshape(-1)[0]))
+            return _orig(engine, y, ladder, min_count, threshold)
+        monkeypatch.setattr(cls, "profile", counted)
+    run_experiment(ExperimentConfig(experiment, 7, overrides), tmp_path)
+    rows = _read_csv(tmp_path / artifact)
+    if experiment == "E3_model_nonpredict":
+        assert len(calls) == overrides["n_obs"] * overrides["n_refs"] == len(rows)
+        assert calls == [float(r["y"]) for r in rows]
+    elif experiment == "E4_counterexample":
+        assert len(calls) == len(rows) and len(rows) >= overrides["n_obs"] * 2
+    else:
+        refs = {(r["case"], r["ref_idx"]) for r in rows}
+        assert len(calls) == len(refs) == 3 * overrides["n_refs"]
