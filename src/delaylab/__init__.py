@@ -15,7 +15,7 @@ from .dynamics import (
     VisitRecord,
     visit_statistics,
 )
-from .embedding import DelaySeries, delay_map, delay_series, export_csv, PairedVectors
+from .embedding import DelaySeries, delay_map, delay_series, PairedVectors
 from .csvio import emit_csv
 from .experiments import (
     ExperimentConfig,
@@ -24,15 +24,17 @@ from .experiments import (
     RunSummary,
 )
 from .observables import evaluate, monomial_basis, Observable, perturb
-from .predictability import (
-    chi_sigma,
-    neighbor_indices,
-    predict_next,
-    predictability_report,
-    sigma_profile,
-    SigmaEstimate,
-)
+from .predictability import chi_sigma, predictability_report, SigmaEstimate
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the documented API; the README's "API" section lists the same names
+__all__ = [
+    "SystemConfig", "trajectory", "DivergenceError", "VisitRecord", "visit_statistics",
+    "Observable", "monomial_basis", "perturb", "evaluate",
+    "DelaySeries", "PairedVectors", "delay_series", "delay_map",
+    "chi_sigma", "predictability_report", "SigmaEstimate",
+    "EmpiricalMeasure", "sample_model_measure", "ball_mass_dimension", "box_counting_idim",
+    "DimensionEstimate",
+    "ExperimentConfig", "parse_config", "run_experiment", "RunSummary", "emit_csv",
+]

@@ -38,10 +38,6 @@ class EmpiricalMeasure:
         n = len(points)
         return cls(points, np.full(n, 1.0 / n))
 
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
     def is_uniform(self):
         w = self.weights
         return bool(np.all(np.abs(w - 1.0 / len(w)) < _WEIGHT_TOL / len(w)))
@@ -65,11 +61,6 @@ class DimensionEstimate:
     @property
     def estimate(self):
         return self.slope
-
-    def csv_rows(self):
-        header = ["eps", "value", "n_used"]
-        used = self.levels_used or tuple(0 for _ in self.ladder)
-        return header, [[eps, val, float(n)] for (eps, val), n in zip(self.ladder, used)]
 
 
 def _fit(log_eps, values):

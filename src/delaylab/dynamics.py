@@ -281,9 +281,10 @@ def visit_gaps(traj, delta):
     """
     traj = np.asarray(traj, dtype=float)
     in_p, in_q = box_flags(traj[:, 0], traj[:, 1], delta)
-    events = [("p", a, b) for a, b in _runs(in_p)] + [("q", a, b) for a, b in _runs(in_q)]
+    runs_p, runs_q = _runs(in_p), _runs(in_q)
+    events = [("p", a, b) for a, b in runs_p] + [("q", a, b) for a, b in runs_q]
     events.sort(key=lambda e: e[1])
-    n_pairs = min(len(_runs(in_p)), len(_runs(in_q)))
+    n_pairs = min(len(runs_p), len(runs_q))
     idx = []
     gaps = []
     seen = {"p": 0, "q": 0}

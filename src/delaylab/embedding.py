@@ -110,18 +110,3 @@ def measure_states(h, cfg, states):
     for a in range(0, len(states), _MEASURE_CHUNK):
         out[a:a + _MEASURE_CHUNK] = evaluate(h, ambient_of_states(cfg, states[a:a + _MEASURE_CHUNK]))
     return out
-
-
-def series_rows(series):
-    """(header, rows) for CSV export: one row per vector, i first."""
-    header = ["i"] + [f"y{j}" for j in range(series.k)]
-    rows = [[float(i)] + [float(v) for v in vec] for i, vec in enumerate(series.vectors)]
-    return header, rows
-
-
-def export_csv(series, path):
-    """Write the delay vectors as CSV with header i,y0,...,y{k-1}."""
-    from .csvio import emit_csv
-
-    header, rows = series_rows(series)
-    emit_csv(path, header, rows)

@@ -106,6 +106,11 @@ class ExperimentConfig:
             if key == "p_ref_fiber_gate" and val > 0.5:
                 # min(t, 1 - t) never exceeds 1/2, so a wider gate admits every fiber point
                 raise ValueError(f"key {key!r} must be at most 0.5, got {val!r}")
+        if self.experiment_id == "E6_idim":
+            hi, lo = self.param("eps_hi_exp"), self.param("eps_lo_exp")
+            if lo - hi < 1:  # the ladder 2^-hi .. 2^-lo needs two levels for a slope
+                raise ValueError(f"keys 'eps_hi_exp' = {hi} and 'eps_lo_exp' = {lo} give fewer than "
+                                 "two ladder levels; eps_lo_exp must exceed eps_hi_exp")
 
     def param(self, key):
         defaults = DEFAULTS[self.experiment_id]
@@ -545,8 +550,7 @@ def _run_e6(cfg, out):
     rows = []
 
     def record(name, est, kind):
-        used = est.levels_used or tuple(0 for _ in est.ladder)
-        for (eps, val), n_used in zip(est.ladder, used):
+        for (eps, val), n_used in zip(est.ladder, est.levels_used):
             rows.append([name, kind, eps, val, float(n_used)])
         metrics[f"{name}_{kind}"] = est.estimate
 

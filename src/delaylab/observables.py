@@ -12,8 +12,6 @@ from itertools import product
 
 import numpy as np
 
-BASE_IDS = ("zero", "cosine_fiber")  # plus "coord:<j>" resolved dynamically
-
 
 def monomial_basis(ambient_dim, degree):
     """All exponent multi-indices of total degree <= degree, graded-lex order.
@@ -90,10 +88,6 @@ class Observable:
             out[m] = out.get(m, 0.0) + c
         return out
 
-    def coefficient_norm(self):
-        """Euclidean norm of base plus perturbation coefficients."""
-        return math.sqrt(sum(c * c for c in self.total_coeffs().values()))
-
 
 def perturb(h, amplitudes=None, scale=0.1, rng_seed=None):
     """Add amplitudes (or seeded uniform [-scale, scale] draws) on the monomial basis.
@@ -134,54 +128,3 @@ def evaluate(h, x):
                 term = term * rows[:, j] ** e
         out += term
     return float(out[0]) if scalar else out
-
-
-def lipschitz_sample_bound(h, points):
-    """Largest difference quotient of h over consecutive pairs of sample rows.
-
-    A sampled lower bound for the Lipschitz constant on the ambient image;
-    reported as a sanity figure, never as an exact constant.
-    """
-    points = np.asarray(points, dtype=float)
-    vals = evaluate(h, points)
-    dv = np.abs(np.diff(vals))
-    dx = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    ok = dx > 0
-    if not np.any(ok):
-        return 0.0
-    return float(np.max(dv[ok] / dx[ok]))
-
-
-def to_text(h):
-    """Plain-text record: base, degree bound, then one (multi-index, coeff) per line."""
-    lines = [f"base {h.base_id}", f"ambient_dim {h.ambient_dim}", f"degree_bound {h.degree_bound}"]
-    for m in sorted(h.coeffs, key=lambda m: (sum(m), tuple(-e for e in m))):
-        mi = " ".join(str(e) for e in m)
-        lines.append(f"coeff {mi} : {h.coeffs[m]!r}")
-    return "\n".join(lines) + "\n"
-
-
-def from_text(text):
-    base_id = "zero"
-    ambient_dim = None
-    degree_bound = 1
-    coeffs = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("base "):
-            base_id = line.split(None, 1)[1]
-        elif line.startswith("ambient_dim "):
-            ambient_dim = int(line.split()[1])
-        elif line.startswith("degree_bound "):
-            degree_bound = int(line.split()[1])
-        elif line.startswith("coeff "):
-            body, val = line[len("coeff "):].split(":")
-            m = tuple(int(tok) for tok in body.split())
-            coeffs[m] = float(val)
-        else:
-            raise ValueError(f"unrecognized line {line!r}")
-    if ambient_dim is None:
-        raise ValueError("missing ambient_dim")
-    return Observable(ambient_dim, base_id, coeffs, degree_bound)

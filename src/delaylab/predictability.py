@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dimension import _fit
 from .dynamics import default_x0, trajectory
 from .embedding import delay_series, measure_states
 
@@ -25,10 +24,6 @@ DEFAULT_LADDER_LEVELS = 8
 # ball populations up to this size are reduced with the exact two-pass
 # formulas; larger ones go through centered prefix sums
 _DIRECT_MAX = 16384
-
-
-class EmptyBallError(ValueError):
-    """No historical vector inside the requested ball."""
 
 
 @dataclass(frozen=True)
@@ -49,7 +44,6 @@ class SigmaEstimate:
 
     y: np.ndarray
     ladder: tuple
-    min_count: int
     sigma_hat: float | None
     sigma_hat_eps: float | None
     sigma_hat_count: int
@@ -59,28 +53,9 @@ class SigmaEstimate:
     def defined(self):
         return self.sigma_hat is not None
 
-    @property
-    def slope(self):
-        """Log-log trend of sigma over the admissible levels (those holding at
-        least min_count neighbors with sigma > 0); None with fewer than two."""
-        admissible = [e for e in self.ladder
-                      if e.count >= self.min_count and e.sigma is not None and e.sigma > 0.0]
-        if len(admissible) < 2:
-            return None
-        lx = np.log([e.eps for e in admissible])
-        ly = np.log([e.sigma for e in admissible])
-        return _fit(lx, ly)[0]
-
 
 def _pair_arrays(series):
     return np.atleast_2d(series.predecessors), np.atleast_2d(series.successors)
-
-
-def neighbor_indices(series, y, eps):
-    """Indices i (ascending) with a successor and ||y_i - y|| < eps."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    return np.flatnonzero(BruteEngine(series).distances(y) < eps)
 
 
 def chi_sigma(series, y, eps):
@@ -92,18 +67,6 @@ def chi_sigma(series, y, eps):
     """
     entry = BruteEngine(series).profile(y, [eps], min_count=2).ladder[0]
     return entry.chi, entry.sigma, entry.count
-
-
-def predict_next(series, eps):
-    """Average successor of the historical vectors near the last one."""
-    vectors = np.atleast_2d(series.vectors) if hasattr(series, "vectors") else None
-    if vectors is None:
-        raise TypeError("predict_next needs a DelaySeries")
-    y_n = vectors[-1]
-    chi, _, count = chi_sigma(series, y_n, eps)
-    if count == 0:
-        raise EmptyBallError(f"no neighbors within eps={eps}")
-    return chi
 
 
 def series_diameter(series):
@@ -145,7 +108,6 @@ def _finish_profile(y, entries, min_count, threshold):
     return SigmaEstimate(
         y=np.asarray(y, dtype=float).reshape(-1),
         ladder=tuple(entries),
-        min_count=min_count,
         sigma_hat=sigma_hat,
         sigma_hat_eps=hat_eps,
         sigma_hat_count=hat_count,
@@ -233,8 +195,15 @@ class Sorted1DEngine:
         self.s2 = np.concatenate([[0.0], np.cumsum(centered * centered)])
 
     def interval(self, y, eps):
-        lo = int(np.searchsorted(self.ys, y - eps, side="right"))
-        hi = int(np.searchsorted(self.ys, y + eps, side="left"))
+        """Index range [lo, hi) of the sorted predecessors in the open eps-ball.
+
+        When eps is below half an ulp of |y|, y - eps or y + eps rounds to y;
+        that edge is then searched inclusively, so the points equal to y,
+        which every ball holds, stay inside.
+        """
+        lo_edge, hi_edge = y - eps, y + eps
+        lo = int(np.searchsorted(self.ys, lo_edge, side="right" if lo_edge < y else "left"))
+        hi = int(np.searchsorted(self.ys, hi_edge, side="left" if hi_edge > y else "right"))
         return lo, hi
 
     def _stats(self, eps, lo, hi):
@@ -262,25 +231,12 @@ def make_engine(series):
     return BruteEngine(series)
 
 
-def sigma_profile(series, y, ladder, min_count=DEFAULT_MIN_COUNT, threshold=DEFAULT_THRESHOLD):
-    """Ladder of (eps, count, chi, sigma) for one reference vector.
-
-    sigma_hat is taken at the smallest eps whose ball holds at least
-    min_count neighbors; levels below min_count are recorded but excluded
-    from extrapolation.
-    """
-    return BruteEngine(series).profile(y, ladder, min_count, threshold)
-
-
 @dataclass(frozen=True)
 class PredictabilityReport:
-    """Per-reference estimates plus summary statistics for one observable."""
+    """Per-reference estimates for one observable, with their reference indices."""
 
     ref_indices: np.ndarray
     estimates: tuple
-    ladder: tuple
-    threshold: float
-    min_count: int
 
     @property
     def defined_estimates(self):
@@ -292,62 +248,6 @@ class PredictabilityReport:
         if not defined:
             return float("nan")
         return sum(1 for e in defined if e.predictable) / len(defined)
-
-    def sigma_quantiles(self, qs=(0.1, 0.25, 0.5, 0.75, 0.9)):
-        vals = [e.sigma_hat for e in self.defined_estimates]
-        if not vals:
-            return {q: float("nan") for q in qs}
-        arr = np.asarray(vals)
-        return {q: float(np.quantile(arr, q)) for q in qs}
-
-    def csv_rows(self):
-        header = ["ref_idx", "eps", "count", "sigma", "chi_norm"]
-        rows = []
-        for ref, est in zip(self.ref_indices, self.estimates):
-            for entry in est.ladder:
-                rows.append([
-                    float(ref),
-                    entry.eps,
-                    float(entry.count),
-                    float("nan") if entry.sigma is None else entry.sigma,
-                    float("nan") if entry.chi is None else float(np.linalg.norm(entry.chi)),
-                ])
-        return header, rows
-
-    def summary_text(self):
-        """JSON-like one-liner: predictable fraction, quantiles, slope trend."""
-        slopes = [e.slope for e in self.estimates if e.slope is not None]
-        median_slope = float(np.median(slopes)) if slopes else float("nan")
-        q = self.sigma_quantiles()
-        parts = [
-            f'"n_refs": {len(self.estimates)}',
-            f'"defined": {len(self.defined_estimates)}',
-            f'"predictable_fraction": {self.predictable_fraction!r}',
-            '"sigma_hat_quantiles": {' + ", ".join(f'"{k}": {v!r}' for k, v in q.items()) + "}",
-            f'"median_loglog_slope": {median_slope!r}',
-            f'"threshold": {self.threshold!r}',
-        ]
-        return "{" + ", ".join(parts) + "}"
-
-
-def profile_references(series, ref_vectors, ladder=None, min_count=DEFAULT_MIN_COUNT,
-                       threshold=DEFAULT_THRESHOLD, ref_indices=None):
-    """Profiles for a batch of reference vectors over a shared ladder."""
-    if ladder is None:
-        ladder = default_ladder(series)
-    engine = make_engine(series)
-    estimates = tuple(
-        engine.profile(y, ladder, min_count, threshold) for y in np.atleast_2d(ref_vectors)
-    )
-    if ref_indices is None:
-        ref_indices = np.arange(len(estimates))
-    return PredictabilityReport(
-        ref_indices=np.asarray(ref_indices),
-        estimates=estimates,
-        ladder=tuple(float(e) for e in ladder),
-        threshold=threshold,
-        min_count=min_count,
-    )
 
 
 def predictability_report(cfg, h, k, n_orbit, n_refs, levels=DEFAULT_LADDER_LEVELS,
@@ -372,11 +272,7 @@ def predictability_report(cfg, h, k, n_orbit, n_refs, levels=DEFAULT_LADDER_LEVE
         refs = np.sort(rng.choice(tail, size=n_refs, replace=False))
     else:
         refs = tail
-    return profile_references(
-        series,
-        series.vectors[refs],
-        ladder=default_ladder(series, levels, top),
-        min_count=min_count,
-        threshold=threshold,
-        ref_indices=refs,
-    )
+    ladder = default_ladder(series, levels, top)
+    engine = make_engine(series)
+    estimates = tuple(engine.profile(y, ladder, min_count, threshold) for y in series.vectors[refs])
+    return PredictabilityReport(ref_indices=refs, estimates=estimates)

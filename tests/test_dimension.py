@@ -134,21 +134,13 @@ def test_empirical_measure_validation():
         EmpiricalMeasure(np.array([[np.nan, 0.0]]), np.array([1.0]))
 
 
-def test_dimension_csv_rows():
-    seg = uniform_segment_measure(2_000, 13)
-    ball, _ = ball_mass_dimension(seg, LADDER, 200, 14)
-    header, rows = ball.csv_rows()
-    assert header == ["eps", "value", "n_used"]
-    assert len(rows) == len(LADDER)
-    assert all(r[2] == 200.0 for r in rows)
-    box = box_counting_idim(seg, LADDER)
-    _, box_rows = box.csv_rows()
-    assert all(r[2] >= 1 for r in box_rows)
-
-
 def test_estimate_r_squared_in_range():
     seg = uniform_segment_measure(5_000, 11)
     ball, _ = ball_mass_dimension(seg, LADDER, 300, 12)
     assert 0.0 <= ball.r_squared <= 1.0
     eps_values = [e for e, _ in ball.ladder]
     assert all(b < a for a, b in zip(eps_values, eps_values[1:]))
+    # E6's idim.csv reads levels_used directly: one entry per level from both routes
+    assert ball.levels_used == (300,) * len(LADDER)
+    box = box_counting_idim(seg, LADDER)
+    assert len(box.levels_used) == len(LADDER) and min(box.levels_used) >= 1

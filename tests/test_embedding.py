@@ -9,7 +9,6 @@ from delaylab.embedding import (
     DelaySeries,
     measure_states,
     PairedVectors,
-    series_rows,
 )
 from delaylab.observables import Observable, perturb
 
@@ -83,26 +82,6 @@ def test_paired_vectors_validation():
     pv = PairedVectors(1, np.arange(4.0)[:, None], np.arange(4.0)[:, None] + 1)
     assert len(pv) == 4
     assert np.array_equal(pv.predecessors[:, 0], [0, 1, 2, 3])
-
-
-def test_series_rows_header():
-    s = delay_series([1.0, 2.0, 3.0], 2)
-    header, rows = series_rows(s)
-    assert header == ["i", "y0", "y1"]
-    assert rows[0] == [0.0, 1.0, 2.0]
-    assert len(rows) == 2
-
-
-def test_export_csv(tmp_path):
-    from delaylab.embedding import export_csv
-
-    s = delay_series([1.0, 2.0, 3.0], 2)
-    path = tmp_path / "series.csv"
-    export_csv(s, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "i,y0,y1"
-    assert lines[1] == "0.0,1.0,2.0"
-    assert len(lines) == 3
 
 
 def test_delay_series_invariant_violation_detected():

@@ -61,6 +61,13 @@ def test_config_override_type_check():
         ExperimentConfig("E3_model_nonpredict", 0, {"n_obs": 2.5})
     with pytest.raises(ValueError, match="unknown experiment"):
         ExperimentConfig("E9_nope", 0)
+    # an E6 ladder 2^-eps_hi_exp .. 2^-eps_lo_exp needs at least two levels
+    for hi, lo in ((8, 4), (5, 5)):
+        with pytest.raises(ValueError, match="'eps_hi_exp' = .* 'eps_lo_exp'"):
+            ExperimentConfig("E6_idim", 0, {"eps_hi_exp": hi, "eps_lo_exp": lo})
+    with pytest.raises(ValueError, match="'eps_hi_exp' = 9 and 'eps_lo_exp' = 8"):
+        parse_config("experiment = E6\neps_hi_exp = 9\n")
+    assert ExperimentConfig("E6_idim", 0, {"eps_hi_exp": 5, "eps_lo_exp": 6}).param("eps_lo_exp") == 6
 
 
 def test_fiber_gate_at_most_half():
@@ -204,3 +211,19 @@ def test_cli_run_with_config(tmp_path, capsys):
 
 def test_cli_requires_experiment():
     assert main(["run"]) == 2
+
+
+def test_readme_api_matches_all():
+    """The README's API section names exactly delaylab.__all__, and each name resolves."""
+    import re
+    from pathlib import Path
+
+    import delaylab
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## API\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"`([A-Za-z_]\w*)`", section)
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(delaylab.__all__)
+    assert len(delaylab.__all__) == len(set(delaylab.__all__))
+    assert all(getattr(delaylab, name, None) is not None for name in delaylab.__all__)

@@ -7,12 +7,9 @@ from hypothesis import given, settings, strategies as st
 from delaylab.manifold import product_ambient_array
 from delaylab.observables import (
     evaluate,
-    from_text,
-    lipschitz_sample_bound,
     monomial_basis,
     Observable,
     perturb,
-    to_text,
 )
 
 
@@ -90,28 +87,6 @@ def test_evaluate_linearity():
     split = evaluate(h, pts) + sum(
         a * np.prod(pts ** np.asarray(m), axis=1) for m, a in zip(basis, amps))
     assert np.max(np.abs(direct - split)) < 1e-12
-
-
-def test_lipschitz_sample_bound_finite():
-    rng = np.random.default_rng(6)
-    basis = monomial_basis(5, 3)
-    h = perturb(Observable(5, "zero", degree_bound=3),
-                amplitudes=rng.uniform(-1, 1, len(basis)))
-    n = 100_001  # 1e5 consecutive pairs over the compact ambient image
-    pts = product_ambient_array(rng.uniform(0, 4, n), rng.uniform(-7, 7, n), rng.random(n))
-    bound = lipschitz_sample_bound(h, pts)
-    assert np.isfinite(bound)
-    assert bound > 0
-
-
-def test_serialization_round_trip():
-    h = perturb(Observable(5, "cosine_fiber", degree_bound=2), scale=0.2, rng_seed=1)
-    text = to_text(h)
-    back = from_text(text)
-    assert back.base_id == h.base_id
-    assert back.degree_bound == h.degree_bound
-    assert back.ambient_dim == h.ambient_dim
-    assert back.coeffs == h.coeffs
 
 
 def test_observable_validation():

@@ -13,12 +13,8 @@ from delaylab.predictability import (
     BruteEngine,
     chi_sigma,
     default_ladder,
-    EmptyBallError,
     make_engine,
-    neighbor_indices,
-    predict_next,
     predictability_report,
-    sigma_profile,
     Sorted1DEngine,
 )
 
@@ -26,12 +22,13 @@ ALPHA = GOLDEN_ROTATION
 
 
 def test_neighbor_indices_examples():
+    """The ball holds only the vectors that have a successor."""
     s = delay_series([0.0, 1.0, 2.0], 1)
-    assert neighbor_indices(s, [0.0], 0.5).tolist() == [0]
-    assert neighbor_indices(s, [0.0], 10.0).tolist() == [0, 1]  # only those with successors
-    assert neighbor_indices(s, [0.5], 1e-12).tolist() == []
+    assert chi_sigma(s, [0.0], 0.5)[2] == 1
+    assert chi_sigma(s, [0.0], 10.0)[2] == 2  # 2.0 is the last vector: no successor
+    assert chi_sigma(s, [0.5], 1e-12)[2] == 0
     with pytest.raises(ValueError):
-        neighbor_indices(s, [0.0], 0.0)
+        chi_sigma(s, [0.0], 0.0)
 
 
 def test_chi_sigma_two_neighbors():
@@ -122,33 +119,32 @@ def test_ladder_counts_monotone():
     ladder = default_ladder(s)
     for _ in range(10):
         y = s.vectors[rng.integers(0, len(s))]
-        est = sigma_profile(s, y, ladder, min_count=2)
+        est = BruteEngine(s).profile(y, ladder, min_count=2)
         counts = [e.count for e in est.ladder]
         assert all(b <= a for a, b in zip(counts, counts[1:]))
 
 
 def test_sigma_profile_identical_vectors():
     s = delay_series([1.0] * 50, 1)
-    est = sigma_profile(s, [1.0], [0.5, 0.25], min_count=2)
+    est = BruteEngine(s).profile([1.0], [0.5, 0.25], min_count=2)
     assert est.sigma_hat == 0.0
     assert est.predictable is True
 
 
 def test_sigma_profile_undefined_when_sparse():
     s = delay_series([0.0, 1.0, 2.0, 3.0], 1)
-    est = sigma_profile(s, [0.0], [1e-6], min_count=2)
+    est = BruteEngine(s).profile([0.0], [1e-6], min_count=2)
     assert est.sigma_hat is None
     assert est.predictable is None
     assert not est.defined
-    assert est.slope is None
 
 
 def test_sigma_profile_ladder_validation():
     s = delay_series([0.0, 1.0, 2.0], 1)
     with pytest.raises(ValueError):
-        sigma_profile(s, [0.0], [0.1, 0.2])  # not decreasing
+        BruteEngine(s).profile([0.0], [0.1, 0.2])  # not decreasing
     with pytest.raises(ValueError):
-        sigma_profile(s, [0.0], [0.1], min_count=1)
+        BruteEngine(s).profile([0.0], [0.1], min_count=1)
 
 
 def test_linear_system_sigma_rate():
@@ -161,37 +157,12 @@ def test_linear_system_sigma_rate():
     gamma = GOLDEN_ROTATION
     m = np.mod(0.123 + gamma * np.arange(n), 1.0)
     s = delay_series(m, 1)
-    est = sigma_profile(s, [0.6], [0.05 * 2.0**-j for j in range(6)], min_count=10)
-    assert est.slope == pytest.approx(1.0, abs=0.3)
+    est = BruteEngine(s).profile([0.6], [0.05 * 2.0**-j for j in range(6)], min_count=10)
     assert est.sigma_hat < 0.01
     admissible = [e for e in est.ladder if e.count >= 10 and e.sigma > 0.0]
+    assert len(admissible) >= 2
     x, y = np.log([e.eps for e in admissible]), np.log([e.sigma for e in admissible])
-    assert est.slope == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-12)
-
-
-def test_predict_next_examples():
-    pv_series = delay_series([0.0, 0.05, 0.02, 5.0, 0.01], 1)
-    # everything except index 3 is within 0.1 of the last vector 0.01
-    pred = predict_next(pv_series, 0.1)
-    assert pred[0] == pytest.approx(np.mean([0.05, 0.02, 5.0]), abs=1e-15)
-
-    single = delay_series([0.0, 3.0, 1.0, 0.05], 1)
-    assert predict_next(single, 0.2)[0] == 3.0  # only index 0 is close to 0.05
-
-    with pytest.raises(EmptyBallError):
-        predict_next(delay_series([0.0, 1.0, 2.0], 1), 1e-9)
-
-
-def test_predict_next_rotation_error_bound():
-    n = 5_000
-    m = np.mod(0.05 + GOLDEN_ROTATION * np.arange(n + 1), 1.0)
-    s = delay_series(m[:-1], 1)
-    y_true = m[-1]
-    eps = 0.02
-    # keep the reference away from the sawtooth wrap
-    assert 0.1 < m[-2] < 0.9
-    pred = predict_next(s, eps)
-    assert abs(pred[0] - y_true) <= eps * 1.05
+    assert np.polyfit(x, y, 1)[0] == pytest.approx(1.0, abs=0.3)
 
 
 def test_two_atom_rotation_oracle():
@@ -203,7 +174,7 @@ def test_two_atom_rotation_oracle():
     m = np.cos(2 * np.pi * t)
     s = delay_series(m, 1)
     oracle = abs(math.cos(2 * math.pi * (t0 + ALPHA)) - math.cos(2 * math.pi * (-t0 + ALPHA))) / 2
-    est = sigma_profile(s, [math.cos(2 * math.pi * t0)], [0.2 * 2.0**-j for j in range(8)])
+    est = BruteEngine(s).profile([math.cos(2 * math.pi * t0)], [0.2 * 2.0**-j for j in range(8)])
     assert est.defined
     assert abs(est.sigma_hat - oracle) <= 0.1 * oracle
 
@@ -224,6 +195,22 @@ def test_engines_agree_small():
             if la.sigma is not None:
                 assert abs(la.sigma - lb.sigma) < 1e-12
                 assert np.max(np.abs(la.chi - lb.chi)) < 1e-12
+
+
+def test_sorted1d_counts_equal_points_below_half_ulp():
+    """Points equal to the reference are inside every ball, also when y - eps
+    and y + eps round to y (eps below half an ulp of |y|, 6e-8 at 1e9)."""
+    pv = PairedVectors(1, np.full((5, 1), 1e9), np.arange(5.0)[:, None])
+    for eps in (5e-8, 1e-7, 1e-20):
+        brute = BruteEngine(pv).profile([1e9], [eps], min_count=2).ladder[0]
+        sorted1d = Sorted1DEngine(pv).profile([1e9], [eps], min_count=2).ladder[0]
+        assert brute.count == sorted1d.count == 5
+        assert brute.sigma == sorted1d.sigma
+    u = math.ulp(1e9)
+    pv = PairedVectors(1, 1e9 + u * np.array([[-1.0], [0.0], [0.0], [1.0]]), np.zeros((4, 1)))
+    for eps in (u / 4, u / 2, u):
+        assert BruteEngine(pv).profile([1e9], [eps], 2).ladder[0].count == 2
+        assert Sorted1DEngine(pv).profile([1e9], [eps], 2).ladder[0].count == 2
 
 
 def test_engines_agree_prefix_path():
@@ -266,20 +253,6 @@ def test_report_rotation_k1_not_predictable():
     assert report.predictable_fraction < 0.5
     sigmas = np.array([e.sigma_hat for e in report.defined_estimates])
     assert np.median(sigmas) > 0.05
-
-
-def test_report_csv_rows():
-    cfg = SystemConfig("rotation")
-    h = Observable(2, "cosine_fiber", degree_bound=1)
-    report = predictability_report(cfg, h, 1, 3_000, 10, seed=5)
-    header, rows = report.csv_rows()
-    assert header == ["ref_idx", "eps", "count", "sigma", "chi_norm"]
-    assert len(rows) == 10 * len(report.ladder)
-    quantiles = report.sigma_quantiles()
-    assert set(quantiles) == {0.1, 0.25, 0.5, 0.75, 0.9}
-    text = report.summary_text()
-    assert text.startswith("{") and text.endswith("}")
-    assert '"predictable_fraction"' in text and '"median_loglog_slope"' in text
 
 
 # -- BruteEngine against the norm-based reduction it replaced ----------------
