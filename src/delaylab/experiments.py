@@ -1,4 +1,4 @@
-"""Named experiments, flat-file configuration, CSV emission and keyed RNG.
+"""Named experiments, flat-file configuration and keyed RNG.
 
 Each experiment reproduces one family of desk-scale checks; run_experiment
 writes plot-ready CSVs plus a plain-text summary and returns the metrics and
@@ -8,6 +8,7 @@ pass flags.  All randomness flows through counter-based generators keyed by
 
 import hashlib
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,14 +29,9 @@ from .dimension import (
 )
 from .dynamics import (GOLDEN_ROTATION, SystemConfig, ambient_of_states, box_flags,
                        sample_model_states, trajectory, visit_gaps, visit_statistics)
-from .embedding import measure_states, PairedVectors
+from .embedding import delay_series, measure_states, PairedVectors
 from .observables import evaluate, monomial_basis, Observable, perturb
-from .predictability import (
-    default_ladder,
-    make_engine,
-    predictability_report,
-    Sorted1DEngine,
-)
+from .predictability import _profile_all, predictability_report
 
 EXPERIMENT_IDS = ("E1_parabolic", "E2_natural_measure", "E3_model_nonpredict",
                   "E4_counterexample", "E5_ergodic_predict", "E6_idim")
@@ -97,15 +93,22 @@ class ExperimentConfig:
         for key, val in self.overrides.items():
             if key not in defaults:
                 raise ValueError(f"unknown key {key!r} for {self.experiment_id}")
-            if not math.isfinite(float(val)):
+            if not isinstance(val, numbers.Real):
+                raise ValueError(f"key {key!r} must be a number, got {val!r}")
+            if not math.isfinite(val):
                 raise ValueError(f"key {key!r} must be finite, got {val!r}")
             if isinstance(defaults[key], int) and not float(val).is_integer():
                 raise ValueError(f"key {key!r} must be an integer")
-            if isinstance(val, (int, float)) and val <= 0 and key != "seed":
+            if val <= 0 and key != "seed":
                 raise ValueError(f"key {key!r} must be positive")
             if key == "p_ref_fiber_gate" and val > 0.5:
                 # min(t, 1 - t) never exceeds 1/2, so a wider gate admits every fiber point
                 raise ValueError(f"key {key!r} must be at most 0.5, got {val!r}")
+        if self.experiment_id == "E1_parabolic":
+            lo, hi, n = self.param("rho_fit_lo"), self.param("rho_fit_hi"), self.param("rho_n")
+            if lo >= min(hi, n):  # the slope fit needs two points in [lo, min(hi, n)]
+                raise ValueError(f"key 'rho_fit_lo' = {lo} must be below 'rho_fit_hi' = {hi} "
+                                 f"and 'rho_n' = {n}: the fit window needs two points")
         if self.experiment_id == "E6_idim":
             hi, lo = self.param("eps_hi_exp"), self.param("eps_lo_exp")
             if lo - hi < 1:  # the ladder 2^-hi .. 2^-lo needs two levels for a slope
@@ -178,6 +181,13 @@ def parse_config(text):
     return ExperimentConfig(experiment, seed, overrides)
 
 
+def _perturbed(cfg, experiment, stage, base):
+    """base plus uniform [-pert_scale, pert_scale] amplitudes from rng_for(seed, experiment, stage)."""
+    scale = cfg.param("pert_scale")
+    size = len(monomial_basis(base.ambient_dim, base.degree_bound))
+    return perturb(base, rng_for(cfg.seed, experiment, stage).uniform(-scale, scale, size))
+
+
 def _logspaced_ints(lo, hi, n=200):
     vals = np.unique(np.round(np.logspace(math.log10(lo), math.log10(hi), n)).astype(int))
     return vals[(vals >= lo) & (vals <= hi)]
@@ -186,28 +196,22 @@ def _logspaced_ints(lo, hi, n=200):
 # -- E1: parabolic decay and visit growth -------------------------------------
 
 
-def _run_e1(cfg, out):
-    metrics = {}
-    flags = {}
-    timings = {}
-
-    t0 = time.perf_counter()
-    kappa = cfg.param("rho_kappa")
-    rs = _k.radial_orbit(cfg.param("rho_r0"), kappa, cfg.param("rho_n"))
+def _run_e1_rho(cfg, out):
+    rs = _k.radial_orbit(cfg.param("rho_r0"), cfg.param("rho_kappa"), cfg.param("rho_n"))
     rho = 1.0 - rs
     ns = _logspaced_ints(cfg.param("rho_fit_lo"), min(cfg.param("rho_fit_hi"), len(rs)))
     slope = _fit(np.log(ns), np.log(rho[ns - 1]))[0]
-    timings["rho_seconds"] = time.perf_counter() - t0
-    metrics["rho_slope"] = slope
-    flags["rho_slope_in_band"] = -0.55 <= slope <= -0.45
     emit_csv(out / "rho.csv", ["n", "rho"], [[float(n), float(rho[n - 1])] for n in ns])
+    return {"rho_slope": slope}, {"rho_slope_in_band": -0.55 <= slope <= -0.45}
 
-    t0 = time.perf_counter()
+
+def _run_e1_visits(cfg, out):
+    metrics = {}
+    flags = {}
     vis_cfg = SystemConfig("spiral_f", kappa=cfg.param("visits_kappa"), delta=cfg.param("visits_delta"))
     traj = trajectory(vis_cfg, (cfg.param("visits_r0"), cfg.param("visits_phi0")), cfg.param("visits_n"))
     records = visit_statistics(traj, vis_cfg.delta)
     gap_idx, gaps = visit_gaps(traj, vis_cfg.delta)
-    timings["visits_seconds"] = time.perf_counter() - t0
 
     i_arr = np.array([rec.i for rec in records])
     n_p = np.array([rec.N_p for rec in records], dtype=float)
@@ -258,7 +262,7 @@ def _run_e1(cfg, out):
     )
     emit_csv(out / "gaps.csv", ["pair_i", "gap"],
              [[float(i), float(g)] for i, g in zip(gap_idx, gaps)])
-    return metrics, flags, timings
+    return metrics, flags
 
 
 # -- E2: occupation fractions ---------------------------------------------------
@@ -287,7 +291,7 @@ def _run_e2(cfg, out):
         flags[f"occupation_p_start{s}"] = abs(frac_p - 0.5) <= 0.05
         flags[f"occupation_q_start{s}"] = abs(frac_q - 0.5) <= 0.05
     emit_csv(out / "occupation.csv", ["start_r", "start_phi", "m", "frac_p", "frac_q"], rows)
-    return metrics, flags, {}
+    return metrics, flags
 
 
 # -- E3: model system, k = 1 ----------------------------------------------------
@@ -339,15 +343,13 @@ def _two_atom_sigma(h, t0, alpha):
 def _run_e3(cfg, out):
     metrics = {}
     flags = {}
-    n = cfg.param("n_samples")
     alpha = cfg.param("alpha")
-    n_obs = cfg.param("n_obs")
     n_refs = cfg.param("n_refs")
     min_count = cfg.param("min_count")
     threshold = cfg.param("threshold")
 
     model = SystemConfig("model_T0", alpha=alpha)
-    states = sample_model_states(n, rng_for(cfg.seed, "E3", "samples"))
+    states = sample_model_states(cfg.param("n_samples"), rng_for(cfg.seed, "E3", "samples"))
     pred_amb = ambient_of_states(model, states)
     # one model step per row: the circle rotates by alpha, and the marked
     # point's rows keep component 0, which ambient_of_states maps to p at t = 0
@@ -356,21 +358,17 @@ def _run_e3(cfg, out):
     ref_amb = ambient_of_states(model, np.column_stack([np.ones(n_refs), ref_t]))
 
     base = Observable(5, "cosine_fiber", degree_bound=1)
-    basis_size = len(monomial_basis(5, 1))
     pred_fracs = []
     match_fracs = []
     rows = []
-    for j in range(n_obs):
-        amps = rng_for(cfg.seed, "E3", f"obs{j}").uniform(
-            -cfg.param("pert_scale"), cfg.param("pert_scale"), basis_size)
-        h = perturb(base, amplitudes=amps)
+    for j in range(cfg.param("n_obs")):
+        h = _perturbed(cfg, "E3", f"obs{j}", base)
         pairs = PairedVectors(1, evaluate(h, pred_amb)[:, None], evaluate(h, succ_amb)[:, None])
-        ladder = default_ladder(pairs, levels=cfg.param("ladder_levels"), top=cfg.param("ladder_top"))
-        engine = make_engine(pairs)
         y_refs = evaluate(h, ref_amb)
+        estimates = _profile_all(pairs, y_refs, cfg.param("ladder_levels"), cfg.param("ladder_top"),
+                                 min_count, threshold)
         n_def = n_pred = n_match = 0
-        for t0, y in zip(ref_t, y_refs):
-            est = engine.profile([y], ladder, min_count, threshold)
+        for t0, y, est in zip(ref_t, y_refs, estimates):
             oracle = _two_atom_sigma(h, t0, alpha)
             matched = float("nan")
             if est.defined:
@@ -394,7 +392,7 @@ def _run_e3(cfg, out):
     flags["two_atom_oracle_match"] = metrics["oracle_match_min"] >= 0.8
     emit_csv(out / "model_refs.csv",
              ["obs", "t0", "y", "sigma_hat", "count", "sigma_oracle", "matched"], rows)
-    return metrics, flags, {}
+    return metrics, flags
 
 
 # -- E4: skew-product counterexample, k = 1 -------------------------------------
@@ -403,21 +401,16 @@ def _run_e3(cfg, out):
 def _run_e4(cfg, out):
     metrics = {}
     flags = {}
-    timings = {}
     n = cfg.param("orbit_n")
-    kappa = cfg.param("kappa")
-    delta = cfg.param("delta")
-    alpha = cfg.param("alpha")
     threshold = cfg.param("threshold")
     min_count = cfg.param("min_count")
 
-    sys_cfg = SystemConfig("skew_T", alpha=alpha, kappa=kappa, delta=delta)
-    t0 = time.perf_counter()
+    sys_cfg = SystemConfig("skew_T", alpha=cfg.param("alpha"), kappa=cfg.param("kappa"),
+                           delta=cfg.param("delta"))
     orbit = trajectory(sys_cfg, (cfg.param("start_r"), cfg.param("start_phi"), cfg.param("start_t")), n)
-    timings["orbit_seconds"] = time.perf_counter() - t0
     r, phi, t = orbit.T  # contiguous column views, no copy
 
-    in_p, in_q = box_flags(r, phi, delta)
+    in_p, in_q = box_flags(r, phi, sys_cfg.delta)
     late = np.zeros(n, dtype=bool)
     late[n // 2: n - 1] = True  # predecessors only, late half
     fiber_near_zero = np.minimum(t, 1.0 - t) < cfg.param("p_ref_fiber_gate")
@@ -433,39 +426,31 @@ def _run_e4(cfg, out):
     metrics["q_ref_pool"] = float(len(pool_q))
 
     base = Observable(5, "coord:0", degree_bound=1)
-    basis_size = len(monomial_basis(5, 1))
-    n_obs = cfg.param("n_obs")
-    p_sigmas = []
-    q_sigmas = []
+    refs = np.concatenate([refs_p, refs_q])  # one engine profiles both sides, p first
+    sigmas = {"p": [], "q": []}
     rows = []
-    t1 = time.perf_counter()
-    for j in range(n_obs):
-        amps = rng_for(cfg.seed, "E4", f"obs{j}").uniform(
-            -cfg.param("pert_scale"), cfg.param("pert_scale"), basis_size)
-        h = perturb(base, amplitudes=amps)
-        m = measure_states(h, sys_cfg, orbit)
-        pairs = PairedVectors(1, m[:-1, None], m[1:, None])
-        ladder = default_ladder(pairs, levels=cfg.param("ladder_levels"), top=cfg.param("ladder_top"))
-        engine = Sorted1DEngine(pairs)
-        for side, refs in (("p", refs_p), ("q", refs_q)):
-            for i in refs:
-                est = engine.profile([m[i]], ladder, min_count, threshold)
+    for j in range(cfg.param("n_obs")):
+        m = measure_states(_perturbed(cfg, "E4", f"obs{j}", base), sys_cfg, orbit)
+        estimates = _profile_all(delay_series(m, 1), m[refs], cfg.param("ladder_levels"),
+                                 cfg.param("ladder_top"), min_count, threshold)
+        for side, side_refs, side_est in (("p", refs_p, estimates[:len(refs_p)]),
+                                          ("q", refs_q, estimates[len(refs_p):])):
+            for i, est in zip(side_refs, side_est):
                 if est.defined:
-                    (p_sigmas if side == "p" else q_sigmas).append(est.sigma_hat)
+                    sigmas[side].append(est.sigma_hat)
                 rows.append([
                     float(j), side, float(i),
                     float("nan") if est.sigma_hat is None else est.sigma_hat,
                     float("nan") if est.sigma_hat_eps is None else est.sigma_hat_eps,
                     float(est.sigma_hat_count),
                 ])
-    timings["profiles_seconds"] = time.perf_counter() - t1
-    for side, sigmas, pool in (("marked-point", p_sigmas, pool_p), ("fiber", q_sigmas, pool_q)):
-        if not sigmas:
-            raise ValueError(f"no {side} reference was defined: none reached min_count = {min_count} "
+    for side, name, pool in (("p", "marked-point", pool_p), ("q", "fiber", pool_q)):
+        if not sigmas[side]:
+            raise ValueError(f"no {name} reference was defined: none reached min_count = {min_count} "
                              f"in a pool of {len(pool)} late passages")
 
-    p_arr = np.asarray(p_sigmas)
-    q_arr = np.asarray(q_sigmas)
+    p_arr = np.asarray(sigmas["p"])
+    q_arr = np.asarray(sigmas["q"])
     metrics["p_sigma_max"] = float(p_arr.max())
     metrics["p_sigma_median"] = float(np.median(p_arr))
     metrics["q_nonpredictable_fraction"] = float(np.mean(q_arr >= threshold))
@@ -474,7 +459,7 @@ def _run_e4(cfg, out):
     flags["fiber_nonpredictable"] = metrics["q_nonpredictable_fraction"] >= 0.5
     emit_csv(out / "skew_refs.csv",
              ["obs", "side", "ref_idx", "sigma_hat", "sigma_hat_eps", "count"], rows)
-    return metrics, flags, timings
+    return metrics, flags
 
 
 # -- E5: predictability trend for ergodic benchmarks ----------------------------
@@ -510,9 +495,7 @@ def _run_e5(cfg, out):
     reports = {}
     rows = []
     for case, stage, sys_cfg, k, n_orbit, burn_in, base_id, degree in cases:
-        amps = rng_for(cfg.seed, "E5", f"{stage}_obs").uniform(
-            -cfg.param("pert_scale"), cfg.param("pert_scale"), len(monomial_basis(2, degree)))
-        h = perturb(Observable(2, base_id, degree_bound=degree), amplitudes=amps)
+        h = _perturbed(cfg, "E5", f"{stage}_obs", Observable(2, base_id, degree_bound=degree))
         reports[case] = predictability_report(
             sys_cfg, h, k, n_orbit, cfg.param("n_refs"),
             levels=cfg.param("ladder_levels"), top=cfg.param("ladder_top"),
@@ -527,7 +510,7 @@ def _run_e5(cfg, out):
     flags["rotation_k2_trend"] = metrics["rotation_k2_monotone_fraction"] >= 0.9
     flags["henon_k3_trend"] = metrics["henon_k3_monotone_fraction"] >= 0.8
     emit_csv(out / "trend_refs.csv", ["case", "ref_idx", "eps", "count", "sigma"], rows)
-    return metrics, flags, {}
+    return metrics, flags
 
 
 def _trend_rows(case, report):
@@ -592,14 +575,14 @@ def _run_e6(cfg, out):
     flags["point_ball_zero"] = abs(metrics["point_mass_ball"]) <= 0.05
     flags["point_box_zero"] = abs(metrics["point_mass_box"]) <= 0.05
     emit_csv(out / "idim.csv", ["measure", "estimator", "eps", "value", "n_used"], rows)
-    return metrics, flags, {}
+    return metrics, flags
 
 
 # -- driver ----------------------------------------------------------------------
 
 
 _RUNNERS = {
-    "E1_parabolic": [("parabolic_and_visits", _run_e1)],
+    "E1_parabolic": [("rho", _run_e1_rho), ("visits", _run_e1_visits)],
     "E2_natural_measure": [("occupation", _run_e2)],
     "E3_model_nonpredict": [("model_nonpredict", _run_e3)],
     "E4_counterexample": [("counterexample", _run_e4)],
@@ -611,7 +594,8 @@ _RUNNERS = {
 def run_experiment(cfg, out_dir):
     """Run one named experiment; write CSVs plus summary.txt under out_dir.
 
-    Raises RuntimeError naming the failing stage if any sub-operation fails.
+    Each stage's wall time goes into timings as "<stage>_seconds".  Raises
+    RuntimeError naming the failing stage if any sub-operation fails.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -620,13 +604,14 @@ def run_experiment(cfg, out_dir):
     flags = {}
     timings = {}
     for stage, runner in _RUNNERS[cfg.experiment_id]:
+        t0 = time.perf_counter()
         try:
-            m, f, tm = runner(cfg, out)
+            m, f = runner(cfg, out)
         except Exception as exc:
             raise RuntimeError(f"stage {stage!r} of {cfg.experiment_id} failed: {exc}") from exc
+        timings[f"{stage}_seconds"] = time.perf_counter() - t0
         metrics.update(m)
         flags.update(f)
-        timings.update(tm)
     wall = time.perf_counter() - start
     summary = RunSummary(cfg.experiment_id, _config_echo(cfg), metrics, flags, wall, timings)
     _write_summary(out / "summary.txt", summary)

@@ -89,18 +89,13 @@ class Observable:
         return out
 
 
-def perturb(h, amplitudes=None, scale=0.1, rng_seed=None):
-    """Add amplitudes (or seeded uniform [-scale, scale] draws) on the monomial basis.
+def perturb(h, amplitudes):
+    """Add amplitudes on the monomial basis.
 
-    The basis is monomial_basis(h.ambient_dim, h.degree_bound); explicit
+    The basis is monomial_basis(h.ambient_dim, h.degree_bound); the
     amplitudes must match its length.  The base function is untouched.
     """
     basis = monomial_basis(h.ambient_dim, h.degree_bound)
-    if amplitudes is None:
-        if rng_seed is None:
-            raise ValueError("provide amplitudes or rng_seed")
-        rng = np.random.default_rng(rng_seed)
-        amplitudes = rng.uniform(-scale, scale, size=len(basis))
     amplitudes = np.asarray(amplitudes, dtype=float)
     if amplitudes.shape != (len(basis),):
         raise ValueError(f"expected {len(basis)} amplitudes, got {amplitudes.shape}")

@@ -42,7 +42,6 @@ class SigmaEstimate:
     None in that case as well.
     """
 
-    y: np.ndarray
     ladder: tuple
     sigma_hat: float | None
     sigma_hat_eps: float | None
@@ -69,16 +68,11 @@ def chi_sigma(series, y, eps):
     return entry.chi, entry.sigma, entry.count
 
 
-def series_diameter(series):
-    """Bounding-box diagonal of the delay vectors (exact range for k = 1)."""
-    pred, _ = _pair_arrays(series)
-    span = pred.max(axis=0) - pred.min(axis=0)
-    return float(np.linalg.norm(span))
-
-
 def default_ladder(series, levels=DEFAULT_LADDER_LEVELS, top=DEFAULT_LADDER_TOP):
-    """Geometric ladder top * 2^-j scaled by the series diameter."""
-    diam = series_diameter(series)
+    """Geometric ladder top * 2^-j scaled by the series diameter, the
+    bounding-box diagonal of the delay vectors (1 when that is 0)."""
+    pred, _ = _pair_arrays(series)
+    diam = float(np.linalg.norm(pred.max(axis=0) - pred.min(axis=0)))
     if diam <= 0.0:
         diam = 1.0
     return [top * diam * 0.5**j for j in range(levels)]
@@ -95,7 +89,7 @@ def _validate_ladder(ladder, min_count):
     return ladder
 
 
-def _finish_profile(y, entries, min_count, threshold):
+def _finish_profile(entries, min_count, threshold):
     sigma_hat = None
     hat_eps = None
     hat_count = 0
@@ -106,7 +100,6 @@ def _finish_profile(y, entries, min_count, threshold):
             hat_count = e.count
     predictable = None if sigma_hat is None else bool(sigma_hat < threshold)
     return SigmaEstimate(
-        y=np.asarray(y, dtype=float).reshape(-1),
         ladder=tuple(entries),
         sigma_hat=sigma_hat,
         sigma_hat_eps=hat_eps,
@@ -172,7 +165,7 @@ class BruteEngine:
             inside = d < eps
             idx, d = idx[inside], d[inside]
             entries.append(_ball_entry(eps, self.succ.take(idx, axis=0)))
-        return _finish_profile(y, entries, min_count, threshold)
+        return _finish_profile(entries, min_count, threshold)
 
 
 class Sorted1DEngine:
@@ -195,15 +188,31 @@ class Sorted1DEngine:
         self.s2 = np.concatenate([[0.0], np.cumsum(centered * centered)])
 
     def interval(self, y, eps):
-        """Index range [lo, hi) of the sorted predecessors in the open eps-ball.
+        """Index range [lo, hi) of the sorted predecessors x with sqrt((x - y)^2) < eps.
 
-        When eps is below half an ulp of |y|, y - eps or y + eps rounds to y;
-        that edge is then searched inclusively, so the points equal to y,
-        which every ball holds, stay inside.
+        That is BruteEngine's k = 1 test.  The rounded edges y -/+ eps place
+        each end, which then moves, one run of equal values at a time, until
+        the test holds just inside it and fails just outside.
         """
-        lo_edge, hi_edge = y - eps, y + eps
-        lo = int(np.searchsorted(self.ys, lo_edge, side="right" if lo_edge < y else "left"))
-        hi = int(np.searchsorted(self.ys, hi_edge, side="left" if hi_edge > y else "right"))
+        ys, item = self.ys, self.ys.item
+
+        def inside(i):
+            d = item(i) - y
+            return math.sqrt(d * d) < eps
+
+        def run_end(i, side):
+            return int(ys.searchsorted(item(i), side=side))
+
+        hi = int(ys.searchsorted(y + eps, side="left"))
+        while hi < len(ys) and inside(hi):
+            hi = run_end(hi, "right")
+        while hi > 0 and item(hi - 1) > y and not inside(hi - 1):
+            hi = run_end(hi - 1, "left")
+        lo = int(ys.searchsorted(y - eps, side="right"))
+        while lo > 0 and inside(lo - 1):
+            lo = run_end(lo - 1, "left")
+        while lo < hi and item(lo) < y and not inside(lo):
+            lo = run_end(lo, "right")
         return lo, hi
 
     def _stats(self, eps, lo, hi):
@@ -219,16 +228,18 @@ class Sorted1DEngine:
         ladder = _validate_ladder(ladder, min_count)
         yv = float(np.asarray(y, dtype=float).reshape(-1)[0])
         entries = [self._stats(eps, *self.interval(yv, eps)) for eps in ladder]
-        return _finish_profile([yv], entries, min_count, threshold)
+        return _finish_profile(entries, min_count, threshold)
 
 
-def make_engine(series):
-    """Pick the ball-statistics engine for a series (sorted intervals for long
-    scalar series, direct distances otherwise)."""
-    pred = np.atleast_2d(series.predecessors)
-    if pred.shape[1] == 1 and len(pred) >= 50_000:
-        return Sorted1DEngine(series)
-    return BruteEngine(series)
+def _profile_all(series, ys, levels, top, min_count, threshold):
+    """One profile per reference vector in ys, in order, on default_ladder(series, levels, top).
+
+    The engine depends on k alone: interval search for k = 1, distance
+    passes otherwise.
+    """
+    ladder = default_ladder(series, levels, top)
+    engine = (Sorted1DEngine if series.k == 1 else BruteEngine)(series)
+    return tuple(engine.profile(y, ladder, min_count, threshold) for y in ys)
 
 
 @dataclass(frozen=True)
@@ -272,7 +283,5 @@ def predictability_report(cfg, h, k, n_orbit, n_refs, levels=DEFAULT_LADDER_LEVE
         refs = np.sort(rng.choice(tail, size=n_refs, replace=False))
     else:
         refs = tail
-    ladder = default_ladder(series, levels, top)
-    engine = make_engine(series)
-    estimates = tuple(engine.profile(y, ladder, min_count, threshold) for y in series.vectors[refs])
+    estimates = _profile_all(series, series.vectors[refs], levels, top, min_count, threshold)
     return PredictabilityReport(ref_indices=refs, estimates=estimates)

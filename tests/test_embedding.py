@@ -64,7 +64,7 @@ def test_delay_map_rotation_cosine():
 ])
 def test_two_route_agreement(system, x0, k):
     cfg = SystemConfig(system)
-    h = perturb(Observable(2, "coord:0", degree_bound=2), scale=0.3, rng_seed=11)
+    h = perturb(Observable(2, "coord:0", degree_bound=2), np.random.default_rng(11).uniform(-0.3, 0.3, 6))
     n = 400
     orbit = trajectory(cfg, x0, n)
     series = delay_series(measure_states(h, cfg, orbit), k)

@@ -57,8 +57,9 @@ def test_parse_config_rejects_nonfinite(key, val):
 
 
 def test_config_override_type_check():
-    with pytest.raises(ValueError, match="n_obs"):
-        ExperimentConfig("E3_model_nonpredict", 0, {"n_obs": 2.5})
+    for bad in (2.5, "abc", np.int64(-5)):
+        with pytest.raises(ValueError, match="n_obs"):
+            ExperimentConfig("E3_model_nonpredict", 0, {"n_obs": bad})
     with pytest.raises(ValueError, match="unknown experiment"):
         ExperimentConfig("E9_nope", 0)
     # an E6 ladder 2^-eps_hi_exp .. 2^-eps_lo_exp needs at least two levels
@@ -68,6 +69,12 @@ def test_config_override_type_check():
     with pytest.raises(ValueError, match="'eps_hi_exp' = 9 and 'eps_lo_exp' = 8"):
         parse_config("experiment = E6\neps_hi_exp = 9\n")
     assert ExperimentConfig("E6_idim", 0, {"eps_hi_exp": 5, "eps_lo_exp": 6}).param("eps_lo_exp") == 6
+    # the E1 slope fit needs two points in [rho_fit_lo, min(rho_fit_hi, rho_n)]
+    for bad in ({"rho_n": 5000, "rho_fit_lo": 6000}, {"rho_fit_lo": 5000, "rho_fit_hi": 5000},
+                {"rho_n": 1000}):
+        with pytest.raises(ValueError, match="'rho_fit_lo' = .* 'rho_fit_hi' = .* 'rho_n'"):
+            ExperimentConfig("E1_parabolic", 0, bad)
+    assert ExperimentConfig("E1_parabolic", 0, {"rho_n": 1001}).param("rho_n") == 1001
 
 
 def test_fiber_gate_at_most_half():
@@ -164,6 +171,16 @@ def test_run_experiment_e1_smoke_files_and_determinism(tmp_path):
     for name in ("rho.csv", "visits.csv", "gaps.csv", "summary.txt"):
         assert (a / name).exists()
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("experiment,overrides,stages", [
+    ("E1_parabolic", {"rho_n": 20_000, "visits_n": 50_000}, ["rho", "visits"]),
+    ("E2_natural_measure", {"m_iterates": 20_000}, ["occupation"]),
+])
+def test_run_experiment_times_each_stage(experiment, overrides, stages, tmp_path):
+    summary = run_experiment(ExperimentConfig(experiment, 0, overrides), tmp_path)
+    assert list(summary.timings) == [f"{stage}_seconds" for stage in stages]
+    assert all(0.0 <= t <= summary.wall_time for t in summary.timings.values())
 
 
 def test_summary_lists_metrics_and_flags(e3_small):

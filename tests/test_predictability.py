@@ -10,10 +10,10 @@ from delaylab.embedding import delay_series, PairedVectors
 from delaylab.experiments import ExperimentConfig, run_experiment
 from delaylab.observables import Observable
 from delaylab.predictability import (
+    _profile_all,
     BruteEngine,
     chi_sigma,
     default_ladder,
-    make_engine,
     predictability_report,
     Sorted1DEngine,
 )
@@ -199,7 +199,8 @@ def test_engines_agree_small():
 
 def test_sorted1d_counts_equal_points_below_half_ulp():
     """Points equal to the reference are inside every ball, also when y - eps
-    and y + eps round to y (eps below half an ulp of |y|, 6e-8 at 1e9)."""
+    and y + eps round to y (eps below half an ulp of |y|, 6e-8 at 1e9), and
+    points next to a rounded edge y -/+ eps count as in BruteEngine."""
     pv = PairedVectors(1, np.full((5, 1), 1e9), np.arange(5.0)[:, None])
     for eps in (5e-8, 1e-7, 1e-20):
         brute = BruteEngine(pv).profile([1e9], [eps], min_count=2).ladder[0]
@@ -207,10 +208,11 @@ def test_sorted1d_counts_equal_points_below_half_ulp():
         assert brute.count == sorted1d.count == 5
         assert brute.sigma == sorted1d.sigma
     u = math.ulp(1e9)
-    pv = PairedVectors(1, 1e9 + u * np.array([[-1.0], [0.0], [0.0], [1.0]]), np.zeros((4, 1)))
-    for eps in (u / 4, u / 2, u):
-        assert BruteEngine(pv).profile([1e9], [eps], 2).ladder[0].count == 2
-        assert Sorted1DEngine(pv).profile([1e9], [eps], 2).ladder[0].count == 2
+    for ticks, eps, count in (([-1, 0, 0, 1], u / 4, 2), ([-1, 0, 0, 1], u / 2, 2), ([-1, 0, 0, 1], u, 2),
+                              ([-1, 0, 1, 2], 2.5 * u, 4)):  # 1e9 + 2.5u rounds to 1e9 + 2u
+        pv = PairedVectors(1, 1e9 + u * np.array(ticks, dtype=float)[:, None], np.zeros((4, 1)))
+        assert BruteEngine(pv).profile([1e9], [eps], 2).ladder[0].count == count
+        assert Sorted1DEngine(pv).profile([1e9], [eps], 2).ladder[0].count == count
 
 
 def test_engines_agree_prefix_path():
@@ -229,14 +231,20 @@ def test_engines_agree_prefix_path():
         assert np.max(np.abs(la.chi - lb.chi)) < 1e-9
 
 
-def test_make_engine_dispatch():
+def test_engine_chosen_by_k(monkeypatch):
+    """k = 1 profiles on Sorted1DEngine at every length, k >= 2 on BruteEngine."""
+    used = []
+    for cls in (BruteEngine, Sorted1DEngine):
+        def profile(engine, y, ladder, min_count, threshold, _orig=cls.profile):
+            used.append(type(engine))
+            return _orig(engine, y, ladder, min_count, threshold)
+        monkeypatch.setattr(cls, "profile", profile)
     rng = np.random.default_rng(27)
-    small = delay_series(rng.normal(size=100), 1)
-    assert isinstance(make_engine(small), BruteEngine)
-    big = delay_series(rng.normal(size=60_000), 1)
-    assert isinstance(make_engine(big), Sorted1DEngine)
-    wide = delay_series(rng.normal(size=60_000), 2)
-    assert isinstance(make_engine(wide), BruteEngine)
+    for n, k, cls in ((100, 1, Sorted1DEngine), (60_000, 1, Sorted1DEngine), (60_000, 2, BruteEngine)):
+        s = delay_series(rng.normal(size=n), k)
+        used.clear()
+        _profile_all(s, s.vectors[:3], 8, 0.2, 20, 1e-3)
+        assert used == [cls] * 3
 
 
 def test_report_constant_observable_fully_predictable():
@@ -355,13 +363,17 @@ def test_brute_distances_reject_wrong_width():
     ref=st.integers(0, 20), data=st.data(),
 )
 def test_sorted1d_and_brute_agree(ticks, offset, spread, ref, data):
-    # levels and the reference sit a quarter tick or more from every point, so
-    # both membership tests decide alike; the sums differ only in their order
+    # levels a quarter tick from every point, at exactly a point's distance
+    # (that point is outside) and one ulp above it (inside, while y + eps may
+    # round onto the point); the sums differ only in their order
     s = delay_series(offset + spread * np.asarray(ticks, dtype=float), 1)
-    ladder = sorted(data.draw(st.lists(st.sampled_from([0.25, 0.75, 1.25, 2.25, 5.25, 10.25]),
-                                       min_size=1, unique=True), label="ladder"), reverse=True)
-    ladder = [spread * e for e in ladder]
     y = [offset + spread * (ref + data.draw(st.sampled_from([0.0, 0.5]), label="half"))]
+    d = BruteEngine(s).distances(y)
+    levels = st.sampled_from([spread * e for e in (0.25, 0.75, 1.25, 2.25, 5.25, 10.25)])
+    if (d > 0).any():
+        exact = st.sampled_from(sorted({float(v) for v in d if v > 0.0}))
+        levels |= exact | exact.map(lambda e: float(np.nextafter(e, np.inf)))
+    ladder = sorted(data.draw(st.lists(levels, min_size=1, unique=True), label="ladder"), reverse=True)
     a = BruteEngine(s).profile(y, ladder, min_count=2)
     b = Sorted1DEngine(s).profile(y, ladder, min_count=2)
     tol = 4 * len(ticks) * np.spacing(abs(offset) + 20 * spread)
