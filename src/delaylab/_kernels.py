@@ -2,20 +2,22 @@
 
 dynamics.step_state calls the same cores one step at a time and is the
 scalar reference the loops are tested against, so the two cannot drift
-apart.  Each loop fills a (state_dim, n) block, so the (n, state_dim) view
-that dynamics.trajectory returns has contiguous columns; it writes through
-1-D row views, which cost an interpreted loop half as much per store as 2-D
-indexing.
+apart.  There is one loop per map: the skew product, whose first two rows
+are the orbit of the planar spiral map (its base) and whose first row, the
+radius, depends on r alone, and the Henon map.  Each loop fills a
+(state_dim, n) block, so the (n, state_dim) view that dynamics.trajectory
+returns has contiguous columns; it writes through 1-D row views, which cost
+an interpreted loop half as much per store as 2-D indexing.
 
 The loops exist twice.  The ``*_py`` functions here are the reference;
 ``_orbits.c`` repeats them statement for statement.  The first orbit call
 compiles it with gcc into ``__pycache__`` beside this file (the file name
-carries the sha256 of the source and flags) and loads it with ctypes; later
-processes load the cached library.  The public ``*_orbit`` names run the C
-loops and fall back to the Python ones when gcc is missing or the build or
-load fails.  BACKEND names the loops in use, "c" or "python", once an orbit
-has been asked for.  Both compute every double as CPython does, so their
-blocks are bitwise equal.
+carries the sha256 of the source and flags; builds of other sources are
+deleted) and loads it with ctypes; later processes load the cached library.
+The public ``*_orbit`` names run the C loops and fall back to the Python ones
+when gcc is missing or the build or load fails.  BACKEND names the loops in
+use, "c" or "python", once an orbit has been asked for.  Both compute every
+double as CPython does, so their blocks are bitwise equal.
 """
 
 import ctypes
@@ -109,34 +111,8 @@ def wrap(x, period):
 # -- the reference loops --------------------------------------------------------
 
 
-def radial_orbit_py(r0, kappa, n):
-    """n iterates of the radial map, r_1 .. r_n from r_0."""
-    r, kappa = float(r0), float(kappa)
-    out = np.empty(n)
-    for i in range(n):
-        r = r_core(r, kappa)
-        out[i] = r
-    return out
-
-
-def spiral_orbit_py(r0, phi0, kappa, n, burn_in):
-    """(2, n) block of (r_i, phi_i) after burn_in; phi kept wrapped to [0, 2*pi)."""
-    r, phi, kappa = float(r0), wrap(float(phi0), TWO_PI), float(kappa)
-    out = np.empty((2, n))
-    rs, ps = out[0], out[1]
-    for _ in range(burn_in):
-        phi = phi_core(r, phi, kappa) % TWO_PI
-        r = r_core(r, kappa)
-    for i in range(n):
-        rs[i] = r
-        ps[i] = phi
-        phi = phi_core(r, phi, kappa) % TWO_PI
-        r = r_core(r, kappa)
-    return out
-
-
 def skew_orbit_py(r0, phi0, t0, kappa, delta, alpha, n, burn_in):
-    """(3, n) block of (r_i, phi_i, t_i) along the skew product; base as in spiral_orbit_py."""
+    """(3, n) block of (r_i, phi_i, t_i) along the skew product; phi kept wrapped to [0, 2*pi)."""
     r, phi, t = float(r0), wrap(float(phi0), TWO_PI), wrap(float(t0), 1.0)
     kappa, delta, alpha = float(kappa), float(delta), float(alpha)
     out = np.empty((3, n))
@@ -191,8 +167,6 @@ _SOURCE = Path(__file__).with_name("_orbits.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 _D, _I64 = ctypes.c_double, ctypes.c_int64
 _SIGNATURES = {  # name: (restype, argtypes); the last argument is the block
-    "radial_orbit": (None, (_D, _D, _I64, ctypes.c_void_p)),
-    "spiral_orbit": (ctypes.c_int, (_D, _D, _D, _I64, _I64, ctypes.c_void_p)),
     "skew_orbit": (ctypes.c_int, (_D, _D, _D, _D, _D, _D, _I64, _I64, ctypes.c_void_p)),
     "henon_orbit": (_I64, (_D, _D, _D, _D, _I64, _I64, ctypes.c_void_p)),
 }
@@ -218,6 +192,9 @@ def _build_library():
         os.replace(tmp, target)
     finally:
         tmp.unlink(missing_ok=True)
+    for stale in cache.glob("_orbits-*.so"):  # builds of an older source; .tmp files stay
+        if stale != target:
+            stale.unlink(missing_ok=True)
     return target
 
 
@@ -241,29 +218,8 @@ def _library():
     return _lib
 
 
-def radial_orbit(r0, kappa, n):
-    """n iterates of the radial map, r_1 .. r_n from r_0."""
-    lib = _library()
-    if lib is None:
-        return radial_orbit_py(r0, kappa, n)
-    out = np.empty(n)
-    lib.radial_orbit(r0, kappa, n, out.ctypes.data)
-    return out
-
-
-def spiral_orbit(r0, phi0, kappa, n, burn_in):
-    """(2, n) block of (r_i, phi_i) after burn_in; phi kept wrapped to [0, 2*pi)."""
-    lib = _library()
-    if lib is None:
-        return spiral_orbit_py(r0, phi0, kappa, n, burn_in)
-    out = np.empty((2, n))
-    if lib.spiral_orbit(r0, phi0, kappa, n, burn_in, out.ctypes.data):
-        return spiral_orbit_py(r0, phi0, kappa, n, burn_in)  # raises
-    return out
-
-
 def skew_orbit(r0, phi0, t0, kappa, delta, alpha, n, burn_in):
-    """(3, n) block of (r_i, phi_i, t_i) along the skew product; base as in spiral_orbit."""
+    """(3, n) block of (r_i, phi_i, t_i) along the skew product, as skew_orbit_py."""
     lib = _library()
     if lib is None:
         return skew_orbit_py(r0, phi0, t0, kappa, delta, alpha, n, burn_in)

@@ -133,34 +133,6 @@ static double fiber_core(double r, double phi, double t, double kappa, double de
 
 /* Each loop fills the rows of a C-ordered (state_dim, n) block at out. */
 
-void radial_orbit(double r0, double kappa, int64_t n, double *out)
-{
-    double r = r0;
-    for (int64_t i = 0; i < n; i++) {
-        r = r_core(r, kappa);
-        out[i] = r;
-    }
-}
-
-int spiral_orbit(double r0, double phi0, double kappa, int64_t n, int64_t burn_in, double *out)
-{
-    double *rs = out, *ps = out + n;
-    double r = r0;
-    double phi = wrap(phi0, TWO_PI);
-    raises = 0;
-    for (int64_t i = 0; i < burn_in && !raises; i++) {
-        phi = py_mod(phi_core(r, phi, kappa), TWO_PI);
-        r = r_core(r, kappa);
-    }
-    for (int64_t i = 0; i < n && !raises; i++) {
-        rs[i] = r;
-        ps[i] = phi;
-        phi = py_mod(phi_core(r, phi, kappa), TWO_PI);
-        r = r_core(r, kappa);
-    }
-    return raises;
-}
-
 int skew_orbit(double r0, double phi0, double t0, double kappa, double delta, double alpha,
                int64_t n, int64_t burn_in, double *out)
 {

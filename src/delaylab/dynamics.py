@@ -183,11 +183,13 @@ def default_x0(cfg):
 def trajectory(cfg, x0, n, burn_in=0):
     """n states of the configured system after discarding burn_in iterates.
 
-    Returns an (n, state_dim) float array in the encoding of step_state; the
-    spiral, skew and Henon orbits are views of their kernel's coordinate
-    block, so each column is contiguous and no second copy is made.  Raises
-    DivergenceError with the failing absolute iterate index if the state
-    leaves the finite range (Henon only; the compact systems cannot diverge).
+    Returns an (n, state_dim) float array in the encoding of step_state.  The
+    skew and Henon orbits are views of their kernel's coordinate block, and a
+    spiral_f orbit is the view of the first two rows (r, phi) of a skew block
+    from fiber start 0, so each column is contiguous and no second copy is
+    made.  Raises DivergenceError with the failing absolute iterate index if
+    the state leaves the finite range (Henon only; the compact systems cannot
+    diverge).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -202,13 +204,11 @@ def trajectory(cfg, x0, n, burn_in=0):
         t0 = _k.wrap(x0[0], 1.0)
         idx = np.arange(burn_in, burn_in + n, dtype=float)
         return ((t0 + idx * cfg.alpha) % 1.0)[:, None]
-    if sid == "spiral_f":
-        return _k.spiral_orbit(float(x0[0]), float(x0[1]), cfg.kappa, n, burn_in).T
-    if sid == "skew_T":
-        return _k.skew_orbit(
-            float(x0[0]), float(x0[1]), float(x0[2]),
-            cfg.kappa, cfg.delta, cfg.alpha, n, burn_in,
-        ).T
+    if sid in ("spiral_f", "skew_T"):
+        t0 = float(x0[2]) if sid == "skew_T" else 0.0  # the base rows do not read the fiber
+        block = _k.skew_orbit(float(x0[0]), float(x0[1]), t0, cfg.kappa, cfg.delta, cfg.alpha,
+                              n, burn_in)
+        return (block if sid == "skew_T" else block[:2]).T
     if sid == "model_T0":
         comp, t0 = float(x0[0]), _k.wrap(float(x0[1]), 1.0)
         if comp == 0.0:

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels as _k
 from .csvio import emit_csv, format_cell
 from .dimension import (
     _fit,
@@ -79,6 +78,10 @@ DEFAULTS = {
     ),
 }
 
+# keys that become a SystemConfig constant: checked against its bounds when the config is built
+_SYSTEM_KEYS = {"kappa": "kappa", "delta": "delta", "rho_kappa": "kappa",
+                "visits_kappa": "kappa", "visits_delta": "delta"}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -104,6 +107,13 @@ class ExperimentConfig:
             if key == "p_ref_fiber_gate" and val > 0.5:
                 # min(t, 1 - t) never exceeds 1/2, so a wider gate admits every fiber point
                 raise ValueError(f"key {key!r} must be at most 0.5, got {val!r}")
+            if key == "min_count" and val < 2:  # a deviation needs two points in the ball
+                raise ValueError(f"key {key!r} must be at least 2, got {val!r}")
+            if key in _SYSTEM_KEYS:
+                try:
+                    SystemConfig("spiral_f", **{_SYSTEM_KEYS[key]: float(val)})
+                except ValueError as exc:
+                    raise ValueError(f"key {key!r}: {exc}") from None
         if self.experiment_id == "E1_parabolic":
             lo, hi, n = self.param("rho_fit_lo"), self.param("rho_fit_hi"), self.param("rho_n")
             if lo >= min(hi, n):  # the slope fit needs two points in [lo, min(hi, n)]
@@ -197,7 +207,9 @@ def _logspaced_ints(lo, hi, n=200):
 
 
 def _run_e1_rho(cfg, out):
-    rs = _k.radial_orbit(cfg.param("rho_r0"), cfg.param("rho_kappa"), cfg.param("rho_n"))
+    # r_1 .. r_n: the radius row depends on r alone, so the angle start is immaterial
+    rs = trajectory(SystemConfig("spiral_f", kappa=cfg.param("rho_kappa")), (cfg.param("rho_r0"), 0.0),
+                    cfg.param("rho_n"), burn_in=1)[:, 0]
     rho = 1.0 - rs
     ns = _logspaced_ints(cfg.param("rho_fit_lo"), min(cfg.param("rho_fit_hi"), len(rs)))
     slope = _fit(np.log(ns), np.log(rho[ns - 1]))[0]

@@ -286,9 +286,8 @@ def test_visit_band_stable_across_starts():
 
 
 def test_parabolic_decay_quick():
-    from delaylab._kernels import radial_orbit
-
-    rho = 1.0 - radial_orbit(0.5, 0.05, 100_000)
+    rs = trajectory(SystemConfig("spiral_f", kappa=0.05), (0.5, 0.0), 100_000, burn_in=1)[:, 0]
+    rho = 1.0 - rs
     ns = np.unique(np.round(np.logspace(3, 5, 80)).astype(int))
     x = np.log(ns)
     y = np.log(rho[ns - 1])

@@ -75,6 +75,18 @@ def test_config_override_type_check():
         with pytest.raises(ValueError, match="'rho_fit_lo' = .* 'rho_fit_hi' = .* 'rho_n'"):
             ExperimentConfig("E1_parabolic", 0, bad)
     assert ExperimentConfig("E1_parabolic", 0, {"rho_n": 1001}).param("rho_n") == 1001
+    # system constants keep SystemConfig's bounds, kappa in (0, 0.1] and delta in (0, 0.2]
+    for experiment, key, bad in (("E2_natural_measure", "kappa", 0.2), ("E1_parabolic", "visits_delta", 0.3),
+                                 ("E1_parabolic", "rho_kappa", 0.5), ("E1_parabolic", "visits_kappa", 0.11),
+                                 ("E4_counterexample", "delta", 0.25), ("E6_idim", "kappa", 0.5)):
+        with pytest.raises(ValueError, match=f"key '{key}'"):
+            ExperimentConfig(experiment, 0, {key: bad})
+    assert ExperimentConfig("E1_parabolic", 0, {"rho_kappa": 0.1, "visits_delta": 0.2}).param("rho_kappa") == 0.1
+    # a conditional deviation needs at least two points in the ball
+    for experiment in ("E3_model_nonpredict", "E4_counterexample", "E5_ergodic_predict"):
+        with pytest.raises(ValueError, match="'min_count' must be at least 2"):
+            ExperimentConfig(experiment, 0, {"min_count": 1})
+    assert ExperimentConfig("E3_model_nonpredict", 0, {"min_count": 2}).param("min_count") == 2
 
 
 def test_fiber_gate_at_most_half():

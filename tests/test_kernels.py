@@ -5,7 +5,7 @@ import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from delaylab import _kernels as _k
 from delaylab.dynamics import DivergenceError, GOLDEN_ROTATION, SystemConfig, trajectory
@@ -37,7 +37,7 @@ def test_backend_is_c_when_gcc_present(monkeypatch):
         pytest.skip("no C compiler on PATH")
     monkeypatch.setattr(_k, "_lib", None)
     monkeypatch.setattr(_k, "BACKEND", None)
-    _k.radial_orbit(0.5, 0.05, 1)
+    _k.skew_orbit(0.5, 1.0, 0.3, 0.05, 0.1, GOLDEN_ROTATION, 1, 0)
     assert _k.BACKEND == "c"
 
 
@@ -46,9 +46,14 @@ def test_build_into_empty_cache(tmp_path, monkeypatch):
     source = tmp_path / "_orbits.c"
     source.write_bytes(_k._SOURCE.read_bytes())
     monkeypatch.setattr(_k, "_SOURCE", source)
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    (cache / "_orbits-0123456789abcdef.so").write_bytes(b"a build of an older source")
+    (cache / "_orbits-0123456789abcdef.99.tmp").write_bytes(b"another process building")
     path = _k._build_library()
-    assert path.parent == tmp_path / "__pycache__"
-    assert [p.name for p in path.parent.iterdir()] == [path.name]  # no temporary left
+    assert path.parent == cache
+    # the stale library is deleted, the other builder's temporary kept and ours not left behind
+    assert {p.name for p in cache.iterdir()} == {path.name, "_orbits-0123456789abcdef.99.tmp"}
     assert _k._build_library() == path
 
 
@@ -60,23 +65,9 @@ def test_failed_build_warns_and_runs_python(tmp_path, monkeypatch):
     monkeypatch.setattr(_k, "_lib", None)
     monkeypatch.setattr(_k, "BACKEND", None)
     with pytest.warns(RuntimeWarning, match="did not build"):
-        out = _k.radial_orbit(0.5, 0.05, 10)
+        out = _k.skew_orbit(0.5, 1.0, 0.3, 0.05, 0.1, GOLDEN_ROTATION, 10, 0)
     assert _k.BACKEND == "python"
-    assert same_bytes(out, _k.radial_orbit_py(0.5, 0.05, 10))
-
-
-@needs_c
-@pytest.mark.parametrize("r0,kappa", [(0.5, 0.05), (0.1, 0.1), (2.5, 0.02)])
-def test_radial_orbit_bytes_equal(r0, kappa):
-    assert same_bytes(_k.radial_orbit(r0, kappa, 100_000), _k.radial_orbit_py(r0, kappa, 100_000))
-
-
-@needs_c
-@pytest.mark.parametrize("r0,phi0,kappa", [(0.5, 1.0, 0.05), (0.9, 4.0, 0.092), (1.5, -7.0, 0.1)])
-@pytest.mark.parametrize("burn_in", [0, 1_000])
-def test_spiral_orbit_bytes_equal(r0, phi0, kappa, burn_in):
-    args = (r0, phi0, kappa, 100_000, burn_in)
-    assert same_bytes(_k.spiral_orbit(*args), _k.spiral_orbit_py(*args))
+    assert same_bytes(out, _k.skew_orbit_py(0.5, 1.0, 0.3, 0.05, 0.1, GOLDEN_ROTATION, 10, 0))
 
 
 @needs_c
@@ -133,8 +124,6 @@ def test_henon_divergence_index_same_across_backends(backend, burn_in):
 def test_zero_radius_raises_like_python(backend):
     # eta divides by r inside the inner annulus, so r = 0 is a ZeroDivisionError in CPython
     with pytest.raises(ZeroDivisionError):
-        _k.spiral_orbit(0.0, 1.0, 0.05, 10, 0)
-    with pytest.raises(ZeroDivisionError):
         _k.skew_orbit(0.0, 1.0, 0.3, 0.05, 0.1, GOLDEN_ROTATION, 10, 0)
 
 
@@ -152,9 +141,6 @@ def test_trajectory_rejects_nonpositive_radius(system, start):
 def test_numpy_scalar_arguments_compute_in_double():
     # the C loops take doubles; the Python loops must not round in the inputs' float32
     f32 = np.float32
-    assert same_bytes(_k.radial_orbit(f32(0.5), f32(0.05), 3), _k.radial_orbit_py(f32(0.5), f32(0.05), 3))
-    spiral = (f32(0.5), f32(1.0), f32(0.05), 5, 2)
-    assert same_bytes(_k.spiral_orbit(*spiral), _k.spiral_orbit_py(*spiral))
     skew = (f32(0.9), f32(0.1), f32(0.3), f32(0.05), f32(0.1), f32(GOLDEN_ROTATION), 5, 2)
     assert same_bytes(_k.skew_orbit(*skew), _k.skew_orbit_py(*skew))
     henon = (f32(0.1), f32(0.2), f32(1.4), f32(0.3), 5, 2)
@@ -169,12 +155,32 @@ def test_numpy_scalar_arguments_compute_in_double():
     kappa=st.floats(1e-4, 0.1), delta=st.floats(1e-3, 0.2), alpha=st.floats(0.0, 1.0),
     n=st.integers(1, 60), burn_in=st.integers(0, 30),
 )
-def test_skew_and_spiral_orbits_equal_property(r0, phi0, t0, kappa, delta, alpha, n, burn_in):
+def test_skew_orbit_equal_property(r0, phi0, t0, kappa, delta, alpha, n, burn_in):
     args = (r0, phi0, t0, kappa, delta, alpha, n, burn_in)
     assert same_bytes(_k.skew_orbit(*args), _k.skew_orbit_py(*args))
-    base = (r0, phi0, kappa, n, burn_in)
-    assert same_bytes(_k.spiral_orbit(*base), _k.spiral_orbit_py(*base))
-    assert same_bytes(_k.radial_orbit(r0, kappa, n), _k.radial_orbit_py(r0, kappa, n))
+
+
+fiber = st.tuples(st.floats(-3.0, 3.0), st.floats(1e-3, 0.2), st.floats(0.0, 1.0))  # (t0, delta, alpha)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    r0=st.floats(0.01, 3.0), phi0=st.floats(-20.0, 20.0), phi1=st.floats(-20.0, 20.0),
+    kappa=st.floats(1e-4, 0.1), fiber0=fiber, fiber1=fiber,
+    n=st.integers(1, 60), burn_in=st.integers(0, 30),
+)
+def test_skew_base_rows_property(backend, r0, phi0, phi1, kappa, fiber0, fiber1, n, burn_in):
+    # the spiral orbit is rows 0-1 of any skew block, and its radius row iterates r_core alone
+    (t0, delta0, alpha0), (t1, delta1, alpha1) = fiber0, fiber1
+    block = _k.skew_orbit(r0, phi0, t0, kappa, delta0, alpha0, n, burn_in)
+    assert same_bytes(block[:2], _k.skew_orbit(r0, phi0, t1, kappa, delta1, alpha1, n, burn_in)[:2])
+    radius = _k.skew_orbit(r0, phi0, t0, kappa, delta0, alpha0, n, 1)[0]
+    assert same_bytes(radius, _k.skew_orbit(r0, phi1, t1, kappa, delta1, alpha1, n, 1)[0])
+    r, want = r0, np.empty(n)
+    for i in range(n):
+        r = _k.r_core(r, kappa)
+        want[i] = r
+    assert same_bytes(radius, want)
 
 
 @needs_c
