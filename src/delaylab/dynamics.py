@@ -5,7 +5,9 @@ Henon benchmark map.
 Every state is a tuple (one step) or an (n, state_dim) float array (an
 orbit).  ``step_state`` is the scalar reference: it advances one state
 through the same cores (see _kernels) that ``trajectory``'s compiled loops
-iterate, so long orbits stay cheap and are tested against it.
+iterate, so long orbits stay cheap and are tested against it.  The caller
+names every start state; ``ambient_of_states`` maps a whole orbit to the
+ambient rows that observables are evaluated on.
 """
 
 import math
@@ -164,20 +166,6 @@ def ambient_of_states(cfg, states):
 
 
 # -- trajectories --------------------------------------------------------------
-
-
-DEFAULT_X0 = {
-    "rotation": (0.2,),
-    "spiral_f": (0.5, 1.0),
-    "skew_T": (0.5, 1.0, 0.3),
-    "model_T0": (1.0, 0.2),
-    "henon": (0.0, 0.0),
-}
-
-
-def default_x0(cfg):
-    """Generic starting state for the configured system."""
-    return DEFAULT_X0[cfg.system_id]
 
 
 def trajectory(cfg, x0, n, burn_in=0):

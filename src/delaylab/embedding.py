@@ -1,4 +1,10 @@
-"""Delay-coordinate vectors with successor pairing."""
+"""Delay-coordinate vectors with successor pairing.
+
+A scalar series is an observable evaluated on an orbit's ambient
+coordinates, evaluate(h, ambient_of_states(cfg, orbit)); delay_series slides
+a window over it.  delay_map builds one vector from one state by stepping
+it, the route the series is checked against.
+"""
 
 from dataclasses import dataclass
 
@@ -6,8 +12,6 @@ import numpy as np
 
 from .dynamics import ambient_of_states, step_state
 from .observables import evaluate
-
-_MEASURE_CHUNK = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -97,16 +101,3 @@ def delay_map(h, k, cfg, x):
     coords = ambient_of_states(cfg, np.asarray(states, dtype=float))
     return evaluate(h, coords)
 
-
-def measure_states(h, cfg, states):
-    """Observable values along an (n, state_dim) state array.
-
-    Evaluated in blocks of _MEASURE_CHUNK rows, so the ambient coordinates of
-    a long orbit never exist all at once; every step is elementwise, so the
-    values do not depend on the block size.
-    """
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    out = np.empty(len(states))
-    for a in range(0, len(states), _MEASURE_CHUNK):
-        out[a:a + _MEASURE_CHUNK] = evaluate(h, ambient_of_states(cfg, states[a:a + _MEASURE_CHUNK]))
-    return out

@@ -28,9 +28,9 @@ from .dimension import (
 )
 from .dynamics import (GOLDEN_ROTATION, SystemConfig, ambient_of_states, box_flags,
                        sample_model_states, trajectory, visit_gaps, visit_statistics)
-from .embedding import delay_series, measure_states, PairedVectors
+from .embedding import delay_series, PairedVectors
 from .observables import evaluate, monomial_basis, Observable, perturb
-from .predictability import _profile_all, predictability_report
+from .predictability import predictability_report
 
 EXPERIMENT_IDS = ("E1_parabolic", "E2_natural_measure", "E3_model_nonpredict",
                   "E4_counterexample", "E5_ergodic_predict", "E6_idim")
@@ -81,6 +81,12 @@ DEFAULTS = {
 # keys that become a SystemConfig constant: checked against its bounds when the config is built
 _SYSTEM_KEYS = {"kappa": "kappa", "delta": "delta", "rho_kappa": "kappa",
                 "visits_kappa": "kappa", "visits_delta": "delta"}
+# start angles and fiber starts: trajectory wraps any finite value
+_ANY_FINITE_KEYS = {"visits_phi0", "start1_phi", "start2_phi", "start3_phi", "start_phi", "start_t"}
+# lower bounds other than "positive": a deviation needs two points in the ball, the
+# k = 2 rotation and k = 3 Henon series need one delay vector with a successor, and
+# the Henon orbit may start without burn-in
+_AT_LEAST = {"min_count": 2, "rot_n": 3, "henon_n": 4, "henon_burn": 0}
 
 
 @dataclass(frozen=True)
@@ -102,13 +108,14 @@ class ExperimentConfig:
                 raise ValueError(f"key {key!r} must be finite, got {val!r}")
             if isinstance(defaults[key], int) and not float(val).is_integer():
                 raise ValueError(f"key {key!r} must be an integer")
-            if val <= 0 and key != "seed":
+            if key in _AT_LEAST:
+                if val < _AT_LEAST[key]:
+                    raise ValueError(f"key {key!r} must be at least {_AT_LEAST[key]}, got {val!r}")
+            elif val <= 0 and key not in _ANY_FINITE_KEYS:
                 raise ValueError(f"key {key!r} must be positive")
             if key == "p_ref_fiber_gate" and val > 0.5:
                 # min(t, 1 - t) never exceeds 1/2, so a wider gate admits every fiber point
                 raise ValueError(f"key {key!r} must be at most 0.5, got {val!r}")
-            if key == "min_count" and val < 2:  # a deviation needs two points in the ball
-                raise ValueError(f"key {key!r} must be at least 2, got {val!r}")
             if key in _SYSTEM_KEYS:
                 try:
                     SystemConfig("spiral_f", **{_SYSTEM_KEYS[key]: float(val)})
@@ -196,6 +203,11 @@ def _perturbed(cfg, experiment, stage, base):
     scale = cfg.param("pert_scale")
     size = len(monomial_basis(base.ambient_dim, base.degree_bound))
     return perturb(base, rng_for(cfg.seed, experiment, stage).uniform(-scale, scale, size))
+
+
+def _draw(rng, pool, n):
+    """min(n, len(pool)) distinct entries of pool, drawn with rng, in ascending order."""
+    return np.sort(rng.choice(pool, size=min(n, len(pool)), replace=False))
 
 
 def _logspaced_ints(lo, hi, n=200):
@@ -377,8 +389,8 @@ def _run_e3(cfg, out):
         h = _perturbed(cfg, "E3", f"obs{j}", base)
         pairs = PairedVectors(1, evaluate(h, pred_amb)[:, None], evaluate(h, succ_amb)[:, None])
         y_refs = evaluate(h, ref_amb)
-        estimates = _profile_all(pairs, y_refs, cfg.param("ladder_levels"), cfg.param("ladder_top"),
-                                 min_count, threshold)
+        estimates = predictability_report(pairs, y_refs, cfg.param("ladder_levels"),
+                                          cfg.param("ladder_top"), min_count, threshold)
         n_def = n_pred = n_match = 0
         for t0, y, est in zip(ref_t, y_refs, estimates):
             oracle = _two_atom_sigma(h, t0, alpha)
@@ -410,41 +422,46 @@ def _run_e3(cfg, out):
 # -- E4: skew-product counterexample, k = 1 -------------------------------------
 
 
+def _reference_pools(cfg, sys_cfg, orbit):
+    """Late predecessor indices in U_p with the fiber near 0, and in U_q."""
+    n = len(orbit)
+    r, phi, t = orbit.T  # contiguous column views, no copy
+    in_p, in_q = box_flags(r, phi, sys_cfg.delta)
+    late = np.zeros(n, dtype=bool)
+    late[n // 2: n - 1] = True  # predecessors only, late half
+    fiber_near_zero = np.minimum(t, 1.0 - t) < cfg.param("p_ref_fiber_gate")
+    return np.flatnonzero(in_p & late & fiber_near_zero), np.flatnonzero(in_q & late)
+
+
 def _run_e4(cfg, out):
     metrics = {}
     flags = {}
-    n = cfg.param("orbit_n")
     threshold = cfg.param("threshold")
     min_count = cfg.param("min_count")
 
     sys_cfg = SystemConfig("skew_T", alpha=cfg.param("alpha"), kappa=cfg.param("kappa"),
                            delta=cfg.param("delta"))
-    orbit = trajectory(sys_cfg, (cfg.param("start_r"), cfg.param("start_phi"), cfg.param("start_t")), n)
-    r, phi, t = orbit.T  # contiguous column views, no copy
-
-    in_p, in_q = box_flags(r, phi, sys_cfg.delta)
-    late = np.zeros(n, dtype=bool)
-    late[n // 2: n - 1] = True  # predecessors only, late half
-    fiber_near_zero = np.minimum(t, 1.0 - t) < cfg.param("p_ref_fiber_gate")
-    pool_p = np.flatnonzero(in_p & late & fiber_near_zero)
-    pool_q = np.flatnonzero(in_q & late)
+    orbit = trajectory(sys_cfg, (cfg.param("start_r"), cfg.param("start_phi"), cfg.param("start_t")),
+                       cfg.param("orbit_n"))
+    pool_p, pool_q = _reference_pools(cfg, sys_cfg, orbit)
     if len(pool_p) == 0 or len(pool_q) == 0:
         raise ValueError("empty reference pools; orbit too short for late-time passages")
     rng = rng_for(cfg.seed, "E4", "refs")
-    n_refs = cfg.param("n_refs")
-    refs_p = np.sort(rng.choice(pool_p, size=min(n_refs, len(pool_p)), replace=False))
-    refs_q = np.sort(rng.choice(pool_q, size=min(n_refs, len(pool_q)), replace=False))
+    refs_p = _draw(rng, pool_p, cfg.param("n_refs"))
+    refs_q = _draw(rng, pool_q, cfg.param("n_refs"))
     metrics["p_ref_pool"] = float(len(pool_p))
     metrics["q_ref_pool"] = float(len(pool_q))
+    amb = ambient_of_states(sys_cfg, orbit)  # once for all observables
+    del orbit
 
     base = Observable(5, "coord:0", degree_bound=1)
     refs = np.concatenate([refs_p, refs_q])  # one engine profiles both sides, p first
     sigmas = {"p": [], "q": []}
     rows = []
     for j in range(cfg.param("n_obs")):
-        m = measure_states(_perturbed(cfg, "E4", f"obs{j}", base), sys_cfg, orbit)
-        estimates = _profile_all(delay_series(m, 1), m[refs], cfg.param("ladder_levels"),
-                                 cfg.param("ladder_top"), min_count, threshold)
+        m = evaluate(_perturbed(cfg, "E4", f"obs{j}", base), amb)
+        estimates = predictability_report(delay_series(m, 1), m[refs], cfg.param("ladder_levels"),
+                                          cfg.param("ladder_top"), min_count, threshold)
         for side, side_refs, side_est in (("p", refs_p, estimates[:len(refs_p)]),
                                           ("q", refs_q, estimates[len(refs_p):])):
             for i, est in zip(side_refs, side_est):
@@ -499,39 +516,38 @@ def _run_e5(cfg, out):
     henon_cfg = SystemConfig("henon")
     henon_n = cfg.param("henon_n")
     henon_burn = cfg.param("henon_burn")
-    cases = (  # (case, RNG stage, system, k, orbit length, burn-in, base observable, degree)
-        ("rotation_k2", "rotation", rot_cfg, 2, cfg.param("rot_n"), 0, "cosine_fiber", 3),
-        ("henon_k2", "henon_k2", henon_cfg, 2, henon_n, henon_burn, "coord:0", 3),
-        ("henon_k3", "henon_k3", henon_cfg, 3, henon_n, henon_burn, "coord:0", 5),
+    cases = (  # (case, RNG stage, system, start, k, orbit length, burn-in, base observable, degree)
+        ("rotation_k2", "rotation", rot_cfg, (0.2,), 2, cfg.param("rot_n"), 0, "cosine_fiber", 3),
+        ("henon_k2", "henon_k2", henon_cfg, (0.0, 0.0), 2, henon_n, henon_burn, "coord:0", 3),
+        ("henon_k3", "henon_k3", henon_cfg, (0.0, 0.0), 3, henon_n, henon_burn, "coord:0", 5),
     )
-    reports = {}
+    estimates = {}
     rows = []
-    for case, stage, sys_cfg, k, n_orbit, burn_in, base_id, degree in cases:
+    for case, stage, sys_cfg, x0, k, n_orbit, burn_in, base_id, degree in cases:
         h = _perturbed(cfg, "E5", f"{stage}_obs", Observable(2, base_id, degree_bound=degree))
-        reports[case] = predictability_report(
-            sys_cfg, h, k, n_orbit, cfg.param("n_refs"),
-            levels=cfg.param("ladder_levels"), top=cfg.param("ladder_top"),
-            threshold=cfg.param("threshold"), min_count=min_count, burn_in=burn_in,
-            seed=rng_for(cfg.seed, "E5", f"{stage}_refs"))
-        frac, eligible = _monotone_last4(reports[case].estimates, min_count)
+        orbit = trajectory(sys_cfg, x0, n_orbit, burn_in)
+        series = delay_series(evaluate(h, ambient_of_states(sys_cfg, orbit)), k)
+        n_pred = len(series) - 1
+        # references sample the push-forward of the orbit's empirical measure over its second half
+        refs = _draw(rng_for(cfg.seed, "E5", f"{stage}_refs"), np.arange(n_pred // 2, n_pred),
+                     cfg.param("n_refs"))
+        estimates[case] = predictability_report(series, series.vectors[refs], cfg.param("ladder_levels"),
+                                                cfg.param("ladder_top"), min_count, cfg.param("threshold"))
+        frac, eligible = _monotone_last4(estimates[case], min_count)
         metrics[f"{case}_monotone_fraction"] = frac
         metrics[f"{case}_eligible_refs"] = float(eligible)
-        rows += _trend_rows(case, reports[case])
+        for ref, est in zip(refs, estimates[case]):
+            for entry in est.ladder:
+                rows.append([case, float(ref), entry.eps, float(entry.count),
+                             float("nan") if entry.sigma is None else entry.sigma])
 
-    metrics["rotation_k2_predictable_fraction"] = reports["rotation_k2"].predictable_fraction
+    defined = [est for est in estimates["rotation_k2"] if est.defined]
+    metrics["rotation_k2_predictable_fraction"] = (
+        sum(est.predictable for est in defined) / len(defined) if defined else float("nan"))
     flags["rotation_k2_trend"] = metrics["rotation_k2_monotone_fraction"] >= 0.9
     flags["henon_k3_trend"] = metrics["henon_k3_monotone_fraction"] >= 0.8
     emit_csv(out / "trend_refs.csv", ["case", "ref_idx", "eps", "count", "sigma"], rows)
     return metrics, flags
-
-
-def _trend_rows(case, report):
-    rows = []
-    for ref, est in zip(report.ref_indices, report.estimates):
-        for entry in est.ladder:
-            rows.append([case, float(ref), entry.eps, float(entry.count),
-                         float("nan") if entry.sigma is None else entry.sigma])
-    return rows
 
 
 # -- E6: information dimension ---------------------------------------------------

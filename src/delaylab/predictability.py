@@ -6,15 +6,16 @@ the reported sigma_hat is sigma at the smallest epsilon still holding at
 least min_count neighbors, a conservative stand-in for the epsilon -> 0
 limit.  A point is called predictable when sigma_hat falls below a fixed
 absolute threshold.
+
+predictability_report is the one entry to the engines: it takes a built
+series and its reference vectors, so the caller owns the orbit, the
+observable and the reference draw.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .dynamics import default_x0, trajectory
-from .embedding import delay_series, measure_states
 
 DEFAULT_MIN_COUNT = 20
 DEFAULT_THRESHOLD = 1e-3
@@ -231,57 +232,13 @@ class Sorted1DEngine:
         return _finish_profile(entries, min_count, threshold)
 
 
-def _profile_all(series, ys, levels, top, min_count, threshold):
-    """One profile per reference vector in ys, in order, on default_ladder(series, levels, top).
+def predictability_report(series, ys, levels=DEFAULT_LADDER_LEVELS, top=DEFAULT_LADDER_TOP,
+                          min_count=DEFAULT_MIN_COUNT, threshold=DEFAULT_THRESHOLD):
+    """One SigmaEstimate per reference vector in ys, in order, on default_ladder(series, levels, top).
 
-    The engine depends on k alone: interval search for k = 1, distance
-    passes otherwise.
+    series is a DelaySeries or PairedVectors.  The engine depends on k alone:
+    interval search for k = 1, distance passes otherwise.
     """
     ladder = default_ladder(series, levels, top)
     engine = (Sorted1DEngine if series.k == 1 else BruteEngine)(series)
     return tuple(engine.profile(y, ladder, min_count, threshold) for y in ys)
-
-
-@dataclass(frozen=True)
-class PredictabilityReport:
-    """Per-reference estimates for one observable, with their reference indices."""
-
-    ref_indices: np.ndarray
-    estimates: tuple
-
-    @property
-    def defined_estimates(self):
-        return [e for e in self.estimates if e.defined]
-
-    @property
-    def predictable_fraction(self):
-        defined = self.defined_estimates
-        if not defined:
-            return float("nan")
-        return sum(1 for e in defined if e.predictable) / len(defined)
-
-
-def predictability_report(cfg, h, k, n_orbit, n_refs, levels=DEFAULT_LADDER_LEVELS,
-                          top=DEFAULT_LADDER_TOP, threshold=DEFAULT_THRESHOLD,
-                          min_count=DEFAULT_MIN_COUNT, burn_in=0, seed=0):
-    """End-to-end report: orbit, measurements, delay series, sampled references.
-
-    The orbit starts at default_x0(cfg).  References are drawn uniformly from
-    the second half of the series with np.random.default_rng(seed), which
-    samples the push-forward of the orbit's empirical measure; a Generator
-    passed as seed is used as it is.  The ladder is default_ladder(series,
-    levels, top).
-    """
-    if n_orbit < k + 1 or n_refs < 1:
-        raise ValueError("resources must be positive")
-    orbit = trajectory(cfg, default_x0(cfg), n_orbit, burn_in)
-    series = delay_series(measure_states(h, cfg, orbit), k)
-    n_pred = len(series) - 1
-    tail = np.arange(n_pred // 2, n_pred)
-    rng = np.random.default_rng(seed)
-    if len(tail) > n_refs:
-        refs = np.sort(rng.choice(tail, size=n_refs, replace=False))
-    else:
-        refs = tail
-    estimates = _profile_all(series, series.vectors[refs], levels, top, min_count, threshold)
-    return PredictabilityReport(ref_indices=refs, estimates=estimates)

@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from delaylab.dynamics import GOLDEN_ROTATION, SystemConfig, trajectory
-from delaylab.embedding import (
-    delay_map,
-    delay_series,
-    DelaySeries,
-    measure_states,
-    PairedVectors,
-)
-from delaylab.observables import Observable, perturb
+from delaylab.dynamics import ambient_of_states, GOLDEN_ROTATION, SystemConfig, trajectory
+from delaylab.embedding import delay_map, delay_series, DelaySeries, PairedVectors
+from delaylab.observables import evaluate, Observable, perturb
 
 
 def test_delay_series_examples():
@@ -67,7 +61,7 @@ def test_two_route_agreement(system, x0, k):
     h = perturb(Observable(2, "coord:0", degree_bound=2), np.random.default_rng(11).uniform(-0.3, 0.3, 6))
     n = 400
     orbit = trajectory(cfg, x0, n)
-    series = delay_series(measure_states(h, cfg, orbit), k)
+    series = delay_series(evaluate(h, ambient_of_states(cfg, orbit)), k)
     rng = np.random.default_rng(12)
     for i in rng.integers(0, len(series), 12):
         direct = delay_map(h, k, cfg, tuple(orbit[i]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from delaylab import embedding, experiments
 from delaylab.cli import main
 from delaylab.experiments import (
     emit_csv,
@@ -87,6 +88,20 @@ def test_config_override_type_check():
         with pytest.raises(ValueError, match="'min_count' must be at least 2"):
             ExperimentConfig(experiment, 0, {"min_count": 1})
     assert ExperimentConfig("E3_model_nonpredict", 0, {"min_count": 2}).param("min_count") == 2
+    # trajectory wraps any finite start angle or fiber start, and the Henon orbit may skip burn-in
+    for experiment, key, val in (("E4_counterexample", "start_t", 0.0), ("E4_counterexample", "start_phi", 0.0),
+                                 ("E2_natural_measure", "start1_phi", -1.0), ("E1_parabolic", "visits_phi0", 0.0),
+                                 ("E5_ergodic_predict", "henon_burn", 0)):
+        assert ExperimentConfig(experiment, 0, {key: val}).param(key) == val
+    with pytest.raises(ValueError, match="'henon_burn' must be at least 0"):
+        ExperimentConfig("E5_ergodic_predict", 0, {"henon_burn": -1})
+    with pytest.raises(ValueError, match="'start_r' must be positive"):
+        ExperimentConfig("E4_counterexample", 0, {"start_r": 0.0})
+    # the k = 2 rotation and k = 3 Henon series need one delay vector with a successor
+    for key, bad in (("rot_n", 2), ("henon_n", 3)):
+        with pytest.raises(ValueError, match=f"'{key}' must be at least {bad + 1}"):
+            ExperimentConfig("E5_ergodic_predict", 0, {key: bad})
+    assert ExperimentConfig("E5_ergodic_predict", 0, {"rot_n": 3, "henon_n": 4}).param("henon_n") == 4
 
 
 def test_fiber_gate_at_most_half():
@@ -215,6 +230,32 @@ def test_e4_undefined_marked_point_named(tmp_path):
     cfg = ExperimentConfig("E4_counterexample", 0, {"orbit_n": 200_000, "min_count": 10_000_000})
     with pytest.raises(RuntimeError, match="'counterexample'.*no marked-point reference was defined"):
         run_experiment(cfg, tmp_path)
+
+
+def test_e5_runs_at_shortest_orbits(tmp_path):
+    cfg = ExperimentConfig("E5_ergodic_predict", 0, {"rot_n": 3, "henon_n": 4, "henon_burn": 0})
+    summary = run_experiment(cfg, tmp_path)
+    assert summary.metrics["rotation_k2_eligible_refs"] == 0.0  # one reference, too few neighbours
+    assert len((tmp_path / "trend_refs.csv").read_text().splitlines()) == 1 + 3 * 8
+
+
+def test_e4_measures_the_orbit_once(tmp_path, monkeypatch):
+    """The ambient coordinates are built once per orbit, not once per observable.
+
+    The run starts at fiber coordinate t = 0, a valid start like any finite t.
+    """
+    calls = []
+
+    def counted(cfg, states, _orig=experiments.ambient_of_states):
+        calls.append(len(states))
+        return _orig(cfg, states)
+    for module in (experiments, embedding):
+        monkeypatch.setattr(module, "ambient_of_states", counted)
+    cfg = ExperimentConfig("E4_counterexample", 0,
+                           {"orbit_n": 200_000, "n_obs": 2, "n_refs": 10, "start_t": 0.0})
+    summary = run_experiment(cfg, tmp_path)
+    assert calls == [200_000]
+    assert set(summary.pass_flags) == {"atom_predictable", "fiber_nonpredictable"}
 
 
 def test_cli_list(capsys):

@@ -228,6 +228,7 @@ SMALL_RUNS = [
     ("E4_counterexample", {"orbit_n": 200_000, "n_obs": 2, "n_refs": 20}),
     ("E6_idim", {"n_samples": 5_000, "n_centers": 100, "point_n": 500,
                  "skew_orbit_n": 50_000, "skew_stride": 5}),
+    ("E5_ergodic_predict", {"rot_n": 20_000, "henon_n": 20_000, "n_refs": 20}),
 ]
 
 

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from delaylab.dynamics import GOLDEN_ROTATION, SystemConfig
+from delaylab.dynamics import ambient_of_states, GOLDEN_ROTATION, SystemConfig, trajectory
 from delaylab.embedding import delay_series, PairedVectors
-from delaylab.experiments import ExperimentConfig, run_experiment
-from delaylab.observables import Observable
+from delaylab.experiments import _draw, ExperimentConfig, run_experiment
+from delaylab.observables import evaluate, Observable
 from delaylab.predictability import (
-    _profile_all,
     BruteEngine,
     chi_sigma,
     default_ladder,
@@ -243,23 +242,32 @@ def test_engine_chosen_by_k(monkeypatch):
     for n, k, cls in ((100, 1, Sorted1DEngine), (60_000, 1, Sorted1DEngine), (60_000, 2, BruteEngine)):
         s = delay_series(rng.normal(size=n), k)
         used.clear()
-        _profile_all(s, s.vectors[:3], 8, 0.2, 20, 1e-3)
+        predictability_report(s, s.vectors[:3], 8, 0.2, 20, 1e-3)
         assert used == [cls] * 3
 
 
-def test_report_constant_observable_fully_predictable():
+def _rotation_k1_report(h, n_orbit, n_refs, seed):
+    """Defined estimates and their predictable fraction at n_refs references drawn from
+    the second half of a k = 1 rotation series from (0.2,)."""
     cfg = SystemConfig("rotation")
+    series = delay_series(evaluate(h, ambient_of_states(cfg, trajectory(cfg, (0.2,), n_orbit))), 1)
+    n_pred = len(series) - 1
+    refs = _draw(np.random.default_rng(seed), np.arange(n_pred // 2, n_pred), n_refs)
+    defined = [e for e in predictability_report(series, series.vectors[refs]) if e.defined]
+    return defined, sum(e.predictable for e in defined) / len(defined)
+
+
+def test_report_constant_observable_fully_predictable():
     const = Observable(2, "zero", {(0, 0): 2.0}, 1)
-    report = predictability_report(cfg, const, 1, 2_000, 50, seed=3)
-    assert report.predictable_fraction == 1.0
+    _, fraction = _rotation_k1_report(const, 2_000, 50, 3)
+    assert fraction == 1.0
 
 
 def test_report_rotation_k1_not_predictable():
-    cfg = SystemConfig("rotation")
     h = Observable(2, "cosine_fiber", degree_bound=1)
-    report = predictability_report(cfg, h, 1, 100_000, 100, seed=4)
-    assert report.predictable_fraction < 0.5
-    sigmas = np.array([e.sigma_hat for e in report.defined_estimates])
+    defined, fraction = _rotation_k1_report(h, 100_000, 100, 4)
+    assert fraction < 0.5
+    sigmas = np.array([e.sigma_hat for e in defined])
     assert np.median(sigmas) > 0.05
 
 
