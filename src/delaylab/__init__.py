@@ -15,7 +15,7 @@ from .dynamics import (
     VisitRecord,
     visit_statistics,
 )
-from .embedding import DelaySeries, delay_map, delay_series, PairedVectors
+from .embedding import delay_map, delay_series, PairedVectors
 from .csvio import emit_csv
 from .experiments import (
     ExperimentConfig,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "SystemConfig", "trajectory", "DivergenceError", "VisitRecord", "visit_statistics",
     "Observable", "monomial_basis", "perturb", "evaluate",
-    "DelaySeries", "PairedVectors", "delay_series", "delay_map",
+    "PairedVectors", "delay_series", "delay_map",
     "chi_sigma", "predictability_report", "SigmaEstimate",
     "EmpiricalMeasure", "sample_model_measure", "ball_mass_dimension", "box_counting_idim",
     "DimensionEstimate",

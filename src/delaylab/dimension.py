@@ -111,7 +111,9 @@ def ball_mass_dimension(mu, ladder, n_centers, seed):
         raise ValueError("n_centers must be >= 1")
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(mu.points), size=n_centers, replace=True, p=mu.weights)
-    centers = mu.points[idx]
+    # atoms repeat centers: each distinct one is queried once, its mass indexed back
+    centers, inverse = np.unique(mu.points[idx], axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
     tree = cKDTree(mu.points)
     uniform = mu.is_uniform()
     values = []
@@ -122,10 +124,10 @@ def ball_mass_dimension(mu, ladder, n_centers, seed):
     for eps in ladder:
         if uniform:
             counts = tree.query_ball_point(centers, eps, return_length=True)
-            mass = counts / len(mu.points)
+            mass = counts[inverse] / len(mu.points)
         else:
             balls = tree.query_ball_point(centers, eps)
-            mass = np.array([mu.weights[b].sum() for b in balls])
+            mass = np.array([mu.weights[b].sum() for b in balls])[inverse]
         if np.any(mass <= 0.0):
             dropped.append(eps)
             values.append((eps, float("nan")))

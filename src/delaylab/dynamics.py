@@ -8,21 +8,26 @@ through the same cores (see _kernels) that ``trajectory``'s compiled loops
 iterate, so long orbits stay cheap and are tested against it.  The caller
 names every start state; ``ambient_of_states`` maps a whole orbit to the
 ambient rows that observables are evaluated on.
+
+Layout: every (n, d) point array returned here, orbit or ambient, is the .T
+view of a coordinate-major (d, n) block, so each coordinate is a contiguous
+column.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels as _k
-from .manifold import circle_ambient_array, product_ambient_array, sphere_coords
+from .manifold import circle_ambient_array, product_ambient_array, sphere_ambient_array
 
 GOLDEN_ROTATION = (math.sqrt(5.0) - 1.0) / 2.0
 
 SYSTEM_IDS = ("rotation", "spiral_f", "skew_T", "model_T0", "henon")
 
-HENON_DEFAULTS = {"a": 1.4, "b": 0.3}
+HENON_A = 1.4
+HENON_B = 0.3
 
 
 class DivergenceError(RuntimeError):
@@ -39,14 +44,13 @@ class SystemConfig:
 
     kappa is the spiral perturbation strength, delta the half-width of the
     angular boxes around the two circle fixed points, alpha the rotation
-    angle in turns.
+    angle in turns.  The Henon map has the fixed constants HENON_A, HENON_B.
     """
 
     system_id: str
     alpha: float = GOLDEN_ROTATION
     kappa: float = 0.05
     delta: float = 0.1
-    map_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.system_id not in SYSTEM_IDS:
@@ -55,11 +59,6 @@ class SystemConfig:
             raise ValueError(f"kappa {self.kappa!r} outside (0, 0.1]")
         if not 0.0 < self.delta <= 0.2:
             raise ValueError(f"delta {self.delta!r} outside (0, 0.2]")
-
-    def params(self):
-        if self.system_id == "henon":
-            return {**HENON_DEFAULTS, **self.map_params}
-        return dict(self.map_params)
 
 
 @dataclass(frozen=True)
@@ -120,9 +119,8 @@ def step_state(cfg, state):
             return state
         return (1.0, (t + cfg.alpha) % 1.0)
     if sid == "henon":
-        p = cfg.params()
         x, y = state
-        return (1.0 - p["a"] * x * x + y, p["b"] * x)
+        return (1.0 - HENON_A * x * x + y, HENON_B * x)
     raise ValueError(sid)
 
 
@@ -135,7 +133,10 @@ def sample_model_states(n, rng):
     """
     atom = rng.random(n) < 0.5
     t = rng.random(n)
-    return np.column_stack([np.where(atom, 0.0, 1.0), np.where(atom, 0.0, t)])
+    block = np.zeros((2, n))
+    np.copyto(block[0], 1.0, where=~atom)
+    np.copyto(block[1], t, where=~atom)
+    return block.T
 
 
 def ambient_of_states(cfg, states):
@@ -149,8 +150,7 @@ def ambient_of_states(cfg, states):
     if sid == "rotation":
         return circle_ambient_array(states[:, 0])
     if sid == "spiral_f":
-        x1, x2, x3 = sphere_coords(states[:, 0], states[:, 1])
-        return np.column_stack([x1, x2, x3])
+        return sphere_ambient_array(states[:, 0], states[:, 1])
     if sid == "skew_T":
         return product_ambient_array(states[:, 0], states[:, 1], states[:, 2])
     if sid == "model_T0":
@@ -161,7 +161,7 @@ def ambient_of_states(cfg, states):
         tt = np.where(comp == 0.0, 0.0, t)
         return product_ambient_array(r, phi, tt)
     if sid == "henon":
-        return states
+        return np.asfortranarray(states)  # no copy for a trajectory's own view
     raise ValueError(sid)
 
 
@@ -171,13 +171,12 @@ def ambient_of_states(cfg, states):
 def trajectory(cfg, x0, n, burn_in=0):
     """n states of the configured system after discarding burn_in iterates.
 
-    Returns an (n, state_dim) float array in the encoding of step_state.  The
-    skew and Henon orbits are views of their kernel's coordinate block, and a
-    spiral_f orbit is the view of the first two rows (r, phi) of a skew block
-    from fiber start 0, so each column is contiguous and no second copy is
-    made.  Raises DivergenceError with the failing absolute iterate index if
-    the state leaves the finite range (Henon only; the compact systems cannot
-    diverge).
+    Returns an (n, state_dim) float array in the encoding of step_state, the
+    .T view of a (state_dim, n) block.  The skew and Henon orbits view their
+    kernel's block, and a spiral_f orbit the first two rows (r, phi) of a skew
+    block from fiber start 0, so no second copy is made.  Raises
+    DivergenceError with the failing absolute iterate index if the state
+    leaves the finite range (Henon only; the compact systems cannot diverge).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -199,13 +198,13 @@ def trajectory(cfg, x0, n, burn_in=0):
         return (block if sid == "skew_T" else block[:2]).T
     if sid == "model_T0":
         comp, t0 = float(x0[0]), _k.wrap(float(x0[1]), 1.0)
-        if comp == 0.0:
-            return np.column_stack([np.zeros(n), np.zeros(n)])
-        idx = np.arange(burn_in, burn_in + n, dtype=float)
-        return np.column_stack([np.ones(n), (t0 + idx * cfg.alpha) % 1.0])
+        block = np.zeros((2, n))
+        if comp != 0.0:
+            block[0] = 1.0
+            block[1] = (t0 + np.arange(burn_in, burn_in + n, dtype=float) * cfg.alpha) % 1.0
+        return block.T
     if sid == "henon":
-        p = cfg.params()
-        block, fail = _k.henon_orbit(float(x0[0]), float(x0[1]), p["a"], p["b"], n, burn_in)
+        block, fail = _k.henon_orbit(float(x0[0]), float(x0[1]), HENON_A, HENON_B, n, burn_in)
         if fail < 0:
             raise DivergenceError(-fail)
         if fail > 0:

@@ -2,8 +2,10 @@
 
 A scalar series is an observable evaluated on an orbit's ambient
 coordinates, evaluate(h, ambient_of_states(cfg, orbit)); delay_series slides
-a window over it.  delay_map builds one vector from one state by stepping
-it, the route the series is checked against.
+a window over it and pairs each window with the next.  PairedVectors is the
+one pair type: row-major (n, k) predecessor and successor blocks, which the
+engines read.  delay_map builds one vector from one state by stepping it,
+the route the series is checked against.
 """
 
 from dataclasses import dataclass
@@ -15,80 +17,44 @@ from .observables import evaluate
 
 
 @dataclass(frozen=True)
-class DelaySeries:
-    """Sliding-window delay vectors y_i of a scalar measurement series.
-
-    vectors has shape (source_len - k + 1, k); consecutive vectors overlap in
-    k - 1 entries, and the successor of y_i is y_{i+1}.
-    """
-
-    k: int
-    vectors: np.ndarray
-    source_len: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.vectors.shape != (self.source_len - self.k + 1, self.k):
-            raise ValueError("vector block inconsistent with source length")
-        if len(self.vectors) < 1:
-            raise ValueError("series too short for the requested k")
-
-    def __len__(self):
-        return len(self.vectors)
-
-    @property
-    def predecessors(self):
-        return self.vectors[:-1]
-
-    @property
-    def successors(self):
-        return self.vectors[1:]
-
-
-@dataclass(frozen=True)
 class PairedVectors:
-    """Explicit (vector, successor) pairs for measure-sampled systems.
+    """(vector, successor) pairs: predecessors[i] and successors[i] are the
+    delay images of a state x_i and of its one-step iterate.
 
-    Used where no single orbit carries the target measure (the two-piece
-    model); pred[i] and succ[i] are the delay images of x_i and of its
-    one-step iterate.
+    delay_series pairs consecutive windows of one orbit; the two-piece model,
+    which no single orbit samples, pairs iid draws with their images.
     """
 
     k: int
-    pred: np.ndarray
-    succ: np.ndarray
+    predecessors: np.ndarray
+    successors: np.ndarray
 
     def __post_init__(self):
-        if self.pred.shape != self.succ.shape or self.pred.ndim != 2:
-            raise ValueError("pred and succ must be matching (n, k) blocks")
-        if self.pred.shape[1] != self.k:
+        if self.predecessors.shape != self.successors.shape or self.predecessors.ndim != 2:
+            raise ValueError("predecessors and successors must be matching (n, k) blocks")
+        if self.predecessors.shape[1] != self.k:
             raise ValueError("vector width inconsistent with k")
 
     def __len__(self):
-        return len(self.pred)
-
-    @property
-    def predecessors(self):
-        return self.pred
-
-    @property
-    def successors(self):
-        return self.succ
+        return len(self.predecessors)
 
 
 def delay_series(measurements, k):
-    """Sliding-window delay vectors of a scalar series."""
+    """Pairs (y_i, y_{i+1}) of the sliding windows y_i = (m_i, ..., m_{i+k-1}).
+
+    The len(m) - k + 1 windows overlap in k - 1 entries, so the pairs are two
+    views of one (len(m) - k + 1, k) block.
+    """
     m = np.asarray(measurements, dtype=float)
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if m.ndim != 1:
         raise ValueError("measurements must be one-dimensional")
     if len(m) < k:
         raise ValueError(f"need at least k={k} measurements, got {len(m)}")
-    if k == 1:
-        vectors = m[:, None]
-    else:
-        vectors = np.lib.stride_tricks.sliding_window_view(m, k)
-    return DelaySeries(k, np.ascontiguousarray(vectors), len(m))
+    v = m[:, None] if k == 1 else np.lib.stride_tricks.sliding_window_view(m, k)
+    v = np.ascontiguousarray(v)  # take() on a strided window view copies the whole source per call
+    return PairedVectors(k, v[:-1], v[1:])
 
 
 def delay_map(h, k, cfg, x):

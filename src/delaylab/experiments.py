@@ -527,12 +527,13 @@ def _run_e5(cfg, out):
         h = _perturbed(cfg, "E5", f"{stage}_obs", Observable(2, base_id, degree_bound=degree))
         orbit = trajectory(sys_cfg, x0, n_orbit, burn_in)
         series = delay_series(evaluate(h, ambient_of_states(sys_cfg, orbit)), k)
-        n_pred = len(series) - 1
+        n_pred = len(series)
         # references sample the push-forward of the orbit's empirical measure over its second half
         refs = _draw(rng_for(cfg.seed, "E5", f"{stage}_refs"), np.arange(n_pred // 2, n_pred),
                      cfg.param("n_refs"))
-        estimates[case] = predictability_report(series, series.vectors[refs], cfg.param("ladder_levels"),
-                                                cfg.param("ladder_top"), min_count, cfg.param("threshold"))
+        estimates[case] = predictability_report(series, series.predecessors[refs],
+                                                cfg.param("ladder_levels"), cfg.param("ladder_top"),
+                                                min_count, cfg.param("threshold"))
         frac, eligible = _monotone_last4(estimates[case], min_count)
         metrics[f"{case}_monotone_fraction"] = frac
         metrics[f"{case}_eligible_refs"] = float(eligible)

@@ -107,19 +107,24 @@ def perturb(h, amplitudes):
 
 
 def evaluate(h, x):
-    """Observable value at a coordinate vector, or at each of (n, d) rows."""
+    """Observable value at a coordinate vector, or at each of (n, d) rows.
+
+    The rows are read one coordinate column at a time, so the .T view of a
+    (d, n) block (the layout of dynamics and manifold) reads contiguously.
+    """
     coords = np.asarray(x, dtype=float)
     scalar = coords.ndim == 1
     rows = coords[None, :] if scalar else coords
     if rows.shape[1] != h.ambient_dim:
         raise ValueError(f"expected {h.ambient_dim} coordinates, got {rows.shape[1]}")
     out = np.zeros(rows.shape[0])
+    term = np.empty_like(out)
     for m, c in h.total_coeffs().items():
-        term = np.full(rows.shape[0], c)
+        term.fill(c)
         for j, e in enumerate(m):
             if e == 1:
-                term = term * rows[:, j]
+                term *= rows[:, j]
             elif e > 1:
-                term = term * rows[:, j] ** e
+                term *= rows[:, j] ** e
         out += term
     return float(out[0]) if scalar else out

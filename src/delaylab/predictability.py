@@ -54,10 +54,6 @@ class SigmaEstimate:
         return self.sigma_hat is not None
 
 
-def _pair_arrays(series):
-    return np.atleast_2d(series.predecessors), np.atleast_2d(series.successors)
-
-
 def chi_sigma(series, y, eps):
     """Conditional mean and RMS deviation of successors over the eps-ball.
 
@@ -72,7 +68,7 @@ def chi_sigma(series, y, eps):
 def default_ladder(series, levels=DEFAULT_LADDER_LEVELS, top=DEFAULT_LADDER_TOP):
     """Geometric ladder top * 2^-j scaled by the series diameter, the
     bounding-box diagonal of the delay vectors (1 when that is 0)."""
-    pred, _ = _pair_arrays(series)
+    pred = series.predecessors
     diam = float(np.linalg.norm(pred.max(axis=0) - pred.min(axis=0)))
     if diam <= 0.0:
         diam = 1.0
@@ -134,7 +130,7 @@ class BruteEngine:
     """
 
     def __init__(self, series):
-        self.pred, self.succ = _pair_arrays(series)
+        self.pred, self.succ = series.predecessors, series.successors
         self.k = self.pred.shape[1]
         self.cols = np.ascontiguousarray(self.pred.T)
 
@@ -177,16 +173,20 @@ class Sorted1DEngine:
     """
 
     def __init__(self, series):
-        pred, succ = _pair_arrays(series)
-        if pred.shape[1] != 1:
+        if series.k != 1:
             raise ValueError("Sorted1DEngine requires k = 1")
-        order = np.argsort(pred[:, 0], kind="stable")
-        self.ys = np.ascontiguousarray(pred[order, 0])
-        self.ss = np.ascontiguousarray(succ[order, 0])
-        self.center = float(self.ss.mean()) if len(self.ss) else 0.0
+        order = np.argsort(series.predecessors[:, 0], kind="stable")
+        self.ys = series.predecessors[order, 0]
+        self.ss = series.successors[order, 0]
+        del order  # freed before the prefix sums, which set the build's peak memory
+        n = len(self.ss)
+        self.center = float(self.ss.mean()) if n else 0.0
         centered = self.ss - self.center
-        self.s1 = np.concatenate([[0.0], np.cumsum(centered)])
-        self.s2 = np.concatenate([[0.0], np.cumsum(centered * centered)])
+        self.s1 = np.zeros(n + 1)
+        np.cumsum(centered, out=self.s1[1:])
+        centered *= centered
+        self.s2 = np.zeros(n + 1)
+        np.cumsum(centered, out=self.s2[1:])
 
     def interval(self, y, eps):
         """Index range [lo, hi) of the sorted predecessors x with sqrt((x - y)^2) < eps.
@@ -236,7 +236,7 @@ def predictability_report(series, ys, levels=DEFAULT_LADDER_LEVELS, top=DEFAULT_
                           min_count=DEFAULT_MIN_COUNT, threshold=DEFAULT_THRESHOLD):
     """One SigmaEstimate per reference vector in ys, in order, on default_ladder(series, levels, top).
 
-    series is a DelaySeries or PairedVectors.  The engine depends on k alone:
+    series is a PairedVectors.  The engine depends on k alone:
     interval search for k = 1, distance passes otherwise.
     """
     ladder = default_ladder(series, levels, top)

@@ -142,14 +142,14 @@ def test_criterion_9_estimator_oracle():
         m = rng.normal(size=200)
         s = delay_series(m, k)
         for _ in range(25):
-            y = s.vectors[rng.integers(0, len(s) - 1)]
+            y = s.predecessors[rng.integers(0, len(s))]
             eps = rng.uniform(0.1, 2.0)
-            idx = [i for i in range(len(s) - 1) if np.linalg.norm(s.vectors[i] - y) < eps]
+            idx = [i for i in range(len(s)) if np.linalg.norm(s.predecessors[i] - y) < eps]
             chi, sigma, count = chi_sigma(s, y, eps)
             assert count == len(idx)
             if not idx:
                 continue
-            cloud = np.array([s.vectors[i + 1] for i in idx])
+            cloud = s.successors[idx]
             mean = cloud.mean(axis=0)
             std = math.sqrt(float(np.mean(np.sum((cloud - mean) ** 2, axis=1))))
             worst = max(worst, float(np.max(np.abs(chi - mean))), abs(sigma - std))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from delaylab.dimension import (
     _cell_entropy,
@@ -144,3 +145,29 @@ def test_estimate_r_squared_in_range():
     assert ball.levels_used == (300,) * len(LADDER)
     box = box_counting_idim(seg, LADDER)
     assert len(box.levels_used) == len(LADDER) and min(box.levels_used) >= 1
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_ball_mass_repeated_centers_equal_per_center_queries(weighted):
+    """Each distinct center is queried once; every level equals one query per drawn center."""
+    mu = sample_model_measure(2_000, 31)
+    if weighted:
+        w = np.random.default_rng(32).random(len(mu.points))
+        mu = EmpiricalMeasure(mu.points, w / w.sum())
+    n_centers, seed = 400, 33
+    est, pointwise = ball_mass_dimension(mu, LADDER, n_centers, seed)
+    idx = np.random.default_rng(seed).choice(len(mu.points), size=n_centers, replace=True, p=mu.weights)
+    centers = mu.points[idx]
+    assert len(np.unique(centers, axis=0)) < n_centers // 2  # the atom repeats
+    tree = cKDTree(mu.points)
+    for eps, value in est.ladder:
+        if weighted:
+            mass = np.array([mu.weights[tree.query_ball_point(c, eps, return_sorted=True)].sum()
+                             for c in centers])
+        else:
+            mass = np.array([tree.query_ball_point(c, eps, return_length=True) for c in centers])
+            mass = mass / len(mu.points)
+        want = np.log(mass) / math.log(eps)
+        assert value == float(np.mean(want))
+    assert pointwise.tobytes() == want.tobytes()  # the finest level
+    assert est.levels_used == (n_centers,) * len(LADDER)

@@ -3,17 +3,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from delaylab.dynamics import ambient_of_states, GOLDEN_ROTATION, SystemConfig, trajectory
-from delaylab.embedding import delay_map, delay_series, DelaySeries, PairedVectors
+from delaylab.embedding import delay_map, delay_series, PairedVectors
 from delaylab.observables import evaluate, Observable, perturb
 
 
 def test_delay_series_examples():
     s = delay_series([1, 2, 3, 4], 2)
-    assert s.vectors.tolist() == [[1, 2], [2, 3], [3, 4]]
+    assert s.predecessors.tolist() == [[1, 2], [2, 3]]
+    assert s.successors.tolist() == [[2, 3], [3, 4]]
     s1 = delay_series([5.0, 6.0], 1)
-    assert s1.vectors.tolist() == [[5.0], [6.0]]
+    assert s1.predecessors.tolist() == [[5.0]] and s1.successors.tolist() == [[6.0]]
     const = delay_series([2.0] * 6, 3)
-    assert np.all(const.vectors == 2.0)
+    assert np.all(const.predecessors == 2.0) and np.all(const.successors == 2.0)
     with pytest.raises(ValueError):
         delay_series([1.0], 2)
 
@@ -25,15 +26,16 @@ def test_delay_series_overlap_invariant(values, k):
             delay_series(values, k)
         return
     s = delay_series(values, k)
-    assert len(s) == len(values) - k + 1
-    for a, b in zip(s.vectors, s.vectors[1:]):
+    assert len(s) == len(values) - k
+    for a, b in zip(s.predecessors, s.successors):
         assert np.array_equal(a[1:], b[:-1])
 
 
 def test_successor_pairing():
     s = delay_series([1.0, 2.0, 3.0, 4.0], 2)
-    assert np.array_equal(s.predecessors, s.vectors[:-1])
-    assert np.array_equal(s.successors, s.vectors[1:])
+    # the successor of each window is the next window: two views of one block
+    assert np.array_equal(s.successors[:-1], s.predecessors[1:])
+    assert np.shares_memory(s.predecessors, s.successors)
 
 
 def test_delay_map_k1_and_constant():
@@ -65,7 +67,7 @@ def test_two_route_agreement(system, x0, k):
     rng = np.random.default_rng(12)
     for i in rng.integers(0, len(series), 12):
         direct = delay_map(h, k, cfg, tuple(orbit[i]))
-        assert np.max(np.abs(series.vectors[i] - direct)) < 1e-12
+        assert np.max(np.abs(series.predecessors[i] - direct)) < 1e-12
 
 
 def test_paired_vectors_validation():
@@ -80,4 +82,6 @@ def test_paired_vectors_validation():
 
 def test_delay_series_invariant_violation_detected():
     with pytest.raises(ValueError):
-        DelaySeries(2, np.zeros((3, 2)), 5)  # count should be 4
+        delay_series([1.0, 2.0, 3.0], 0)  # k >= 1
+    with pytest.raises(ValueError):
+        delay_series(np.zeros((3, 2)), 1)  # one scalar series

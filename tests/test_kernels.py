@@ -8,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from delaylab import _kernels as _k
-from delaylab.dynamics import DivergenceError, GOLDEN_ROTATION, SystemConfig, trajectory
+from delaylab.dynamics import (DivergenceError, GOLDEN_ROTATION, HENON_A, HENON_B, SystemConfig,
+                               trajectory)
 from delaylab.experiments import ExperimentConfig, run_experiment
 
 HAVE_GCC = shutil.which("gcc") is not None
@@ -113,11 +114,13 @@ def test_henon_divergence_on_last_step_keeps_block():
 
 @pytest.mark.parametrize("burn_in", [0, 1_000])
 def test_henon_divergence_index_same_across_backends(backend, burn_in):
-    cfg = SystemConfig("henon", map_params={"a": 4.0, "b": 0.9})
-    _, fail = _k.henon_orbit_py(2.0, 2.0, 4.0, 0.9, 1_000, burn_in)
+    # from (2, 2) the default map diverges at iterate 11: after the output starts
+    # with burn_in = 0, inside the burn-in with burn_in = 1000
+    _, fail = _k.henon_orbit_py(2.0, 2.0, HENON_A, HENON_B, 1_000, burn_in)
+    assert (fail > 0) == (burn_in == 0)
     expected = -fail if fail < 0 else burn_in + fail
     with pytest.raises(DivergenceError) as err:
-        trajectory(cfg, (2.0, 2.0), 1_000, burn_in)
+        trajectory(SystemConfig("henon"), (2.0, 2.0), 1_000, burn_in)
     assert err.value.index == expected
 
 

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from delaylab._kernels import angle_dist_core
-from delaylab.dynamics import SystemConfig, trajectory
+from delaylab.dynamics import (ambient_of_states, sample_model_states, SYSTEM_IDS, SystemConfig,
+                               trajectory)
 from delaylab.manifold import product_ambient_array
+from delaylab.observables import evaluate, monomial_basis, Observable, perturb
 
 TWO_PI = 2 * math.pi
 
@@ -90,3 +92,48 @@ def test_embed_injective_on_separated_sample():
         if sep < 1e-6:
             continue
         assert np.linalg.norm(coords[i] - coords[i + 1]) > 1e-9
+
+
+# -- layout: (n, d) point arrays are .T views of (d, n) blocks -----------------
+
+STARTS = {  # the model_T0 entries start on the circle and at the marked point
+    "rotation": [(0.2,)], "spiral_f": [(0.5, 1.0)], "skew_T": [(0.5, 1.0, 0.3)],
+    "model_T0": [(1.0, 0.3), (0.0, 0.0)], "henon": [(0.0, 0.0)],
+}
+
+
+def assert_transposed_block(arr, n):
+    assert arr.shape[0] == n
+    assert arr.T.flags.c_contiguous
+
+
+def assert_evaluate_layout_free(points, seed):
+    """evaluate reads the block view and its C-order copy to the same bytes."""
+    d = points.shape[1]
+    amps = np.random.default_rng(seed).uniform(-1.0, 1.0, len(monomial_basis(d, 3)))
+    h = perturb(Observable(d, "coord:0", degree_bound=3), amps)
+    assert evaluate(h, points).tobytes() == evaluate(h, np.ascontiguousarray(points)).tobytes()
+
+
+@pytest.mark.parametrize("system", SYSTEM_IDS)
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 300), burn_in=st.integers(0, 40))
+def test_orbit_and_ambient_arrays_are_transposed_blocks(system, n, burn_in):
+    cfg = SystemConfig(system)
+    for start in STARTS[system]:
+        orbit = trajectory(cfg, start, n, burn_in)
+        amb = ambient_of_states(cfg, orbit)
+        assert_transposed_block(orbit, n)
+        assert_transposed_block(amb, n)
+        assert_evaluate_layout_free(amb, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_model_samples_and_their_ambient_arrays_are_transposed_blocks(n, seed):
+    cfg = SystemConfig("model_T0")
+    states = sample_model_states(n, np.random.default_rng(seed))
+    amb = ambient_of_states(cfg, states)
+    assert_transposed_block(states, n)
+    assert_transposed_block(amb, n)
+    assert_evaluate_layout_free(amb, seed)

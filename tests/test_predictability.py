@@ -60,15 +60,15 @@ def test_chi_sigma_matches_enumerated_oracle():
         m = rng.normal(size=300)
         s = delay_series(m, k)
         for _ in range(20):
-            y = s.vectors[rng.integers(0, len(s) - 1)] + rng.normal(scale=0.05, size=k)
+            y = s.predecessors[rng.integers(0, len(s))] + rng.normal(scale=0.05, size=k)
             eps = rng.uniform(0.05, 1.0)
-            idx = [i for i in range(len(s) - 1)
-                   if np.linalg.norm(s.vectors[i] - y) < eps]
+            idx = [i for i in range(len(s))
+                   if np.linalg.norm(s.predecessors[i] - y) < eps]
             chi, sigma, count = chi_sigma(s, y, eps)
             assert count == len(idx)
             if not idx:
                 continue
-            cloud = np.array([s.vectors[i + 1] for i in idx])
+            cloud = s.successors[idx]
             mean = cloud.mean(axis=0)
             std = math.sqrt(float(np.mean(np.sum((cloud - mean) ** 2, axis=1))))
             assert np.max(np.abs(chi - mean)) < 1e-12
@@ -117,7 +117,7 @@ def test_ladder_counts_monotone():
     s = delay_series(rng.normal(size=2000), 2)
     ladder = default_ladder(s)
     for _ in range(10):
-        y = s.vectors[rng.integers(0, len(s))]
+        y = s.predecessors[rng.integers(0, len(s))]
         est = BruteEngine(s).profile(y, ladder, min_count=2)
         counts = [e.count for e in est.ladder]
         assert all(b <= a for a, b in zip(counts, counts[1:]))
@@ -242,7 +242,7 @@ def test_engine_chosen_by_k(monkeypatch):
     for n, k, cls in ((100, 1, Sorted1DEngine), (60_000, 1, Sorted1DEngine), (60_000, 2, BruteEngine)):
         s = delay_series(rng.normal(size=n), k)
         used.clear()
-        predictability_report(s, s.vectors[:3], 8, 0.2, 20, 1e-3)
+        predictability_report(s, s.predecessors[:3], 8, 0.2, 20, 1e-3)
         assert used == [cls] * 3
 
 
@@ -251,9 +251,9 @@ def _rotation_k1_report(h, n_orbit, n_refs, seed):
     the second half of a k = 1 rotation series from (0.2,)."""
     cfg = SystemConfig("rotation")
     series = delay_series(evaluate(h, ambient_of_states(cfg, trajectory(cfg, (0.2,), n_orbit))), 1)
-    n_pred = len(series) - 1
+    n_pred = len(series)
     refs = _draw(np.random.default_rng(seed), np.arange(n_pred // 2, n_pred), n_refs)
-    defined = [e for e in predictability_report(series, series.vectors[refs]) if e.defined]
+    defined = [e for e in predictability_report(series, series.predecessors[refs]) if e.defined]
     return defined, sum(e.predictable for e in defined) / len(defined)
 
 
@@ -318,7 +318,7 @@ def test_brute_profile_equals_norm_reduction(series, data):
     assume(len(m) >= k + 1)
     s = delay_series(m, k)
     pred, succ = s.predecessors, s.successors
-    y = s.vectors[data.draw(st.integers(0, len(s) - 1), label="ref")]
+    y = s.predecessors[data.draw(st.integers(0, len(s) - 1), label="ref")]
     if data.draw(st.booleans(), label="off-grid"):
         y = y + data.draw(st.floats(-1.0, 1.0), label="shift") * (m.max() - m.min() + 1e-300)
     d = np.linalg.norm(pred - y, axis=1)
