@@ -9,10 +9,17 @@ absolute threshold.
 
 predictability_report is the one entry to the engines: it takes a built
 series and its reference vectors, so the caller owns the orbit, the
-observable and the reference draw.
+observable and the reference draw.  The engine depends on k alone, and both
+count a point inside a ball exactly when sqrt((x - y)^2 + ...) < eps:
+
+- BruteEngine (k >= 2) makes one distance pass per reference and reduces
+  each ball with the two-pass mean and deviation.
+- Sorted1DEngine (k = 1) takes all references and the ladder at once.  It
+  bins the series once between the exact float edges of every ball, with
+  no sort, and merges each ball's bins from per-bin count, mean and
+  centred M2 with Chan's pairwise formulas.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +28,6 @@ DEFAULT_MIN_COUNT = 20
 DEFAULT_THRESHOLD = 1e-3
 DEFAULT_LADDER_TOP = 0.2
 DEFAULT_LADDER_LEVELS = 8
-
-# ball populations up to this size are reduced with the exact two-pass
-# formulas; larger ones go through centered prefix sums
-_DIRECT_MAX = 16384
-
 
 @dataclass(frozen=True)
 class LadderEntry:
@@ -69,13 +71,16 @@ def default_ladder(series, levels=DEFAULT_LADDER_LEVELS, top=DEFAULT_LADDER_TOP)
     """Geometric ladder top * 2^-j scaled by the series diameter, the
     bounding-box diagonal of the delay vectors (1 when that is 0)."""
     pred = series.predecessors
+    if len(pred) == 0:
+        raise ValueError(f"delay series of k = {series.k} has {len(pred)} pairs: "
+                         f"it needs at least k + 1 = {series.k + 1} measurements")
     diam = float(np.linalg.norm(pred.max(axis=0) - pred.min(axis=0)))
     if diam <= 0.0:
         diam = 1.0
     return [top * diam * 0.5**j for j in range(levels)]
 
 
-def _validate_ladder(ladder, min_count):
+def _validate_ladder(ladder, min_count=DEFAULT_MIN_COUNT):
     ladder = [float(e) for e in ladder]
     if len(ladder) < 1 or any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("ladder must be strictly decreasing")
@@ -165,70 +170,140 @@ class BruteEngine:
         return _finish_profile(entries, min_count, threshold)
 
 
-class Sorted1DEngine:
-    """Scalar-series engine: interval search on the sorted predecessors.
+_SIGN = np.uint64(1 << 63)
 
-    Large balls are reduced through centered prefix sums (count > _DIRECT_MAX);
-    small ones go through _ball_entry, like every BruteEngine ball.
+
+def _keys(x):
+    """Order-preserving uint64 keys of floats: key(a) < key(b) when a < b,
+    and consecutive floats have consecutive keys (-0.0 sits just below +0.0)."""
+    bits = np.asarray(x, dtype=float).view(np.uint64)
+    return np.where(bits & _SIGN, ~bits, bits | _SIGN)
+
+
+def _floats(keys):
+    return np.where(keys & _SIGN, keys ^ _SIGN, ~keys).view(float)
+
+
+def _first_key(lo, hi, start, y, eps, outside):
+    """Smallest key in (lo, hi] whose float passes the test, elementwise,
+    for a start in [lo, hi].
+
+    The test is BruteEngine's k = 1 membership sqrt((x - y)^2) < eps, or
+    its negation when outside is True; it fails at lo, holds at hi and is
+    monotone between them.  The search first splits the bracket at start,
+    then steps away from start by 1, 2, 4, ... keys until the test flips
+    and bisects the last step, so a start a few ulps from the edge settles
+    in a few vectorised passes.
+    """
+    def test(k, sel):
+        return (np.sqrt(np.square(_floats(k) - y[sel])) < eps[sel]) != outside
+
+    down = test(start, slice(None))
+    lo, hi = np.where(down, lo, start), np.where(down, start, hi)
+    step = np.ones_like(lo)
+    todo = np.flatnonzero(hi - lo > 1)
+    while len(todo):
+        l, h = lo[todo], hi[todo]
+        s = np.minimum(step[todo], (h - l) >> 1)
+        probe = np.where(down[todo], h - s, l + s)
+        hit = test(probe, todo)
+        lo[todo], hi[todo] = np.where(hit, l, probe), np.where(hit, probe, h)
+        step[todo] = s << 1
+        todo = todo[hi[todo] - lo[todo] > 1]
+    return hi
+
+
+def _ball_edges(y, eps):
+    """Float edges [a, b) of BruteEngine's open k = 1 balls, elementwise:
+    x is inside the ball of (y, eps) exactly when a <= x < b.
+
+    a is the smallest float inside, b the smallest float above y outside;
+    each search starts from the rounded edge y -/+ eps.
+    """
+    ky = _keys(y)
+    lo = _first_key(_keys(np.full_like(y, -np.inf)), ky, _keys(y - eps), y, eps, False)
+    hi = _first_key(ky, _keys(np.full_like(y, np.inf)), _keys(y + eps), y, eps, True)
+    return _floats(lo), _floats(hi)
+
+
+def _merge(a, b):
+    """Pairwise update of (count, mean, M2) moments (Chan, Golub & LeVeque,
+    Am. Stat. 37, 1983); an empty side returns the other side unchanged."""
+    na, ma, qa = a
+    nb, mb, qb = b
+    n = na + nb
+    w = nb / np.maximum(n, 1.0)
+    d = mb - ma
+    return n, ma + d * w, qa + qb + d * d * na * w
+
+
+class Sorted1DEngine:
+    """Scalar-series engine: one binning of the series at its references' ball edges.
+
+    Built with the references ys and the ladder, it finds the exact float
+    edges of every (reference, level) ball, bins the series once between
+    those edges, takes each bin's count, mean and centred M2, and merges
+    each ball's contiguous run of bins with Chan's pairwise formulas, about
+    log2(bins) vectorised merges over all balls.  profile then answers from
+    that (references x levels) table; any other (y, ladder) is binned
+    alone the same way.
     """
 
-    def __init__(self, series):
+    def __init__(self, series, ys=(), ladder=None):
         if series.k != 1:
             raise ValueError("Sorted1DEngine requires k = 1")
-        order = np.argsort(series.predecessors[:, 0], kind="stable")
-        self.ys = series.predecessors[order, 0]
-        self.ss = series.successors[order, 0]
-        del order  # freed before the prefix sums, which set the build's peak memory
-        n = len(self.ss)
-        self.center = float(self.ss.mean()) if n else 0.0
-        centered = self.ss - self.center
-        self.s1 = np.zeros(n + 1)
-        np.cumsum(centered, out=self.s1[1:])
-        centered *= centered
-        self.s2 = np.zeros(n + 1)
-        np.cumsum(centered, out=self.s2[1:])
+        self.x = series.predecessors[:, 0]
+        self.s = series.successors[:, 0]
+        self._ladder, self._rows, self._table = None, {}, None
+        if len(ys):
+            self._ladder = _validate_ladder(ladder)
+            ys = np.asarray(ys, dtype=float).reshape(len(ys), -1)
+            self._table = self._balls(ys, self._ladder)
+            self._rows = {y: i for i, y in enumerate(ys[:, 0].tolist())}
 
-    def interval(self, y, eps):
-        """Index range [lo, hi) of the sorted predecessors x with sqrt((x - y)^2) < eps.
+    def _balls(self, ys, ladder):
+        """(count, chi, sigma) arrays of shape (len(ys), len(ladder)) for the (m, 1) references ys."""
+        if ys.shape[1] != 1:
+            raise ValueError(f"reference has {ys.shape[1]} coordinates, the series k = 1")
+        if not np.isfinite(ys).all():
+            raise ValueError("references must be finite")
+        shape = (len(ys), len(ladder))
+        a, b = _ball_edges(np.repeat(ys[:, 0], len(ladder)), np.tile(ladder, len(ys)))
+        cuts = np.unique(np.concatenate([a, b]))
+        pos = cuts.searchsorted(a) + 1  # bin j holds cuts[j - 1] <= x < cuts[j]
+        length = cuts.searchsorted(b) + 1 - pos
 
-        That is BruteEngine's k = 1 test.  The rounded edges y -/+ eps place
-        each end, which then moves, one run of equal values at a time, until
-        the test holds just inside it and fails just outside.
-        """
-        ys, item = self.ys, self.ys.item
+        bins = cuts.searchsorted(self.x, side="right")
+        count = np.bincount(bins, minlength=len(cuts) + 1).astype(float)
+        mean = np.bincount(bins, weights=self.s, minlength=len(count)) / np.maximum(count, 1.0)
+        dev = mean.take(bins)
+        np.subtract(self.s, dev, out=dev)
+        dev *= dev
+        table = [(count, mean, np.bincount(bins, weights=dev, minlength=len(count)))]
+        del bins, dev
+        while 2 ** len(table) <= len(count):  # level j: runs of 2^j bins from each bin
+            w = 2 ** (len(table) - 1)
+            table.append(_merge([m[:-w] for m in table[-1]], [m[w:] for m in table[-1]]))
 
-        def inside(i):
-            d = item(i) - y
-            return math.sqrt(d * d) < eps
-
-        def run_end(i, side):
-            return int(ys.searchsorted(item(i), side=side))
-
-        hi = int(ys.searchsorted(y + eps, side="left"))
-        while hi < len(ys) and inside(hi):
-            hi = run_end(hi, "right")
-        while hi > 0 and item(hi - 1) > y and not inside(hi - 1):
-            hi = run_end(hi - 1, "left")
-        lo = int(ys.searchsorted(y - eps, side="right"))
-        while lo > 0 and inside(lo - 1):
-            lo = run_end(lo - 1, "left")
-        while lo < hi and item(lo) < y and not inside(lo):
-            lo = run_end(lo, "right")
-        return lo, hi
-
-    def _stats(self, eps, lo, hi):
-        count = hi - lo
-        if count <= _DIRECT_MAX:
-            return _ball_entry(eps, self.ss[lo:hi, None])
-        m1 = (self.s1[hi] - self.s1[lo]) / count
-        m2 = (self.s2[hi] - self.s2[lo]) / count
-        var = max(m2 - m1 * m1, 0.0)
-        return LadderEntry(eps, count, np.array([self.center + m1]), math.sqrt(var))
+        acc = [np.zeros(len(pos)) for _ in range(3)]
+        for j in reversed(range(len(table))):  # the binary digits of each run's length
+            sel = np.flatnonzero((length >> j) & 1)
+            merged = _merge([m[sel] for m in acc], [m[pos[sel]] for m in table[j]])
+            for m, v in zip(acc, merged):
+                m[sel] = v
+            pos[sel] += 2**j
+        n, chi, q = acc
+        sigma = np.sqrt(q / np.maximum(n, 1.0))
+        return n.astype(np.int64).reshape(shape), chi.reshape(shape), sigma.reshape(shape)
 
     def profile(self, y, ladder, min_count=DEFAULT_MIN_COUNT, threshold=DEFAULT_THRESHOLD):
         ladder = _validate_ladder(ladder, min_count)
-        yv = float(np.asarray(y, dtype=float).reshape(-1)[0])
-        entries = [self._stats(eps, *self.interval(yv, eps)) for eps in ladder]
+        y = np.asarray(y, dtype=float).reshape(1, -1)
+        row = self._rows.get(y[0, 0]) if ladder == self._ladder and y.shape[1] == 1 else None
+        table, row = (self._balls(y, ladder), 0) if row is None else (self._table, row)
+        count, chi, sigma = (t[row].tolist() for t in table)
+        entries = [LadderEntry(eps, c, np.array([m]), sd) if c else LadderEntry(eps, 0, None, None)
+                   for eps, c, m, sd in zip(ladder, count, chi, sigma)]
         return _finish_profile(entries, min_count, threshold)
 
 
@@ -236,9 +311,10 @@ def predictability_report(series, ys, levels=DEFAULT_LADDER_LEVELS, top=DEFAULT_
                           min_count=DEFAULT_MIN_COUNT, threshold=DEFAULT_THRESHOLD):
     """One SigmaEstimate per reference vector in ys, in order, on default_ladder(series, levels, top).
 
-    series is a PairedVectors.  The engine depends on k alone:
-    interval search for k = 1, distance passes otherwise.
+    series is a PairedVectors.  The engine depends on k alone: for k = 1 one
+    table over all references, built before the first profile call; distance
+    passes otherwise.
     """
     ladder = default_ladder(series, levels, top)
-    engine = (Sorted1DEngine if series.k == 1 else BruteEngine)(series)
+    engine = Sorted1DEngine(series, ys, ladder) if series.k == 1 else BruteEngine(series)
     return tuple(engine.profile(y, ladder, min_count, threshold) for y in ys)

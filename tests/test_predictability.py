@@ -183,17 +183,17 @@ def test_engines_agree_small():
     m = rng.normal(size=3000)
     s = delay_series(m, 1)
     ladder = default_ladder(s)
+    ys = rng.normal(size=(25, 1))
     brute = BruteEngine(s)
-    sorted1d = Sorted1DEngine(s)
-    for _ in range(25):
-        y = [float(rng.normal())]
-        ea = brute.profile(y, ladder, 5, 1e-3)
-        eb = sorted1d.profile(y, ladder, 5, 1e-3)
-        for la, lb in zip(ea.ladder, eb.ladder):
-            assert la.count == lb.count
-            if la.sigma is not None:
-                assert abs(la.sigma - lb.sigma) < 1e-12
-                assert np.max(np.abs(la.chi - lb.chi)) < 1e-12
+    for sorted1d in (Sorted1DEngine(s), Sorted1DEngine(s, ys, ladder)):
+        for y in ys:
+            ea = brute.profile(y, ladder, 5, 1e-3)
+            eb = sorted1d.profile(y, ladder, 5, 1e-3)
+            for la, lb in zip(ea.ladder, eb.ladder):
+                assert la.count == lb.count
+                if la.sigma is not None:
+                    assert abs(la.sigma - lb.sigma) < 1e-12
+                    assert np.max(np.abs(la.chi - lb.chi)) < 1e-12
 
 
 def test_sorted1d_counts_equal_points_below_half_ulp():
@@ -212,10 +212,15 @@ def test_sorted1d_counts_equal_points_below_half_ulp():
         pv = PairedVectors(1, 1e9 + u * np.array(ticks, dtype=float)[:, None], np.zeros((4, 1)))
         assert BruteEngine(pv).profile([1e9], [eps], 2).ladder[0].count == count
         assert Sorted1DEngine(pv).profile([1e9], [eps], 2).ladder[0].count == count
+    # (x - 0)^2 underflows to 0 for |x| below about 1.5e-162, so those points
+    # are inside a ball of radius 1e-300 whose rounded edges are 1e138 times closer
+    pv = PairedVectors(1, np.array([[-1e-150], [-1e-170], [0.0], [1e-170], [1e-160]]), np.zeros((5, 1)))
+    assert BruteEngine(pv).profile([0.0], [1e-300], 2).ladder[0].count == 3
+    assert Sorted1DEngine(pv).profile([0.0], [1e-300], 2).ladder[0].count == 3
 
 
-def test_engines_agree_prefix_path():
-    # counts above the direct threshold exercise the prefix-sum reduction
+def test_engines_agree_large_balls():
+    # balls of more than 16,384 points
     rng = np.random.default_rng(26)
     m = rng.normal(size=60_000)
     s = delay_series(m, 1)
@@ -226,8 +231,63 @@ def test_engines_agree_prefix_path():
     eb = sorted1d.profile([0.0], ladder, 5, 1e-3)
     assert ea.ladder[0].count == eb.ladder[0].count > 16384
     for la, lb in zip(ea.ladder, eb.ladder):
-        assert abs(la.sigma - lb.sigma) < 1e-9
-        assert np.max(np.abs(la.chi - lb.chi)) < 1e-9
+        assert la.count == lb.count
+        assert abs(la.sigma - lb.sigma) < 1e-12
+        assert np.max(np.abs(la.chi - lb.chi)) < 1e-12
+
+
+def test_sorted1d_sigma_of_large_tight_balls():
+    """Balls of 4e4-8e4 points whose successors spread 1e-5 around 10: sigma
+    matches enumeration to 1e-9 relative, where moments of the whole series
+    lose it to cancellation (the successors are 0 on half of the series)."""
+    rng = np.random.default_rng(41)
+    n = 200_000
+    x = rng.uniform(0.0, 1.0, n)
+    s = np.where(x < 0.5, 10.0 + 1e-5 * rng.normal(size=n), 0.0)
+    pv = PairedVectors(1, x[:, None], s[:, None])
+    ladder = [0.2, 0.1]
+    ea = BruteEngine(pv).profile([0.25], ladder, 2)
+    for table in ((), ([[0.25]], ladder)):
+        eb = Sorted1DEngine(pv, *table).profile([0.25], ladder, 2)
+        assert [e.count for e in eb.ladder] == [e.count for e in ea.ladder]
+        assert ea.ladder[1].count > 30_000
+        for la, lb in zip(ea.ladder, eb.ladder):
+            assert abs(lb.sigma - la.sigma) <= 1e-9 * la.sigma
+            assert abs(lb.chi[0] - la.chi[0]) <= 1e-12 * la.chi[0]
+
+
+def test_report_table_equals_single_reference_profiles():
+    """predictability_report answers k = 1 references from one table built over
+    all of them; each answer equals binning that reference alone."""
+    rng = np.random.default_rng(42)
+    s = delay_series(np.cumsum(rng.normal(size=60_001)) * 1e-2, 1)
+    ys = s.predecessors[rng.choice(len(s), 100, replace=False)]
+    ladder = default_ladder(s, 10)
+    single = Sorted1DEngine(s)
+    for y, est in zip(ys, predictability_report(s, ys, 10, 0.2, 20, 1e-3)):
+        alone = single.profile(y, ladder, 20, 1e-3)
+        assert (est.sigma_hat_eps, est.sigma_hat_count, est.predictable) == (
+            alone.sigma_hat_eps, alone.sigma_hat_count, alone.predictable)
+        for a, b in zip(est.ladder, alone.ladder):
+            assert (a.eps, a.count) == (b.eps, b.count)
+            if a.count:
+                assert abs(a.sigma - b.sigma) <= 1e-12 * b.sigma
+                assert abs(a.chi[0] - b.chi[0]) <= 1e-12 * abs(b.chi[0])
+
+
+def test_sorted1d_rejects_bad_references():
+    s = delay_series(np.arange(10.0), 1)
+    with pytest.raises(ValueError, match="k = 1"):
+        Sorted1DEngine(s).profile([1.0, 2.0], [0.5])
+    with pytest.raises(ValueError, match="finite"):
+        Sorted1DEngine(s, [[np.nan]], [0.5])
+
+
+def test_default_ladder_rejects_series_without_pairs():
+    for k in (1, 2):
+        s = delay_series(np.arange(float(k)), k)
+        with pytest.raises(ValueError, match=f"k = {k} has 0 pairs"):
+            predictability_report(s, [np.zeros(k)])
 
 
 def test_engine_chosen_by_k(monkeypatch):
@@ -382,17 +442,21 @@ def test_sorted1d_and_brute_agree(ticks, offset, spread, ref, data):
         exact = st.sampled_from(sorted({float(v) for v in d if v > 0.0}))
         levels |= exact | exact.map(lambda e: float(np.nextafter(e, np.inf)))
     ladder = sorted(data.draw(st.lists(levels, min_size=1, unique=True), label="ladder"), reverse=True)
+    # other references cut y's balls into several bins of the table
+    others = data.draw(st.lists(st.integers(0, 40), max_size=8), label="others")
+    ys = [y] + [[offset + spread * o / 2] for o in others]
     a = BruteEngine(s).profile(y, ladder, min_count=2)
-    b = Sorted1DEngine(s).profile(y, ladder, min_count=2)
     tol = 4 * len(ticks) * np.spacing(abs(offset) + 20 * spread)
-    for la, lb in zip(a.ladder, b.ladder):
-        assert la.count == lb.count
-        if la.count:
-            assert abs(la.chi[0] - lb.chi[0]) <= tol
-            assert abs(la.sigma - lb.sigma) <= tol
-        else:
-            assert lb.chi is None and lb.sigma is None
-    assert a.sigma_hat_eps == b.sigma_hat_eps
+    for engine in (Sorted1DEngine(s), Sorted1DEngine(s, ys, ladder)):
+        b = engine.profile(y, ladder, min_count=2)
+        for la, lb in zip(a.ladder, b.ladder):
+            assert la.count == lb.count
+            if la.count:
+                assert abs(la.chi[0] - lb.chi[0]) <= tol
+                assert abs(la.sigma - lb.sigma) <= tol
+            else:
+                assert lb.chi is None and lb.sigma is None
+        assert a.sigma_hat_eps == b.sigma_hat_eps
 
 
 # -- one Engine.profile call per reference (the interface tracers wrap) ------
