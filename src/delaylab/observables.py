@@ -111,6 +111,7 @@ def evaluate(h, x):
 
     The rows are read one coordinate column at a time, so the .T view of a
     (d, n) block (the layout of dynamics and manifold) reads contiguously.
+    Each power col ** e with e > 1 is taken once and shared by the terms.
     """
     coords = np.asarray(x, dtype=float)
     scalar = coords.ndim == 1
@@ -119,12 +120,15 @@ def evaluate(h, x):
         raise ValueError(f"expected {h.ambient_dim} coordinates, got {rows.shape[1]}")
     out = np.zeros(rows.shape[0])
     term = np.empty_like(out)
+    powers = {}
     for m, c in h.total_coeffs().items():
         term.fill(c)
         for j, e in enumerate(m):
             if e == 1:
                 term *= rows[:, j]
             elif e > 1:
-                term *= rows[:, j] ** e
+                if (j, e) not in powers:
+                    powers[j, e] = rows[:, j] ** e
+                term *= powers[j, e]
         out += term
     return float(out[0]) if scalar else out

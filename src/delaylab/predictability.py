@@ -12,12 +12,18 @@ series and its reference vectors, so the caller owns the orbit, the
 observable and the reference draw.  The engine depends on k alone, and both
 count a point inside a ball exactly when sqrt((x - y)^2 + ...) < eps:
 
-- BruteEngine (k >= 2) makes one distance pass per reference and reduces
-  each ball with the two-pass mean and deviation.
+- BruteEngine (k >= 2) makes one distance pass per reference.  The nested
+  balls cut the top ball into shells; one reduction takes each shell's
+  count, mean and centred M2, and the balls are the shells merged from the
+  innermost outward.
 - Sorted1DEngine (k = 1) takes all references and the ladder at once.  It
   bins the series once between the exact float edges of every ball, with
   no sort, and merges each ball's bins from per-bin count, mean and
-  centred M2 with Chan's pairwise formulas.
+  centred M2.
+
+Both merge moments with the pairwise formulas of Chan, Golub and LeVeque
+(_merge), and both hand per-level arrays to one result builder
+(_estimate).
 """
 
 from dataclasses import dataclass
@@ -91,47 +97,47 @@ def _validate_ladder(ladder, min_count=DEFAULT_MIN_COUNT):
     return ladder
 
 
-def _finish_profile(entries, min_count, threshold):
-    sigma_hat = None
-    hat_eps = None
-    hat_count = 0
-    for e in entries:  # entries ordered by decreasing eps
-        if e.count >= min_count:
-            sigma_hat = e.sigma
-            hat_eps = e.eps
-            hat_count = e.count
-    predictable = None if sigma_hat is None else bool(sigma_hat < threshold)
-    return SigmaEstimate(
-        ladder=tuple(entries),
-        sigma_hat=sigma_hat,
-        sigma_hat_eps=hat_eps,
-        sigma_hat_count=hat_count,
-        predictable=predictable,
-    )
+def _estimate(ladder, count, chi, sigma, min_count, threshold):
+    """SigmaEstimate of one reference from its per-level arrays: count (L,),
+    chi (L, k) and sigma (L,).
 
-
-def _ball_entry(eps, cloud):
-    """Ladder entry of one ball from its C-order (count, k) successor cloud.
-
-    The exact two-pass formulas: chi is cloud.mean(axis=0); the squared
-    deviations are summed column by column, which adds each row's terms in
-    the order sum(axis=1) does.
+    Each non-empty level's chi is a row view of chi; sigma_hat is sigma at
+    the last level holding at least min_count points.
     """
-    if len(cloud) == 0:
-        return LadderEntry(eps, 0, None, None)
-    chi = cloud.mean(axis=0)
-    dev = np.square(cloud[:, 0] - chi[0])
-    for j in range(1, cloud.shape[1]):
-        dev += np.square(cloud[:, j] - chi[j])
-    return LadderEntry(eps, len(cloud), chi, float(np.sqrt(np.mean(dev))))
+    counts, sigmas = count.tolist(), sigma.tolist()
+    entries = tuple([LadderEntry(eps, c, m, sd) if c else LadderEntry(eps, 0, None, None)
+                     for eps, c, m, sd in zip(ladder, counts, chi, sigmas)])
+    held = [j for j, c in enumerate(counts) if c >= min_count]
+    if not held:
+        return SigmaEstimate(entries, None, None, 0, None)
+    j = held[-1]
+    return SigmaEstimate(entries, sigmas[j], ladder[j], counts[j], bool(sigmas[j] < threshold))
+
+
+def _merge(a, b):
+    """Pairwise update of (count, mean, M2) moments (Chan, Golub & LeVeque,
+    Am. Stat. 37, 1983); an empty side returns the other side unchanged.
+
+    The means are k-vectors, with one more trailing axis than the counts,
+    and M2 is summed over the k coordinates.
+    """
+    na, ma, qa = a
+    nb, mb, qb = b
+    n = na + nb
+    w = nb / np.maximum(n, 1.0)
+    d = mb - ma
+    return n, ma + d * w[..., None], qa + qb + np.square(d).sum(axis=-1) * na * w
 
 
 class BruteEngine:
     """Exact per-reference ball statistics via one distance pass per reference.
 
     The predecessor columns are stored contiguously, so a distance pass is a
-    few elementwise passes over the series.  The ladder's balls are nested,
-    so each level filters the survivors of the level above.
+    few elementwise passes over the series.  The ladder's balls are nested:
+    each point of the top ball falls in one shell, the points of ball j
+    outside ball j + 1, so one reduction per reference takes every shell's
+    count, mean and centred M2, and the balls are the shells merged from the
+    innermost outward with Chan's pairwise formulas.
     """
 
     def __init__(self, series):
@@ -158,16 +164,29 @@ class BruteEngine:
 
     def profile(self, y, ladder, min_count=DEFAULT_MIN_COUNT, threshold=DEFAULT_THRESHOLD):
         ladder = _validate_ladder(ladder, min_count)
-        y = np.asarray(y, dtype=float).reshape(-1)
         d = self.distances(y)
         idx = np.flatnonzero(d < ladder[0])
-        d = d[idx]
-        entries = [_ball_entry(ladder[0], self.succ.take(idx, axis=0))]
+        d = d.take(idx)
+        # shell j holds ladder[j + 1] <= d < ladder[j]: j is the deepest level whose ball holds the point
+        shell = np.zeros(len(idx), np.min_scalar_type(len(ladder)))
         for eps in ladder[1:]:
-            inside = d < eps
-            idx, d = idx[inside], d[inside]
-            entries.append(_ball_entry(eps, self.succ.take(idx, axis=0)))
-        return _finish_profile(entries, min_count, threshold)
+            shell += d < eps
+        shell = shell.astype(np.intp)
+        n = np.bincount(shell, minlength=len(ladder)).astype(float)
+        cloud = self.succ.take(idx, axis=0)
+        mean = np.empty((len(ladder), self.k))
+        m2 = np.zeros(len(ladder))
+        for j in range(self.k):
+            col = np.ascontiguousarray(cloud[:, j])
+            mean[:, j] = np.bincount(shell, weights=col, minlength=len(ladder)) / np.maximum(n, 1.0)
+            col -= mean[:, j].take(shell)
+            m2 += np.bincount(shell, weights=np.square(col, out=col), minlength=len(ladder))
+        ball = (0.0, np.zeros(self.k), 0.0)
+        for j in reversed(range(len(ladder))):  # shell j's moments become ball j's
+            ball = _merge(ball, (n[j], mean[j], m2[j]))
+            n[j], mean[j], m2[j] = ball
+        sigma = np.sqrt(m2 / np.maximum(n, 1.0))
+        return _estimate(ladder, n.astype(np.int64), mean, sigma, min_count, threshold)
 
 
 _SIGN = np.uint64(1 << 63)
@@ -226,17 +245,6 @@ def _ball_edges(y, eps):
     return _floats(lo), _floats(hi)
 
 
-def _merge(a, b):
-    """Pairwise update of (count, mean, M2) moments (Chan, Golub & LeVeque,
-    Am. Stat. 37, 1983); an empty side returns the other side unchanged."""
-    na, ma, qa = a
-    nb, mb, qb = b
-    n = na + nb
-    w = nb / np.maximum(n, 1.0)
-    d = mb - ma
-    return n, ma + d * w, qa + qb + d * d * na * w
-
-
 class Sorted1DEngine:
     """Scalar-series engine: one binning of the series at its references' ball edges.
 
@@ -262,7 +270,8 @@ class Sorted1DEngine:
             self._rows = {y: i for i, y in enumerate(ys[:, 0].tolist())}
 
     def _balls(self, ys, ladder):
-        """(count, chi, sigma) arrays of shape (len(ys), len(ladder)) for the (m, 1) references ys."""
+        """(count, chi, sigma) arrays of shapes (m, L), (m, L, 1) and (m, L) for
+        the (m, 1) references ys and the L levels of ladder."""
         if ys.shape[1] != 1:
             raise ValueError(f"reference has {ys.shape[1]} coordinates, the series k = 1")
         if not np.isfinite(ys).all():
@@ -279,13 +288,13 @@ class Sorted1DEngine:
         dev = mean.take(bins)
         np.subtract(self.s, dev, out=dev)
         dev *= dev
-        table = [(count, mean, np.bincount(bins, weights=dev, minlength=len(count)))]
+        table = [(count, mean[:, None], np.bincount(bins, weights=dev, minlength=len(count)))]
         del bins, dev
         while 2 ** len(table) <= len(count):  # level j: runs of 2^j bins from each bin
             w = 2 ** (len(table) - 1)
             table.append(_merge([m[:-w] for m in table[-1]], [m[w:] for m in table[-1]]))
 
-        acc = [np.zeros(len(pos)) for _ in range(3)]
+        acc = [np.zeros(len(pos)), np.zeros((len(pos), 1)), np.zeros(len(pos))]
         for j in reversed(range(len(table))):  # the binary digits of each run's length
             sel = np.flatnonzero((length >> j) & 1)
             merged = _merge([m[sel] for m in acc], [m[pos[sel]] for m in table[j]])
@@ -294,17 +303,14 @@ class Sorted1DEngine:
             pos[sel] += 2**j
         n, chi, q = acc
         sigma = np.sqrt(q / np.maximum(n, 1.0))
-        return n.astype(np.int64).reshape(shape), chi.reshape(shape), sigma.reshape(shape)
+        return n.astype(np.int64).reshape(shape), chi.reshape(shape + (1,)), sigma.reshape(shape)
 
     def profile(self, y, ladder, min_count=DEFAULT_MIN_COUNT, threshold=DEFAULT_THRESHOLD):
         ladder = _validate_ladder(ladder, min_count)
         y = np.asarray(y, dtype=float).reshape(1, -1)
         row = self._rows.get(y[0, 0]) if ladder == self._ladder and y.shape[1] == 1 else None
         table, row = (self._balls(y, ladder), 0) if row is None else (self._table, row)
-        count, chi, sigma = (t[row].tolist() for t in table)
-        entries = [LadderEntry(eps, c, np.array([m]), sd) if c else LadderEntry(eps, 0, None, None)
-                   for eps, c, m, sd in zip(ladder, count, chi, sigma)]
-        return _finish_profile(entries, min_count, threshold)
+        return _estimate(ladder, *(t[row] for t in table), min_count, threshold)
 
 
 def predictability_report(series, ys, levels=DEFAULT_LADDER_LEVELS, top=DEFAULT_LADDER_TOP,

@@ -91,3 +91,19 @@ def test_observable_validation():
         Observable(3, "cosine_fiber", degree_bound=1)  # undefined for this ambient
     with pytest.raises(ValueError):
         evaluate(Observable(5, "zero", degree_bound=1), np.zeros((3, 4)))
+
+
+def test_evaluate_equals_per_term_powers():
+    """Shared column powers leave evaluate bitwise equal to taking col ** e
+    afresh in every term of a degree-5 observable."""
+    rng = np.random.default_rng(6)
+    h = perturb(Observable(2, "coord:0", degree_bound=5), rng.uniform(-1, 1, len(monomial_basis(2, 5))))
+    rows = rng.uniform(-1.5, 1.5, (2, 1000)).T
+    naive = np.zeros(len(rows))
+    for m, c in h.total_coeffs().items():
+        term = np.full(len(rows), c)
+        for j, e in enumerate(m):
+            if e:
+                term *= rows[:, j] ** e
+        naive += term
+    assert np.array_equal(evaluate(h, rows), naive)

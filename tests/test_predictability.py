@@ -331,7 +331,7 @@ def test_report_rotation_k1_not_predictable():
     assert np.median(sigmas) > 0.05
 
 
-# -- BruteEngine against the norm-based reduction it replaced ----------------
+# -- BruteEngine against the norm-based per-level reduction ------------------
 
 
 def norm_profile(pred, succ, y, ladder):
@@ -350,15 +350,20 @@ def norm_profile(pred, succ, y, ladder):
     return levels
 
 
-def assert_same_levels(est, levels):
+def assert_levels_close(est, levels, succ, ladder, min_count):
+    """Counts and sigma_hat_eps exact; chi and sigma within 4 n spacing(max|succ| + spread),
+    since the shell sums add in another order than the per-level two-pass reduction."""
+    tol = 4 * len(succ) * np.spacing(np.abs(succ).max() + np.ptp(succ))
     assert len(est.ladder) == len(levels)
     for entry, (count, chi, sigma) in zip(est.ladder, levels):
         assert entry.count == count
         if count == 0:
             assert entry.chi is None and entry.sigma is None
         else:
-            assert entry.sigma == sigma
-            assert entry.chi.shape == chi.shape and np.all(entry.chi == chi)
+            assert abs(entry.sigma - sigma) <= tol
+            assert entry.chi.shape == chi.shape and np.all(np.abs(entry.chi - chi) <= tol)
+    held = [eps for eps, (count, _, _) in zip(ladder, levels) if count >= min_count]
+    assert est.sigma_hat_eps == (held[-1] if held else None)
 
 
 # values on a small integer grid, so points and successors repeat
@@ -389,7 +394,7 @@ def test_brute_profile_equals_norm_reduction(series, data):
     ladder = sorted(set(chosen) | set(extra), reverse=True)
     assume(ladder)
     est = BruteEngine(s).profile(y, ladder, min_count=2)
-    assert_same_levels(est, norm_profile(pred, succ, y, ladder))
+    assert_levels_close(est, norm_profile(pred, succ, y, ladder), succ, ladder, 2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -406,7 +411,72 @@ def test_brute_profile_equals_norm_reduction_paired(k, n, offset, spread, seed):
     y = pred[rng.integers(0, n)]
     ladder = sorted(spread * rng.uniform(0.01, 4.0, 5), reverse=True)
     est = BruteEngine(PairedVectors(k, pred, succ)).profile(y, ladder, min_count=2)
-    assert_same_levels(est, norm_profile(pred, succ, y, ladder))
+    assert_levels_close(est, norm_profile(pred, succ, y, ladder), succ, ladder, 2)
+
+
+SHELL_CASES = ["empty top ball", "empty inner shells", "exact distances", "innermost shell", "mixed"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(2, 3), case=st.sampled_from(SHELL_CASES), data=st.data())
+def test_brute_shell_edge_cases(k, case, data):
+    """Ladders with an empty top ball, empty inner shells, levels at exactly a
+    point's distance (that point is outside) or with every point in the
+    innermost shell, over duplicated grid rows."""
+    point = st.tuples(*[st.integers(-3, 3)] * k)
+    pool = data.draw(st.lists(point, min_size=1, max_size=10, unique=True), label="pool")
+    rows = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=60), label="rows")
+    pred = np.array(rows, dtype=float)
+    succ = np.array(data.draw(st.lists(point, min_size=len(rows), max_size=len(rows)), label="succ"), dtype=float)
+    y = np.array(data.draw(st.sampled_from(pool), label="y"), dtype=float)
+    if case == "empty top ball" or data.draw(st.booleans(), label="off-grid"):
+        y += 0.5
+    dist = np.unique(np.linalg.norm(pred - y, axis=1))
+    far = 2.0 * dist[-1] + 1.0
+    gaps = [b - (b - a) * f for a, b in zip(dist, dist[1:]) for f in (0.25, 0.5, 0.75)]
+    if case == "empty top ball":
+        ladder = [dist[0], dist[0] / 2, dist[0] / 4]
+    elif case == "empty inner shells":
+        a, b = data.draw(st.sampled_from(list(zip([0.0, *dist], [*dist, far]))), label="gap")
+        ladder = [far, *(b - (b - a) * f for f in (0.25, 0.5, 0.75) if b - (b - a) * f > 0)]
+    elif case == "exact distances":
+        exact = [e for e in dist if e > 0] or [1.0]
+        ladder = data.draw(st.lists(st.sampled_from(exact), min_size=1, unique=True), label="levels")
+    elif case == "innermost shell":
+        ladder = [2 * far, far]
+    else:
+        candidates = st.sampled_from([far, *gaps, *(e for e in dist if e > 0)])
+        ladder = data.draw(st.lists(candidates, min_size=1, max_size=8, unique=True), label="levels")
+    ladder = sorted({float(e) for e in ladder}, reverse=True)
+    est = BruteEngine(PairedVectors(k, pred, succ)).profile(y, ladder, min_count=2)
+    levels = norm_profile(pred, succ, y, ladder)
+    assert_levels_close(est, levels, succ, ladder, 2)
+    if case == "empty top ball":
+        assert all(count == 0 for count, _, _ in levels)
+    elif case == "innermost shell":
+        assert levels[-1][0] == len(pred)
+
+
+def test_brute_sigma_of_large_tight_balls():
+    """k = 2 balls of 1e4-7e4 points whose successors spread 1e-5 around 10,
+    with a trend across the shells: sigma matches math.fsum enumeration to
+    1e-9 relative and chi to 1e-12."""
+    rng = np.random.default_rng(43)
+    n = 400_000
+    pred = rng.uniform(0.0, 1.0, (n, 2))
+    succ = np.where(pred[:, :1] < 0.5, 10.0 + 1e-5 * (rng.normal(size=(n, 2)) + pred), 0.0)
+    y = np.array([0.25, 0.5])
+    ladder = [0.24, 0.12]
+    est = BruteEngine(PairedVectors(2, pred, succ)).profile(y, ladder, 2)
+    d = np.linalg.norm(pred - y, axis=1)
+    assert est.ladder[1].count > 10_000
+    for eps, entry in zip(ladder, est.ladder):
+        cloud = succ[d < eps]
+        assert entry.count == len(cloud)
+        chi = np.array([math.fsum(c) / len(cloud) for c in cloud.T])
+        sigma = math.sqrt(math.fsum(((cloud - chi) ** 2).ravel()) / len(cloud))
+        assert abs(entry.sigma - sigma) <= 1e-9 * sigma
+        assert np.all(np.abs(entry.chi - chi) <= 1e-12 * chi)
 
 
 def test_brute_distances_equal_norm():
