@@ -1,23 +1,21 @@
-"""Scalar map cores and the long-orbit loops that iterate them.
+"""Scalar map cores and the compiled long-orbit loops that iterate them.
 
-dynamics.step_state calls the same cores one step at a time and is the
-scalar reference the loops are tested against, so the two cannot drift
-apart.  There is one loop per map: the skew product, whose first two rows
-are the orbit of the planar spiral map (its base) and whose first row, the
-radius, depends on r alone, and the Henon map.  Each loop fills a
-(state_dim, n) block, so the (n, state_dim) view that dynamics.trajectory
-returns has contiguous columns; it writes through 1-D row views, which cost
-an interpreted loop half as much per store as 2-D indexing.
+dynamics.step_state calls the cores one step at a time; it is the one Python
+definition of each map.  ``_orbits.c`` repeats the cores and iterates them
+in two loops: the skew product, whose first two rows are the orbit of the
+planar spiral map (its base) and whose first row, the radius, depends on r
+alone, and the Henon map.  Each loop fills a (state_dim, n) block, so the
+(n, state_dim) view that dynamics.trajectory returns has contiguous columns.
 
-The loops exist twice.  The ``*_py`` functions here are the reference;
-``_orbits.c`` repeats them statement for statement.  The first orbit call
-compiles it with gcc into ``__pycache__`` beside this file (the file name
-carries the sha256 of the source and flags; builds of other sources are
-deleted) and loads it with ctypes; later processes load the cached library.
-The public ``*_orbit`` names run the C loops and fall back to the Python ones
-when gcc is missing or the build or load fails.  BACKEND names the loops in
-use, "c" or "python", once an orbit has been asked for.  Both compute every
-double as CPython does, so their blocks are bitwise equal.
+The first orbit call compiles ``_orbits.c`` with gcc into ``__pycache__``
+beside this file (the file name carries the sha256 of the source and flags;
+builds of other sources are deleted) and loads it with ctypes; later
+processes load the cached library.  The C computes every double as CPython
+does, so its blocks are bitwise equal to step_state iterated.  ``skew_orbit``
+and ``henon_orbit`` return None when the C cannot run: gcc is missing, the
+build or load failed, or (skew product) CPython would raise on the orbit.
+dynamics.trajectory then iterates step_state instead.  BACKEND names the
+loops in use, "c" or "python", once an orbit has been asked for.
 """
 
 import ctypes
@@ -81,23 +79,17 @@ def angle_dist_core(phi, target):
     return d
 
 
-def lambda_bump_core(r, phi, delta):
-    """1 on U_p, 0 outside the 2*delta box around p; smooth in between."""
+def bump_core(r, phi, delta, target):
+    """1 on the delta box around the circle point at angle target, 0 outside
+    the 2*delta box; smooth in between.  U_p has target 0, U_q target pi."""
     fr = smooth_step(2.0 - abs(1.0 - r) / delta)
-    fa = smooth_step(2.0 - angle_dist_core(phi, 0.0) / delta)
-    return fr * fa
-
-
-def rho_bump_core(r, phi, delta):
-    """Same bump shape around q (angle pi)."""
-    fr = smooth_step(2.0 - abs(1.0 - r) / delta)
-    fa = smooth_step(2.0 - angle_dist_core(phi, math.pi) / delta)
+    fa = smooth_step(2.0 - angle_dist_core(phi, target) / delta)
     return fr * fa
 
 
 def fiber_core(r, phi, t, kappa, delta, alpha):
-    lam = lambda_bump_core(r, phi, delta)
-    rho = rho_bump_core(r, phi, delta)
+    lam = bump_core(r, phi, delta, 0.0)
+    rho = bump_core(r, phi, delta, math.pi)
     s = math.sin(math.pi * t)
     return (t + lam * G_AMPLITUDE * s * s + rho * alpha) % 1.0
 
@@ -106,59 +98,6 @@ def wrap(x, period):
     """x mod period in [0, period): a tiny negative x rounds x % period up to period."""
     w = x % period
     return 0.0 if w == period else w
-
-
-# -- the reference loops --------------------------------------------------------
-
-
-def skew_orbit_py(r0, phi0, t0, kappa, delta, alpha, n, burn_in):
-    """(3, n) block of (r_i, phi_i, t_i) along the skew product; phi kept wrapped to [0, 2*pi)."""
-    r, phi, t = float(r0), wrap(float(phi0), TWO_PI), wrap(float(t0), 1.0)
-    kappa, delta, alpha = float(kappa), float(delta), float(alpha)
-    out = np.empty((3, n))
-    rs, ps, ts = out[0], out[1], out[2]
-    for _ in range(burn_in):
-        tn = fiber_core(r, phi, t, kappa, delta, alpha)
-        phi = phi_core(r, phi, kappa) % TWO_PI
-        r = r_core(r, kappa)
-        t = tn
-    for i in range(n):
-        rs[i] = r
-        ps[i] = phi
-        ts[i] = t
-        tn = fiber_core(r, phi, t, kappa, delta, alpha)
-        phi = phi_core(r, phi, kappa) % TWO_PI
-        r = r_core(r, kappa)
-        t = tn
-    return out
-
-
-def henon_orbit_py(x0, y0, a, b, n, burn_in):
-    """Henon iterates as a (2, n) block of (x_i, y_i).
-
-    Returns (block, fail): fail == 0 on success; fail < 0 means divergence at
-    burn-in step -fail (block empty); fail > 0 means the state at output index
-    fail went non-finite and only the prefix [:, :fail] is returned.
-    """
-    x, y, a, b = float(x0), float(y0), float(a), float(b)
-    out = np.empty((2, n))
-    xs, ys = out[0], out[1]
-    for i in range(burn_in):
-        xn = 1.0 - a * x * x + y
-        y = b * x
-        x = xn
-        if not (math.isfinite(x) and math.isfinite(y)):
-            return out[:, :0], -(i + 1)
-    for i in range(n):
-        xs[i] = x
-        ys[i] = y
-        xn = 1.0 - a * x * x + y
-        y = b * x
-        x = xn
-        if not (math.isfinite(x) and math.isfinite(y)):
-            if i + 1 < n:
-                return out[:, : i + 1], i + 1
-    return out, 0
 
 
 # -- the compiled loops ---------------------------------------------------------
@@ -219,21 +158,28 @@ def _library():
 
 
 def skew_orbit(r0, phi0, t0, kappa, delta, alpha, n, burn_in):
-    """(3, n) block of (r_i, phi_i, t_i) along the skew product, as skew_orbit_py."""
+    """(3, n) block of (r_i, phi_i, t_i) along the skew product, phi and t
+    wrapped to [0, 2*pi) and [0, 1); None when the C cannot run it."""
     lib = _library()
     if lib is None:
-        return skew_orbit_py(r0, phi0, t0, kappa, delta, alpha, n, burn_in)
+        return None
     out = np.empty((3, n))
     if lib.skew_orbit(r0, phi0, t0, kappa, delta, alpha, n, burn_in, out.ctypes.data):
-        return skew_orbit_py(r0, phi0, t0, kappa, delta, alpha, n, burn_in)  # raises
+        return None  # CPython raises on this orbit
     return out
 
 
 def henon_orbit(x0, y0, a, b, n, burn_in):
-    """Henon iterates as (block, fail), with the fail convention of henon_orbit_py."""
+    """Henon iterates as (block, fail) for a (2, n) block of (x_i, y_i); None
+    when the C cannot run.
+
+    fail == 0 on success; fail < 0 means divergence at burn-in step -fail
+    (block empty); fail > 0 means the state at output index fail went
+    non-finite and only the prefix [:, :fail] is returned.
+    """
     lib = _library()
     if lib is None:
-        return henon_orbit_py(x0, y0, a, b, n, burn_in)
+        return None
     out = np.empty((2, n))
     fail = lib.henon_orbit(x0, y0, a, b, n, burn_in, out.ctypes.data)
     if fail < 0:

@@ -1,11 +1,12 @@
-/* The orbit loops of _kernels.py in C, statement for statement.
+/* The map cores of _kernels.py in C, statement for statement, and the two
+ * orbit loops that iterate them as dynamics.step_state does.
  *
  * Built with -O2 -ffp-contract=off -fno-fast-math, so every double operation
  * is rounded as in CPython and no multiply-add is fused; sin and exp are the
  * libm functions CPython's math module calls.  The loops are therefore
- * bitwise equal to the Python ones.  Where CPython would raise (a zero
- * divisor, an exp that overflows, the sine of an infinity) the loop stops
- * and returns 1, and the caller reruns the Python loop, which raises.
+ * bitwise equal to step_state iterated.  Where CPython would raise (a zero
+ * divisor, an exp that overflows, the sine of an infinity) the skew loop
+ * stops and returns 1, and the caller iterates step_state, which raises.
  */
 
 #include <math.h>
@@ -109,24 +110,17 @@ static double angle_dist_core(double phi, double target)
     return d;
 }
 
-static double lambda_bump_core(double r, double phi, double delta)
+static double bump_core(double r, double phi, double delta, double target)
 {
     double fr = smooth_step(2.0 - py_div(fabs(1.0 - r), delta));
-    double fa = smooth_step(2.0 - py_div(angle_dist_core(phi, 0.0), delta));
-    return fr * fa;
-}
-
-static double rho_bump_core(double r, double phi, double delta)
-{
-    double fr = smooth_step(2.0 - py_div(fabs(1.0 - r), delta));
-    double fa = smooth_step(2.0 - py_div(angle_dist_core(phi, PI), delta));
+    double fa = smooth_step(2.0 - py_div(angle_dist_core(phi, target), delta));
     return fr * fa;
 }
 
 static double fiber_core(double r, double phi, double t, double kappa, double delta, double alpha)
 {
-    double lam = lambda_bump_core(r, phi, delta);
-    double rho = rho_bump_core(r, phi, delta);
+    double lam = bump_core(r, phi, delta, 0.0);
+    double rho = bump_core(r, phi, delta, PI);
     double s = py_sin(PI * t);
     return py_mod(t + lam * G_AMPLITUDE * s * s + rho * alpha, 1.0);
 }
@@ -160,7 +154,7 @@ int skew_orbit(double r0, double phi0, double t0, double kappa, double delta, do
     return raises;
 }
 
-/* The fail code of _kernels.henon_orbit_py: 0, -(burn-in step) or the prefix length. */
+/* The fail code of _kernels.henon_orbit: 0, -(burn-in step) or the prefix length. */
 int64_t henon_orbit(double x0, double y0, double a, double b, int64_t n, int64_t burn_in,
                     double *out)
 {

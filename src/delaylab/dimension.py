@@ -83,6 +83,18 @@ def _fit(log_eps, values):
     return slope, intercept, min(max(r2, 0.0), 1.0)
 
 
+def _check_ladder(ladder):
+    """The ladder as floats, non-empty, strictly decreasing and positive.
+
+    Written as comparisons that must hold, so a NaN level, which compares
+    false, is rejected. Used by the dimension estimators and predictability.
+    """
+    ladder = [float(e) for e in ladder]
+    if not (ladder and all(b < a for a, b in zip(ladder, ladder[1:])) and ladder[-1] > 0.0):
+        raise ValueError(f"ladder must be strictly decreasing and positive, got {ladder}")
+    return ladder
+
+
 def sample_model_measure(n, seed):
     """n draws from the half atom / half uniform-circle model measure.
 
@@ -104,9 +116,7 @@ def ball_mass_dimension(mu, ladder, n_centers, seed):
     form), while the returned estimate is the slope of the averaged
     log-mass against log eps over the ladder.
     """
-    ladder = [float(e) for e in ladder]
-    if any(b >= a for a, b in zip(ladder, ladder[1:])) or ladder[-1] <= 0.0:
-        raise ValueError("ladder must be strictly decreasing and positive")
+    ladder = _check_ladder(ladder)
     if n_centers < 1:
         raise ValueError("n_centers must be >= 1")
     rng = np.random.default_rng(seed)
@@ -173,9 +183,7 @@ def box_counting_idim(mu, ladder):
     Cubes have side eps and are anchored at the origin lattice; the estimate
     is the slope of H(eps) against log eps.
     """
-    ladder = [float(e) for e in ladder]
-    if any(b >= a for a, b in zip(ladder, ladder[1:])) or ladder[-1] <= 0.0:
-        raise ValueError("ladder must be strictly decreasing and positive")
+    ladder = _check_ladder(ladder)
     if len(ladder) < 2:
         raise ValueError("fewer than 2 usable levels, estimate undefined")
     values = []

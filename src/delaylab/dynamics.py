@@ -3,11 +3,12 @@ skew-product extension over the circle, the two-piece model system, and the
 Henon benchmark map.
 
 Every state is a tuple (one step) or an (n, state_dim) float array (an
-orbit).  ``step_state`` is the scalar reference: it advances one state
-through the same cores (see _kernels) that ``trajectory``'s compiled loops
-iterate, so long orbits stay cheap and are tested against it.  The caller
-names every start state; ``ambient_of_states`` maps a whole orbit to the
-ambient rows that observables are evaluated on.
+orbit).  ``step_state`` is the one Python definition of each map: it
+advances one state through the cores of _kernels.  ``trajectory`` runs the
+C loops of _orbits.c, which are tested bitwise against step_state, and
+iterates step_state itself where the C cannot run.  The caller names every
+start state; ``ambient_of_states`` maps a whole orbit to the ambient rows
+that observables are evaluated on.
 
 Layout: every (n, d) point array returned here, orbit or ambient, is the .T
 view of a coordinate-major (d, n) block, so each coordinate is a contiguous
@@ -15,6 +16,7 @@ column.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +46,8 @@ class SystemConfig:
 
     kappa is the spiral perturbation strength, delta the half-width of the
     angular boxes around the two circle fixed points, alpha the rotation
-    angle in turns.  The Henon map has the fixed constants HENON_A, HENON_B.
+    angle in turns; all three are stored as floats, so the maps compute in
+    double.  The Henon map has the fixed constants HENON_A, HENON_B.
     """
 
     system_id: str
@@ -53,6 +56,10 @@ class SystemConfig:
     delta: float = 0.1
 
     def __post_init__(self):
+        for name in ("alpha", "kappa", "delta"):
+            if not isinstance(getattr(self, name), numbers.Real):  # float() would parse a str
+                raise TypeError(f"{name} {getattr(self, name)!r} is not a real number")
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.system_id not in SYSTEM_IDS:
             raise ValueError(f"unknown system {self.system_id!r}")
         if not 0.0 < self.kappa <= 0.1:
@@ -98,19 +105,19 @@ def step_state(cfg, state):
 
     Encodings: rotation (t,), spiral_f (r, phi), skew_T (r, phi, t),
     model_T0 (component, t) with component 0 = marked point / 1 = circle,
-    henon (x, y).
+    henon (x, y).  The image angle phi is taken mod 2*pi, as in the C loops.
     """
     sid = cfg.system_id
     if sid == "rotation":
         return ((state[0] + cfg.alpha) % 1.0,)
     if sid == "spiral_f":
         r, phi = state
-        return (_k.r_core(r, cfg.kappa), _k.phi_core(r, phi, cfg.kappa))
+        return (_k.r_core(r, cfg.kappa), _k.phi_core(r, phi, cfg.kappa) % _k.TWO_PI)
     if sid == "skew_T":
         r, phi, t = state
         return (
             _k.r_core(r, cfg.kappa),
-            _k.phi_core(r, phi, cfg.kappa),
+            _k.phi_core(r, phi, cfg.kappa) % _k.TWO_PI,
             _k.fiber_core(r, phi, t, cfg.kappa, cfg.delta, cfg.alpha),
         )
     if sid == "model_T0":
@@ -172,11 +179,11 @@ def trajectory(cfg, x0, n, burn_in=0):
     """n states of the configured system after discarding burn_in iterates.
 
     Returns an (n, state_dim) float array in the encoding of step_state, the
-    .T view of a (state_dim, n) block.  The skew and Henon orbits view their
-    kernel's block, and a spiral_f orbit the first two rows (r, phi) of a skew
-    block from fiber start 0, so no second copy is made.  Raises
-    DivergenceError with the failing absolute iterate index if the state
-    leaves the finite range (Henon only; the compact systems cannot diverge).
+    .T view of a (state_dim, n) block.  Angles of the start state are
+    wrapped into [0, 2*pi) and fiber and circle coordinates into [0, 1).
+    Raises DivergenceError with the failing absolute iterate index if the
+    state leaves the finite range (Henon only; the compact systems cannot
+    diverge).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -191,11 +198,6 @@ def trajectory(cfg, x0, n, burn_in=0):
         t0 = _k.wrap(x0[0], 1.0)
         idx = np.arange(burn_in, burn_in + n, dtype=float)
         return ((t0 + idx * cfg.alpha) % 1.0)[:, None]
-    if sid in ("spiral_f", "skew_T"):
-        t0 = float(x0[2]) if sid == "skew_T" else 0.0  # the base rows do not read the fiber
-        block = _k.skew_orbit(float(x0[0]), float(x0[1]), t0, cfg.kappa, cfg.delta, cfg.alpha,
-                              n, burn_in)
-        return (block if sid == "skew_T" else block[:2]).T
     if sid == "model_T0":
         comp, t0 = float(x0[0]), _k.wrap(float(x0[1]), 1.0)
         block = np.zeros((2, n))
@@ -204,13 +206,48 @@ def trajectory(cfg, x0, n, burn_in=0):
             block[1] = (t0 + np.arange(burn_in, burn_in + n, dtype=float) * cfg.alpha) % 1.0
         return block.T
     if sid == "henon":
-        block, fail = _k.henon_orbit(float(x0[0]), float(x0[1]), HENON_A, HENON_B, n, burn_in)
-        if fail < 0:
-            raise DivergenceError(-fail)
-        if fail > 0:
-            raise DivergenceError(burn_in + fail)
-        return block.T
-    raise ValueError(sid)
+        start = (float(x0[0]), float(x0[1]))
+    else:
+        start = (float(x0[0]), _k.wrap(float(x0[1]), _k.TWO_PI))
+        if sid == "skew_T":
+            start += (_k.wrap(float(x0[2]), 1.0),)
+    block, fail = _orbit(cfg, start, n, burn_in)
+    if fail < 0:
+        raise DivergenceError(-fail)
+    if fail > 0:
+        raise DivergenceError(burn_in + fail)
+    return block.T
+
+
+def _orbit(cfg, start, n, burn_in):
+    """(block, fail) of a spiral_f, skew_T or Henon orbit from a wrapped start: the C loop's,
+    or step_state iterated when the C cannot run or CPython would raise on the orbit.  A
+    spiral_f block is rows (r, phi) of a skew block from fiber start 0, which they do not read."""
+    if cfg.system_id == "henon":
+        run = _k.henon_orbit(*start, HENON_A, HENON_B, n, burn_in)
+    else:
+        t0 = start[2] if len(start) == 3 else 0.0
+        block = _k.skew_orbit(start[0], start[1], t0, cfg.kappa, cfg.delta, cfg.alpha, n, burn_in)
+        run = None if block is None else (block[:len(start)], 0)
+    return _iterate(cfg, start, n, burn_in) if run is None else run
+
+
+def _iterate(cfg, state, n, burn_in):
+    """The interpreted orbit: step_state iterated into a (state_dim, n) block, as (block, fail)
+    like _kernels.henon_orbit.  As in the C loops, only Henon states are checked for leaving
+    the finite range, and a step on which CPython raises raises here."""
+    checked = cfg.system_id == "henon"
+    block = np.empty((len(state), n))
+    for i in range(burn_in):
+        state = step_state(cfg, state)
+        if checked and not all(map(math.isfinite, state)):
+            return block[:, :0], -(i + 1)
+    for i in range(n):
+        block[:, i] = state
+        state = step_state(cfg, state)
+        if checked and i + 1 < n and not all(map(math.isfinite, state)):
+            return block[:, : i + 1], i + 1
+    return block, 0
 
 
 # -- visit statistics ----------------------------------------------------------

@@ -12,6 +12,8 @@ from itertools import product
 
 import numpy as np
 
+_BLOCK_ROWS = 1 << 15  # rows per block of evaluate: 256 KB per column power
+
 
 def monomial_basis(ambient_dim, degree):
     """All exponent multi-indices of total degree <= degree, graded-lex order.
@@ -110,25 +112,29 @@ def evaluate(h, x):
     """Observable value at a coordinate vector, or at each of (n, d) rows.
 
     The rows are read one coordinate column at a time, so the .T view of a
-    (d, n) block (the layout of dynamics and manifold) reads contiguously.
-    Each power col ** e with e > 1 is taken once and shared by the terms.
+    (d, n) block (the layout of dynamics and manifold) reads contiguously,
+    _BLOCK_ROWS rows at a time.  Each power col ** e with e > 1 is taken
+    once per block and shared by the terms of that block.
     """
     coords = np.asarray(x, dtype=float)
     scalar = coords.ndim == 1
     rows = coords[None, :] if scalar else coords
     if rows.shape[1] != h.ambient_dim:
         raise ValueError(f"expected {h.ambient_dim} coordinates, got {rows.shape[1]}")
+    terms = h.total_coeffs().items()
     out = np.zeros(rows.shape[0])
-    term = np.empty_like(out)
-    powers = {}
-    for m, c in h.total_coeffs().items():
-        term.fill(c)
-        for j, e in enumerate(m):
-            if e == 1:
-                term *= rows[:, j]
-            elif e > 1:
-                if (j, e) not in powers:
-                    powers[j, e] = rows[:, j] ** e
-                term *= powers[j, e]
-        out += term
+    for start in range(0, len(out), _BLOCK_ROWS):
+        block, acc = rows[start:start + _BLOCK_ROWS], out[start:start + _BLOCK_ROWS]
+        term = np.empty_like(acc)
+        powers = {}
+        for m, c in terms:
+            term.fill(c)
+            for j, e in enumerate(m):
+                if e == 1:
+                    term *= block[:, j]
+                elif e > 1:
+                    if (j, e) not in powers:
+                        powers[j, e] = block[:, j] ** e
+                    term *= powers[j, e]
+            acc += term
     return float(out[0]) if scalar else out

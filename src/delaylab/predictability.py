@@ -30,10 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dimension import _check_ladder
+
 DEFAULT_MIN_COUNT = 20
 DEFAULT_THRESHOLD = 1e-3
 DEFAULT_LADDER_TOP = 0.2
 DEFAULT_LADDER_LEVELS = 8
+_DIST_BLOCK = 1 << 14  # points per block of BruteEngine.distances: 128 KB per array
 
 @dataclass(frozen=True)
 class LadderEntry:
@@ -87,11 +90,7 @@ def default_ladder(series, levels=DEFAULT_LADDER_LEVELS, top=DEFAULT_LADDER_TOP)
 
 
 def _validate_ladder(ladder, min_count=DEFAULT_MIN_COUNT):
-    ladder = [float(e) for e in ladder]
-    if len(ladder) < 1 or any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("ladder must be strictly decreasing")
-    if ladder[-1] <= 0.0:
-        raise ValueError("ladder levels must be positive")
+    ladder = _check_ladder(ladder)
     if min_count < 2:
         raise ValueError("min_count must be >= 2")
     return ladder
@@ -149,18 +148,21 @@ class BruteEngine:
         """Euclidean distance of every predecessor to y.
 
         ((c0 - y0)^2 + (c1 - y1)^2) + ..., summed in the order of
-        np.linalg.norm(pred - y, axis=1), so equal to it bitwise.
+        np.linalg.norm(pred - y, axis=1), so equal to it bitwise, in blocks
+        of _DIST_BLOCK points: no n-length temporary besides the result.
         """
         y = np.asarray(y, dtype=float).reshape(-1)
         if len(y) != self.k:
             raise ValueError(f"reference has {len(y)} coordinates, the series k = {self.k}")
-        sq = np.square(self.cols[0] - y[0])
-        if self.k > 1:
-            term = np.empty_like(sq)
+        d = np.empty(len(self.pred))
+        term = np.empty(min(len(d), _DIST_BLOCK))
+        for start in range(0, len(d), _DIST_BLOCK):
+            sq = d[start:start + _DIST_BLOCK]
+            t = term[:len(sq)]
+            np.square(np.subtract(self.cols[0][start:start + _DIST_BLOCK], y[0], out=sq), out=sq)
             for col, v in zip(self.cols[1:], y[1:]):
-                np.subtract(col, v, out=term)
-                sq += np.square(term, out=term)
-        return np.sqrt(sq, out=sq)
+                sq += np.square(np.subtract(col[start:start + _DIST_BLOCK], v, out=t), out=t)
+        return np.sqrt(d, out=d)
 
     def profile(self, y, ladder, min_count=DEFAULT_MIN_COUNT, threshold=DEFAULT_THRESHOLD):
         ladder = _validate_ladder(ladder, min_count)

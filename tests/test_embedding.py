@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from delaylab.dynamics import ambient_of_states, GOLDEN_ROTATION, SystemConfig, trajectory
 from delaylab.embedding import delay_map, delay_series, PairedVectors
-from delaylab.observables import evaluate, Observable, perturb
+from delaylab.observables import evaluate, monomial_basis, Observable, perturb
 
 
 def test_delay_series_examples():
@@ -57,12 +57,15 @@ def test_delay_map_rotation_cosine():
 @pytest.mark.parametrize("system,x0,k", [
     ("rotation", (0.33,), 3),
     ("henon", (0.1, 0.1), 3),
+    ("skew_T", (0.5, 1.0, 0.3), 3),
 ])
 def test_two_route_agreement(system, x0, k):
     cfg = SystemConfig(system)
-    h = perturb(Observable(2, "coord:0", degree_bound=2), np.random.default_rng(11).uniform(-0.3, 0.3, 6))
     n = 400
     orbit = trajectory(cfg, x0, n)
+    dim = ambient_of_states(cfg, orbit[:1]).shape[1]  # 2, or 5 on the skew product
+    amplitudes = np.random.default_rng(11).uniform(-0.3, 0.3, len(monomial_basis(dim, 2)))
+    h = perturb(Observable(dim, "coord:0", degree_bound=2), amplitudes)
     series = delay_series(evaluate(h, ambient_of_states(cfg, orbit)), k)
     rng = np.random.default_rng(12)
     for i in rng.integers(0, len(series), 12):

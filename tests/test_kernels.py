@@ -1,15 +1,14 @@
-"""The compiled orbit loops against the Python reference loops, bit for bit."""
+"""The compiled orbit loops against step_state iterated, bit for bit."""
 
-import math
 import shutil
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from delaylab import _kernels as _k
+from delaylab import _kernels as _k, dynamics
 from delaylab.dynamics import (DivergenceError, GOLDEN_ROTATION, HENON_A, HENON_B, SystemConfig,
-                               trajectory)
+                               _iterate, _orbit, step_state, trajectory)
 from delaylab.experiments import ExperimentConfig, run_experiment
 
 HAVE_GCC = shutil.which("gcc") is not None
@@ -32,8 +31,19 @@ def same_bytes(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def skew_steps(r0, phi0, t0, kappa, delta, alpha, n, burn_in):
+    """step_state iterated from the start that _k.skew_orbit wraps, as a (3, n) block."""
+    start = (r0, _k.wrap(phi0, _k.TWO_PI), _k.wrap(t0, 1.0))
+    return _iterate(SystemConfig("skew_T", alpha, kappa, delta), start, n, burn_in)[0]
+
+
+def henon_steps(x0, y0, n, burn_in):
+    """(block, fail) of step_state iterated on the Henon map."""
+    return _iterate(SystemConfig("henon"), (x0, y0), n, burn_in)
+
+
 def test_backend_is_c_when_gcc_present(monkeypatch):
-    # a compiler that is present but unused would silently cost 25x on every orbit
+    # a compiler that is present but unused would silently cost 24-230x on every orbit
     if not HAVE_GCC:
         pytest.skip("no C compiler on PATH")
     monkeypatch.setattr(_k, "_lib", None)
@@ -66,9 +76,9 @@ def test_failed_build_warns_and_runs_python(tmp_path, monkeypatch):
     monkeypatch.setattr(_k, "_lib", None)
     monkeypatch.setattr(_k, "BACKEND", None)
     with pytest.warns(RuntimeWarning, match="did not build"):
-        out = _k.skew_orbit(0.5, 1.0, 0.3, 0.05, 0.1, GOLDEN_ROTATION, 10, 0)
+        out = trajectory(SystemConfig("skew_T"), (0.5, 1.0, 0.3), 10)
     assert _k.BACKEND == "python"
-    assert same_bytes(out, _k.skew_orbit_py(0.5, 1.0, 0.3, 0.05, 0.1, GOLDEN_ROTATION, 10, 0))
+    assert same_bytes(out.T, skew_steps(0.5, 1.0, 0.3, 0.05, 0.1, GOLDEN_ROTATION, 10, 0))
 
 
 @needs_c
@@ -80,15 +90,18 @@ def test_failed_build_warns_and_runs_python(tmp_path, monkeypatch):
 @pytest.mark.parametrize("burn_in", [0, 1_000])
 def test_skew_orbit_bytes_equal(r0, phi0, t0, kappa, delta, burn_in):
     args = (r0, phi0, t0, kappa, delta, GOLDEN_ROTATION, 100_000, burn_in)
-    assert same_bytes(_k.skew_orbit(*args), _k.skew_orbit_py(*args))
+    assert same_bytes(_k.skew_orbit(*args), skew_steps(*args))
 
 
 @needs_c
-@pytest.mark.parametrize("x0,y0,a,b", [(0.0, 0.0, 1.4, 0.3), (0.1, -0.2, 1.2, 0.25)])
+@pytest.mark.parametrize("x0,y0,a,b", [(0.0, 0.0, HENON_A, HENON_B), (0.1, -0.2, 1.2, 0.25)])
 @pytest.mark.parametrize("burn_in", [0, 1_000])
-def test_henon_orbit_bytes_equal(x0, y0, a, b, burn_in):
-    args = (x0, y0, a, b, 100_000, burn_in)
-    (got, got_fail), (want, want_fail) = _k.henon_orbit(*args), _k.henon_orbit_py(*args)
+def test_henon_orbit_bytes_equal(x0, y0, a, b, burn_in, monkeypatch):
+    # the C loop takes the constants as arguments, step_state reads them from dynamics
+    monkeypatch.setattr(dynamics, "HENON_A", a)
+    monkeypatch.setattr(dynamics, "HENON_B", b)
+    (got, got_fail), (want, want_fail) = (_k.henon_orbit(x0, y0, a, b, 100_000, burn_in),
+                                          henon_steps(x0, y0, 100_000, burn_in))
     assert got_fail == want_fail == 0
     assert same_bytes(got, want)
 
@@ -96,8 +109,9 @@ def test_henon_orbit_bytes_equal(x0, y0, a, b, burn_in):
 @needs_c
 @pytest.mark.parametrize("n,burn_in", [(1_000, 0), (1_000, 3), (1_000, 1_000)])
 def test_henon_divergence_same_fail_and_prefix(n, burn_in):
-    args = (2.0, 2.0, 4.0, 0.9, n, burn_in)
-    (got, got_fail), (want, want_fail) = _k.henon_orbit(*args), _k.henon_orbit_py(*args)
+    # from (2, 2) the map diverges at iterate 11: in the output, or in the burn-in
+    got, got_fail = _k.henon_orbit(2.0, 2.0, HENON_A, HENON_B, n, burn_in)
+    want, want_fail = henon_steps(2.0, 2.0, n, burn_in)
     assert got_fail == want_fail != 0
     assert same_bytes(got, want)
 
@@ -105,9 +119,9 @@ def test_henon_divergence_same_fail_and_prefix(n, burn_in):
 @needs_c
 def test_henon_divergence_on_last_step_keeps_block():
     # an orbit whose last stored state is finite but whose next image is not
-    _, fail = _k.henon_orbit_py(2.0, 2.0, 4.0, 0.9, 1_000, 0)
-    args = (2.0, 2.0, 4.0, 0.9, fail, 0)
-    (got, got_fail), (want, want_fail) = _k.henon_orbit(*args), _k.henon_orbit_py(*args)
+    _, fail = henon_steps(2.0, 2.0, 1_000, 0)
+    got, got_fail = _k.henon_orbit(2.0, 2.0, HENON_A, HENON_B, fail, 0)
+    want, want_fail = henon_steps(2.0, 2.0, fail, 0)
     assert got_fail == want_fail == 0
     assert same_bytes(got, want)
 
@@ -116,7 +130,7 @@ def test_henon_divergence_on_last_step_keeps_block():
 def test_henon_divergence_index_same_across_backends(backend, burn_in):
     # from (2, 2) the default map diverges at iterate 11: after the output starts
     # with burn_in = 0, inside the burn-in with burn_in = 1000
-    _, fail = _k.henon_orbit_py(2.0, 2.0, HENON_A, HENON_B, 1_000, burn_in)
+    _, fail = henon_steps(2.0, 2.0, 1_000, burn_in)
     assert (fail > 0) == (burn_in == 0)
     expected = -fail if fail < 0 else burn_in + fail
     with pytest.raises(DivergenceError) as err:
@@ -125,9 +139,11 @@ def test_henon_divergence_index_same_across_backends(backend, burn_in):
 
 
 def test_zero_radius_raises_like_python(backend):
-    # eta divides by r inside the inner annulus, so r = 0 is a ZeroDivisionError in CPython
+    # eta divides by r inside the inner annulus, so r = 0 is a ZeroDivisionError in CPython:
+    # the C loop reports it, and the step_state rerun raises it
+    assert _k.skew_orbit(0.0, 1.0, 0.3, 0.05, 0.1, GOLDEN_ROTATION, 10, 0) is None
     with pytest.raises(ZeroDivisionError):
-        _k.skew_orbit(0.0, 1.0, 0.3, 0.05, 0.1, GOLDEN_ROTATION, 10, 0)
+        _orbit(SystemConfig("skew_T"), (0.0, 1.0, 0.3), 10, 0)
 
 
 @pytest.mark.parametrize("system,start", [
@@ -140,15 +156,22 @@ def test_trajectory_rejects_nonpositive_radius(system, start):
         trajectory(SystemConfig(system), start, 10)
 
 
-@needs_c
-def test_numpy_scalar_arguments_compute_in_double():
-    # the C loops take doubles; the Python loops must not round in the inputs' float32
+def test_numpy_scalar_arguments_compute_in_double(monkeypatch):
+    # the C loops take doubles; step_state must not round in the inputs' float32
     f32 = np.float32
-    skew = (f32(0.9), f32(0.1), f32(0.3), f32(0.05), f32(0.1), f32(GOLDEN_ROTATION), 5, 2)
-    assert same_bytes(_k.skew_orbit(*skew), _k.skew_orbit_py(*skew))
-    henon = (f32(0.1), f32(0.2), f32(1.4), f32(0.3), 5, 2)
-    (got, got_fail), (want, want_fail) = _k.henon_orbit(*henon), _k.henon_orbit_py(*henon)
-    assert got_fail == want_fail == 0 and same_bytes(got, want)
+    for cfg, start in [
+        (SystemConfig("skew_T", f32(GOLDEN_ROTATION), f32(0.05), f32(0.1)),
+         (f32(0.9), f32(0.1), f32(0.3))),
+        (SystemConfig("henon"), (f32(0.1), f32(0.2))),
+    ]:
+        state, want = tuple(map(float, start)), []
+        for _ in range(7):
+            want.append(state)
+            state = step_state(cfg, state)
+            assert all(type(v) is float for v in state)
+        for lib in (_k._library(), None):  # the C loops where they build, then step_state
+            monkeypatch.setattr(_k, "_lib", lib)
+            assert same_bytes(trajectory(cfg, start, 5, 2), np.array(want[2:]))
 
 
 @needs_c
@@ -160,7 +183,7 @@ def test_numpy_scalar_arguments_compute_in_double():
 )
 def test_skew_orbit_equal_property(r0, phi0, t0, kappa, delta, alpha, n, burn_in):
     args = (r0, phi0, t0, kappa, delta, alpha, n, burn_in)
-    assert same_bytes(_k.skew_orbit(*args), _k.skew_orbit_py(*args))
+    assert same_bytes(_k.skew_orbit(*args), skew_steps(*args))
 
 
 fiber = st.tuples(st.floats(-3.0, 3.0), st.floats(1e-3, 0.2), st.floats(0.0, 1.0))  # (t0, delta, alpha)
@@ -175,10 +198,16 @@ fiber = st.tuples(st.floats(-3.0, 3.0), st.floats(1e-3, 0.2), st.floats(0.0, 1.0
 def test_skew_base_rows_property(backend, r0, phi0, phi1, kappa, fiber0, fiber1, n, burn_in):
     # the spiral orbit is rows 0-1 of any skew block, and its radius row iterates r_core alone
     (t0, delta0, alpha0), (t1, delta1, alpha1) = fiber0, fiber1
-    block = _k.skew_orbit(r0, phi0, t0, kappa, delta0, alpha0, n, burn_in)
-    assert same_bytes(block[:2], _k.skew_orbit(r0, phi0, t1, kappa, delta1, alpha1, n, burn_in)[:2])
-    radius = _k.skew_orbit(r0, phi0, t0, kappa, delta0, alpha0, n, 1)[0]
-    assert same_bytes(radius, _k.skew_orbit(r0, phi1, t1, kappa, delta1, alpha1, n, 1)[0])
+
+    def skew(phi, t, delta, alpha, burn_in):
+        return trajectory(SystemConfig("skew_T", alpha, kappa, delta), (r0, phi, t), n, burn_in).T
+
+    block = skew(phi0, t0, delta0, alpha0, burn_in)
+    assert same_bytes(block[:2], skew(phi0, t1, delta1, alpha1, burn_in)[:2])
+    spiral = trajectory(SystemConfig("spiral_f", alpha1, kappa, delta1), (r0, phi0), n, burn_in).T
+    assert same_bytes(block[:2], spiral)
+    radius = skew(phi0, t0, delta0, alpha0, 1)[0]
+    assert same_bytes(radius, skew(phi1, t1, delta1, alpha1, 1)[0])
     r, want = r0, np.empty(n)
     for i in range(n):
         r = _k.r_core(r, kappa)
@@ -188,13 +217,15 @@ def test_skew_base_rows_property(backend, r0, phi0, phi1, kappa, fiber0, fiber1,
 
 @needs_c
 @settings(max_examples=60, deadline=None)
-@given(
-    x0=st.floats(-2.0, 2.0), y0=st.floats(-2.0, 2.0), a=st.floats(0.0, 5.0), b=st.floats(-1.0, 1.0),
-    n=st.integers(1, 80), burn_in=st.integers(0, 40),
-)
+@given(x0=st.floats(-2.0, 2.0), y0=st.floats(-2.0, 2.0), a=st.floats(0.0, 5.0),
+       b=st.floats(-1.0, 1.0), n=st.integers(1, 80), burn_in=st.integers(0, 40))
 def test_henon_orbit_equal_property(x0, y0, a, b, n, burn_in):
-    args = (x0, y0, a, b, n, burn_in)
-    (got, got_fail), (want, want_fail) = _k.henon_orbit(*args), _k.henon_orbit_py(*args)
+    # many of these orbits diverge, in the burn-in or in the output
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "HENON_A", a)
+        mp.setattr(dynamics, "HENON_B", b)
+        (got, got_fail), (want, want_fail) = (_k.henon_orbit(x0, y0, a, b, n, burn_in),
+                                              henon_steps(x0, y0, n, burn_in))
     assert got_fail == want_fail
     assert same_bytes(got, want)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from delaylab.manifold import product_ambient_array
 from delaylab.observables import (
+    _BLOCK_ROWS,
     evaluate,
     monomial_basis,
     Observable,
@@ -94,16 +95,18 @@ def test_observable_validation():
 
 
 def test_evaluate_equals_per_term_powers():
-    """Shared column powers leave evaluate bitwise equal to taking col ** e
-    afresh in every term of a degree-5 observable."""
+    """Shared column powers and row blocks leave evaluate bitwise equal to
+    taking col ** e afresh in every term of a degree-5 observable, over all
+    rows at once: within one block, and over several ending in a partial one."""
     rng = np.random.default_rng(6)
     h = perturb(Observable(2, "coord:0", degree_bound=5), rng.uniform(-1, 1, len(monomial_basis(2, 5))))
-    rows = rng.uniform(-1.5, 1.5, (2, 1000)).T
-    naive = np.zeros(len(rows))
-    for m, c in h.total_coeffs().items():
-        term = np.full(len(rows), c)
-        for j, e in enumerate(m):
-            if e:
-                term *= rows[:, j] ** e
-        naive += term
-    assert np.array_equal(evaluate(h, rows), naive)
+    for n in (1000, 3 * _BLOCK_ROWS + 17):
+        rows = rng.uniform(-1.5, 1.5, (2, n)).T
+        naive = np.zeros(n)
+        for m, c in h.total_coeffs().items():
+            term = np.full(n, c)
+            for j, e in enumerate(m):
+                if e:
+                    term *= rows[:, j] ** e
+            naive += term
+        assert np.array_equal(evaluate(h, rows), naive)

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from delaylab.dimension import ball_mass_dimension, box_counting_idim, EmpiricalMeasure
 from delaylab.dynamics import ambient_of_states, GOLDEN_ROTATION, SystemConfig, trajectory
 from delaylab.embedding import delay_series, PairedVectors
 from delaylab.experiments import _draw, ExperimentConfig, run_experiment
 from delaylab.observables import evaluate, Observable
 from delaylab.predictability import (
+    _DIST_BLOCK,
     BruteEngine,
     chi_sigma,
     default_ladder,
@@ -144,6 +146,22 @@ def test_sigma_profile_ladder_validation():
         BruteEngine(s).profile([0.0], [0.1, 0.2])  # not decreasing
     with pytest.raises(ValueError):
         BruteEngine(s).profile([0.0], [0.1], min_count=1)
+
+
+@pytest.mark.parametrize("ladder", [[math.nan, 0.5, 0.25], [1.0, math.nan, 0.25],
+                                    [1.0, 0.5, math.nan]])
+def test_nan_ladder_level_rejected(ladder):
+    # a NaN level compares false both ways: an empty ball to one engine, one point to the other
+    s = delay_series(np.arange(10.0), 1)
+    mu = EmpiricalMeasure.uniform(np.arange(20.0).reshape(10, 2))
+    for call in (lambda: BruteEngine(s).profile([1.0], ladder),
+                 lambda: Sorted1DEngine(s).profile([1.0], ladder),
+                 lambda: Sorted1DEngine(s, [[1.0]], ladder),
+                 lambda: chi_sigma(s, [1.0], math.nan),
+                 lambda: ball_mass_dimension(mu, ladder, 5, 0),
+                 lambda: box_counting_idim(mu, ladder)):
+        with pytest.raises(ValueError, match="ladder"):
+            call()
 
 
 def test_linear_system_sigma_rate():
@@ -486,6 +504,16 @@ def test_brute_distances_equal_norm():
         engine = BruteEngine(PairedVectors(k, pred, pred))
         y = pred[3] + 1e-9
         assert np.all(engine.distances(y) == np.linalg.norm(pred - y, axis=1))
+
+
+def test_brute_distances_equal_norm_across_blocks():
+    # several blocks of the distance pass, ending in a partial one
+    rng = np.random.default_rng(32)
+    for k in (1, 2, 3):
+        pred = rng.normal(size=(2 * _DIST_BLOCK + 5, k))
+        y = pred[7] + 1e-9
+        assert np.all(BruteEngine(PairedVectors(k, pred, pred)).distances(y)
+                      == np.linalg.norm(pred - y, axis=1))
 
 
 def test_brute_distances_reject_wrong_width():
