@@ -1,4 +1,4 @@
-"""Scalar map cores and the compiled long-orbit loops that iterate them.
+"""Scalar map cores and the compiled loops: the long orbits and the k = 1 bin search.
 
 dynamics.step_state calls the cores one step at a time; it is the one Python
 definition of each map.  ``_orbits.c`` repeats the cores and iterates them
@@ -6,16 +6,20 @@ in two loops: the skew product, whose first two rows are the orbit of the
 planar spiral map (its base) and whose first row, the radius, depends on r
 alone, and the Henon map.  Each loop fills a (state_dim, n) block, so the
 (n, state_dim) view that dynamics.trajectory returns has contiguous columns.
+A third loop, ``bin_right``, bins the k = 1 engine's series at its sorted
+ball edges, running 16 binary searches in lockstep.
 
-The first orbit call compiles ``_orbits.c`` with gcc into ``__pycache__``
-beside this file (the file name carries the sha256 of the source and flags;
-builds of other sources are deleted) and loads it with ctypes; later
-processes load the cached library.  The C computes every double as CPython
-does, so its blocks are bitwise equal to step_state iterated.  ``skew_orbit``
-and ``henon_orbit`` return None when the C cannot run: gcc is missing, the
-build or load failed, or (skew product) CPython would raise on the orbit.
-dynamics.trajectory then iterates step_state instead.  BACKEND names the
-loops in use, "c" or "python", once an orbit has been asked for.
+The first call to any of them compiles ``_orbits.c`` with gcc into
+``__pycache__`` beside this file (the file name carries the sha256 of the
+source and flags; builds of other sources are deleted) and loads it with
+ctypes; later processes load the cached library.  The C computes every
+double as CPython does, so its blocks are bitwise equal to step_state
+iterated, and its bins are numpy's.  ``skew_orbit`` and ``henon_orbit``
+return None when the C cannot run: gcc is missing, the build or load
+failed, or (skew product) CPython would raise on the orbit.
+dynamics.trajectory then iterates step_state instead; ``bin_right`` falls
+back to ``searchsorted``.  BACKEND names the code in use, "c" or "python",
+once any of the three has been called.
 """
 
 import ctypes
@@ -87,7 +91,7 @@ def bump_core(r, phi, delta, target):
     return fr * fa
 
 
-def fiber_core(r, phi, t, kappa, delta, alpha):
+def fiber_core(r, phi, t, delta, alpha):
     lam = bump_core(r, phi, delta, 0.0)
     rho = bump_core(r, phi, delta, math.pi)
     s = math.sin(math.pi * t)
@@ -105,12 +109,14 @@ def wrap(x, period):
 _SOURCE = Path(__file__).with_name("_orbits.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 _D, _I64 = ctypes.c_double, ctypes.c_int64
-_SIGNATURES = {  # name: (restype, argtypes); the last argument is the block
-    "skew_orbit": (ctypes.c_int, (_D, _D, _D, _D, _D, _D, _I64, _I64, ctypes.c_void_p)),
-    "henon_orbit": (_I64, (_D, _D, _D, _D, _I64, _I64, ctypes.c_void_p)),
+_P = ctypes.c_void_p
+_SIGNATURES = {  # name: (restype, argtypes); the last argument is the output array
+    "skew_orbit": (ctypes.c_int, (_D, _D, _D, _D, _D, _D, _I64, _I64, _P)),
+    "henon_orbit": (_I64, (_D, _D, _D, _D, _I64, _I64, _P)),
+    "bin_right": (None, (_P, _I64, _P, _I64, _P)),
 }
 
-BACKEND = None  # "c" or "python" once an orbit has been asked for
+BACKEND = None  # "c" or "python" once an orbit or a binning has been asked for
 _lib = None
 _load_lock = threading.Lock()
 
@@ -138,7 +144,7 @@ def _build_library():
 
 
 def _library():
-    """The loaded C loops, or None when they cannot be built here."""
+    """The loaded C library, or None when it cannot be built here."""
     global BACKEND, _lib
     with _load_lock:
         if BACKEND is None:
@@ -151,8 +157,9 @@ def _library():
                     _lib = lib
                 except (OSError, subprocess.SubprocessError, AttributeError) as exc:
                     detail = getattr(exc, "stderr", None) or exc
-                    warnings.warn(f"orbit loops run interpreted: {_SOURCE.name} did not build "
-                                  f"or load: {detail}", RuntimeWarning, stacklevel=3)
+                    warnings.warn(f"orbit loops run interpreted and k = 1 bins by searchsorted: "
+                                  f"{_SOURCE.name} did not build or load: {detail}",
+                                  RuntimeWarning, stacklevel=3)
             BACKEND = "python" if _lib is None else "c"
     return _lib
 
@@ -187,3 +194,17 @@ def henon_orbit(x0, y0, a, b, n, burn_in):
     if fail > 0:
         return out[:, :fail], fail
     return out, 0
+
+
+def bin_right(cuts, x):
+    """cuts.searchsorted(x, side="right") as int64 for sorted, NaN-free float cuts
+    and float values x, NaN values included (they land after every cut)."""
+    cuts, x = np.ascontiguousarray(cuts, dtype=float), np.ascontiguousarray(x, dtype=float)
+    if cuts.ndim != 1 or x.ndim != 1:
+        raise ValueError(f"cuts and values must be 1-D, not {cuts.ndim}-D and {x.ndim}-D")
+    lib = _library()
+    if lib is None:
+        return cuts.searchsorted(x, side="right")
+    out = np.empty(len(x), dtype=np.int64)
+    lib.bin_right(cuts.ctypes.data, len(cuts), x.ctypes.data, len(x), out.ctypes.data)
+    return out

@@ -1,5 +1,6 @@
-/* The map cores of _kernels.py in C, statement for statement, and the two
- * orbit loops that iterate them as dynamics.step_state does.
+/* The map cores of _kernels.py in C, statement for statement, the two
+ * orbit loops that iterate them as dynamics.step_state does, and the bin
+ * search of the k = 1 engine, which returns numpy's searchsorted indices.
  *
  * Built with -O2 -ffp-contract=off -fno-fast-math, so every double operation
  * is rounded as in CPython and no multiply-add is fused; sin and exp are the
@@ -117,7 +118,7 @@ static double bump_core(double r, double phi, double delta, double target)
     return fr * fa;
 }
 
-static double fiber_core(double r, double phi, double t, double kappa, double delta, double alpha)
+static double fiber_core(double r, double phi, double t, double delta, double alpha)
 {
     double lam = bump_core(r, phi, delta, 0.0);
     double rho = bump_core(r, phi, delta, PI);
@@ -137,7 +138,7 @@ int skew_orbit(double r0, double phi0, double t0, double kappa, double delta, do
     double tn;
     raises = 0;
     for (int64_t i = 0; i < burn_in && !raises; i++) {
-        tn = fiber_core(r, phi, t, kappa, delta, alpha);
+        tn = fiber_core(r, phi, t, delta, alpha);
         phi = py_mod(phi_core(r, phi, kappa), TWO_PI);
         r = r_core(r, kappa);
         t = tn;
@@ -146,7 +147,7 @@ int skew_orbit(double r0, double phi0, double t0, double kappa, double delta, do
         rs[i] = r;
         ps[i] = phi;
         ts[i] = t;
-        tn = fiber_core(r, phi, t, kappa, delta, alpha);
+        tn = fiber_core(r, phi, t, delta, alpha);
         phi = py_mod(phi_core(r, phi, kappa), TWO_PI);
         r = r_core(r, kappa);
         t = tn;
@@ -178,4 +179,50 @@ int64_t henon_orbit(double x0, double y0, double a, double b, int64_t n, int64_t
                 return i + 1;
     }
     return 0;
+}
+
+
+/* Bins of n values against m sorted, NaN-free cuts: out[i] counts the cuts c
+ * with !(x[i] < c), which is cuts.searchsorted(x, side="right"), a NaN value
+ * landing after every cut.  A branchless binary search is a chain of
+ * dependent loads, so LANES searches advance in lockstep and their loads
+ * overlap; all lanes share the same sequence of halvings. */
+#define LANES 16
+
+static void bin_lanes(const double *cuts, int64_t m, const double *x, int64_t *out)
+{
+    const double *base[LANES];
+    double v[LANES];
+    for (int j = 0; j < LANES; j++) {
+        base[j] = cuts;
+        v[j] = x[j];
+    }
+    for (int64_t len = m; len > 1; len -= len / 2) {
+        int64_t half = len / 2;
+        for (int j = 0; j < LANES; j++)
+            base[j] = v[j] < base[j][half] ? base[j] : base[j] + half;
+    }
+    for (int j = 0; j < LANES; j++)
+        out[j] = (base[j] - cuts) + !(v[j] < *base[j]);
+}
+
+void bin_right(const double *cuts, int64_t m, const double *x, int64_t n, int64_t *out)
+{
+    if (m == 0) {
+        for (int64_t i = 0; i < n; i++)
+            out[i] = 0;
+        return;
+    }
+    int64_t i = 0;
+    for (; i + LANES <= n; i += LANES)
+        bin_lanes(cuts, m, x + i, out + i);
+    if (i < n) { /* the last n - i values, padded with the first of them to a full set of lanes */
+        double v[LANES];
+        int64_t o[LANES];
+        for (int j = 0; j < LANES; j++)
+            v[j] = x[i + (j < n - i ? j : 0)];
+        bin_lanes(cuts, m, v, o);
+        for (int j = 0; i + j < n; j++)
+            out[i + j] = o[j];
+    }
 }

@@ -52,7 +52,7 @@ def main(argv=None):
 
     out = args.out if args.out is not None else Path("out") / f"{cfg.experiment_id}_seed{cfg.seed}"
     summary = run_experiment(cfg, out)
-    backend = _kernels.BACKEND or "none"  # None: the experiment ran no orbit loop
+    backend = _kernels.BACKEND or "none"  # None: the experiment reached no compiled loop
     print(f"{cfg.experiment_id} seed={cfg.seed} wall={summary.wall_time:.1f}s "
           f"backend={backend} -> {out}")
     for key in sorted(summary.metrics):

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .dynamics import ambient_of_states, sample_model_states, SystemConfig
 
@@ -124,6 +123,8 @@ def ball_mass_dimension(mu, ladder, n_centers, seed):
     # atoms repeat centers: each distinct one is queried once, its mass indexed back
     centers, inverse = np.unique(mu.points[idx], axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
+    from scipy.spatial import cKDTree  # most of the time of `import delaylab`: imported on use
+
     tree = cKDTree(mu.points)
     uniform = mu.is_uniform()
     values = []

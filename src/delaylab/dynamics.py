@@ -118,7 +118,7 @@ def step_state(cfg, state):
         return (
             _k.r_core(r, cfg.kappa),
             _k.phi_core(r, phi, cfg.kappa) % _k.TWO_PI,
-            _k.fiber_core(r, phi, t, cfg.kappa, cfg.delta, cfg.alpha),
+            _k.fiber_core(r, phi, t, cfg.delta, cfg.alpha),
         )
     if sid == "model_T0":
         comp, t = state
@@ -181,9 +181,10 @@ def trajectory(cfg, x0, n, burn_in=0):
     Returns an (n, state_dim) float array in the encoding of step_state, the
     .T view of a (state_dim, n) block.  Angles of the start state are
     wrapped into [0, 2*pi) and fiber and circle coordinates into [0, 1).
-    Raises DivergenceError with the failing absolute iterate index if the
-    state leaves the finite range (Henon only; the compact systems cannot
-    diverge).
+    Raises DivergenceError with the failing absolute iterate index if a
+    Henon state leaves the finite range, and ValueError for a spiral_f or
+    skew_T start whose radius is too large for the map's arithmetic; the
+    other systems cannot diverge.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -211,6 +212,11 @@ def trajectory(cfg, x0, n, burn_in=0):
         start = (float(x0[0]), _k.wrap(float(x0[1]), _k.TWO_PI))
         if sid == "skew_T":
             start += (_k.wrap(float(x0[2]), 1.0),)
+        # each step moves the radius monotonically toward 1 and keeps the angles wrapped, so
+        # when the first image is finite every later one is, and the loops need no check
+        if not all(map(math.isfinite, step_state(cfg, start))):
+            raise ValueError(f"start radius r0 = {start[0]!r} of {sid} leaves the finite range "
+                             f"on the first step")
     block, fail = _orbit(cfg, start, n, burn_in)
     if fail < 0:
         raise DivergenceError(-fail)

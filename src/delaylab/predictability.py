@@ -19,7 +19,8 @@ count a point inside a ball exactly when sqrt((x - y)^2 + ...) < eps:
 - Sorted1DEngine (k = 1) takes all references and the ladder at once.  It
   bins the series once between the exact float edges of every ball, with
   no sort, and merges each ball's bins from per-bin count, mean and
-  centred M2.
+  centred M2.  The binning is _kernels.bin_right, a compiled lockstep
+  binary search equal to searchsorted (searchsorted itself without gcc).
 
 Both merge moments with the pairwise formulas of Chan, Golub and LeVeque
 (_merge), and both hand per-level arrays to one result builder
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels as _k
 from .dimension import _check_ladder
 
 DEFAULT_MIN_COUNT = 20
@@ -284,7 +286,7 @@ class Sorted1DEngine:
         pos = cuts.searchsorted(a) + 1  # bin j holds cuts[j - 1] <= x < cuts[j]
         length = cuts.searchsorted(b) + 1 - pos
 
-        bins = cuts.searchsorted(self.x, side="right")
+        bins = _k.bin_right(cuts, self.x)
         count = np.bincount(bins, minlength=len(cuts) + 1).astype(float)
         mean = np.bincount(bins, weights=self.s, minlength=len(count)) / np.maximum(count, 1.0)
         dev = mean.take(bins)

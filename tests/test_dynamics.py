@@ -16,12 +16,11 @@ from delaylab.dynamics import (
 )
 
 ALPHA = GOLDEN_ROTATION
-KAPPA = 0.05
 DELTA = 0.1
 
 
 def fiber(r, phi, t, alpha=ALPHA):
-    return _k.fiber_core(r, phi, t, KAPPA, DELTA, alpha)
+    return _k.fiber_core(r, phi, t, DELTA, alpha)
 
 
 def lam(r, phi, delta):

@@ -1,6 +1,9 @@
-"""The compiled orbit loops against step_state iterated, bit for bit."""
+"""The compiled loops against step_state iterated and searchsorted, bit for bit."""
 
+import math
+import re
 import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -66,6 +69,15 @@ def test_build_into_empty_cache(tmp_path, monkeypatch):
     # the stale library is deleted, the other builder's temporary kept and ours not left behind
     assert {p.name for p in cache.iterdir()} == {path.name, "_orbits-0123456789abcdef.99.tmp"}
     assert _k._build_library() == path
+
+
+@needs_c
+def test_source_builds_without_warnings(tmp_path):
+    # -Wextra reports unused parameters and signed/unsigned mixes, among others
+    build = subprocess.run([shutil.which("gcc"), *_k._CFLAGS, "-Wall", "-Wextra", "-Werror",
+                            "-o", str(tmp_path / "_orbits.so"), str(_k._SOURCE), "-lm"],
+                           capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
 
 
 @needs_c
@@ -156,6 +168,22 @@ def test_trajectory_rejects_nonpositive_radius(system, start):
         trajectory(SystemConfig(system), start, 10)
 
 
+@pytest.mark.parametrize("system,start", [
+    ("spiral_f", (1e100, 1.0)), ("skew_T", (1e100, 1.0, 0.3)),
+    ("spiral_f", (3e77, 1.0)), ("skew_T", (3e77, 1.0, 0.3)),
+])
+def test_trajectory_rejects_radius_that_overflows(backend, system, start):
+    # from 3e77 on, r_core's numerator and denominator overflow and the next radius is NaN
+    with pytest.raises(ValueError, match=re.escape(f"{start[0]!r} of {system}")):
+        trajectory(SystemConfig(system), start, 5)
+
+
+@pytest.mark.parametrize("system,start", [("spiral_f", (1e6, 1.0)), ("skew_T", (1e6, 1.0, 0.3))])
+def test_trajectory_accepts_large_finite_radius(backend, system, start):
+    traj = trajectory(SystemConfig(system), start, 1_000, 10)
+    assert np.isfinite(traj).all() and (np.diff(traj[:, 0]) < 0).all()
+
+
 def test_numpy_scalar_arguments_compute_in_double(monkeypatch):
     # the C loops take doubles; step_state must not round in the inputs' float32
     f32 = np.float32
@@ -230,6 +258,35 @@ def test_henon_orbit_equal_property(x0, y0, a, b, n, burn_in):
     assert same_bytes(got, want)
 
 
+# -- the k = 1 bin search is searchsorted(side="right") --------------------------
+
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0]
+finite_or_inf = st.one_of(st.floats(allow_nan=False, allow_subnormal=True), st.sampled_from(SPECIAL))
+n_values = st.one_of(st.sampled_from([0, 1, 15, 16, 17]), st.integers(18, 300))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cuts=st.one_of(st.lists(finite_or_inf, min_size=1, max_size=2),
+                      st.lists(finite_or_inf, min_size=3, max_size=80)),
+       data=st.data())
+def test_bin_right_equals_searchsorted(backend, cuts, data):
+    cuts = np.sort(np.array(cuts))
+    value = st.one_of(finite_or_inf, st.just(math.nan), st.sampled_from(cuts.tolist()))
+    n = data.draw(n_values)
+    x = np.array(data.draw(st.lists(value, min_size=n, max_size=n)), dtype=float)
+    got, want = _k.bin_right(cuts, x), cuts.searchsorted(x, side="right")
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_bin_right_large_and_empty(backend):
+    rng = np.random.default_rng(3)
+    cuts = np.unique(rng.normal(size=5_000))
+    x = np.concatenate([rng.normal(size=10_001), cuts, [math.nan, -0.0, math.inf, -math.inf]])
+    assert np.array_equal(_k.bin_right(cuts, x), cuts.searchsorted(x, side="right"))
+    assert np.array_equal(_k.bin_right(cuts[:0], x), np.zeros(len(x), dtype=np.int64))
+    assert len(_k.bin_right(cuts, x[:0])) == 0
+
+
 # -- start states just below zero wrap to zero, not to the period ---------------
 
 
@@ -263,6 +320,7 @@ SMALL_RUNS = [
     ("E6_idim", {"n_samples": 5_000, "n_centers": 100, "point_n": 500,
                  "skew_orbit_n": 50_000, "skew_stride": 5}),
     ("E5_ergodic_predict", {"rot_n": 20_000, "henon_n": 20_000, "n_refs": 20}),
+    ("E3_model_nonpredict", {"n_samples": 20_000, "n_obs": 2, "n_refs": 20}),
 ]
 
 
