@@ -1,4 +1,5 @@
-"""Scalar map cores and the compiled loops: the long orbits and the k = 1 bin search.
+"""Scalar map cores and the compiled loops: the long orbits, the k = 1 bin
+search and the k >= 2 shell moments.
 
 dynamics.step_state calls the cores one step at a time; it is the one Python
 definition of each map.  ``_orbits.c`` repeats the cores and iterates them
@@ -7,19 +8,23 @@ planar spiral map (its base) and whose first row, the radius, depends on r
 alone, and the Henon map.  Each loop fills a (state_dim, n) block, so the
 (n, state_dim) view that dynamics.trajectory returns has contiguous columns.
 A third loop, ``bin_right``, bins the k = 1 engine's series at its sorted
-ball edges, running 16 binary searches in lockstep.
+ball edges, running 16 binary searches in lockstep.  A fourth,
+``ball_shells``, makes the k >= 2 engine's one pass per reference: squared
+distances against the levels' exact cuts, no sqrt, and each shell's count,
+mean and M2.
 
 The first call to any of them compiles ``_orbits.c`` with gcc into
 ``__pycache__`` beside this file (the file name carries the sha256 of the
 source and flags; builds of other sources are deleted) and loads it with
 ctypes; later processes load the cached library.  The C computes every
 double as CPython does, so its blocks are bitwise equal to step_state
-iterated, and its bins are numpy's.  ``skew_orbit`` and ``henon_orbit``
-return None when the C cannot run: gcc is missing, the build or load
-failed, or (skew product) CPython would raise on the orbit.
-dynamics.trajectory then iterates step_state instead; ``bin_right`` falls
-back to ``searchsorted``.  BACKEND names the code in use, "c" or "python",
-once any of the three has been called.
+iterated, its bins are numpy's and its shell sums add in np.bincount's
+order.  ``skew_orbit`` and ``henon_orbit`` return None when the C cannot
+run: gcc is missing, the build or load failed, or (skew product) CPython
+would raise on the orbit.  dynamics.trajectory then iterates step_state
+instead; ``bin_right`` falls back to ``searchsorted`` and ``ball_shells``
+to numpy passes with the same cuts.  BACKEND names the code in use, "c" or
+"python", once any of the four has been called.
 """
 
 import ctypes
@@ -114,9 +119,11 @@ _SIGNATURES = {  # name: (restype, argtypes); the last argument is the output ar
     "skew_orbit": (ctypes.c_int, (_D, _D, _D, _D, _D, _D, _I64, _I64, _P)),
     "henon_orbit": (_I64, (_D, _D, _D, _D, _I64, _I64, _P)),
     "bin_right": (None, (_P, _I64, _P, _I64, _P)),
+    "ball_shells": (None, (_P, _P, _I64, _I64, _P, _P, _I64, _P, _P)),
 }
 
-BACKEND = None  # "c" or "python" once an orbit or a binning has been asked for
+_NUMPY_BLOCK = 1 << 14  # points per block of ball_shells' distance pass without the C: 128 KB
+BACKEND = None  # "c" or "python" once an orbit, a binning or a shell pass has been asked for
 _lib = None
 _load_lock = threading.Lock()
 
@@ -157,9 +164,9 @@ def _library():
                     _lib = lib
                 except (OSError, subprocess.SubprocessError, AttributeError) as exc:
                     detail = getattr(exc, "stderr", None) or exc
-                    warnings.warn(f"orbit loops run interpreted and k = 1 bins by searchsorted: "
-                                  f"{_SOURCE.name} did not build or load: {detail}",
-                                  RuntimeWarning, stacklevel=3)
+                    warnings.warn(f"orbit loops run interpreted, k = 1 bins by searchsorted and "
+                                  f"k >= 2 shells by numpy passes: {_SOURCE.name} did not build "
+                                  f"or load: {detail}", RuntimeWarning, stacklevel=3)
             BACKEND = "python" if _lib is None else "c"
     return _lib
 
@@ -208,3 +215,61 @@ def bin_right(cuts, x):
     out = np.empty(len(x), dtype=np.int64)
     lib.bin_right(cuts.ctypes.data, len(cuts), x.ctypes.data, len(x), out.ctypes.data)
     return out
+
+
+def _squares(cols, y):
+    """((c0 - y0)^2 + (c1 - y1)^2) + ... for the columns c of cols, in blocks
+    of _NUMPY_BLOCK points: no n-length temporary besides the result."""
+    s = np.empty(cols.shape[1])
+    t = np.empty(min(len(s), _NUMPY_BLOCK))
+    for a in range(0, len(s), _NUMPY_BLOCK):
+        block = s[a:a + _NUMPY_BLOCK]
+        tb = t[:len(block)]
+        np.square(np.subtract(cols[0, a:a + _NUMPY_BLOCK], y[0], out=block), out=block)
+        for col, v in zip(cols[1:], y[1:]):
+            block += np.square(np.subtract(col[a:a + _NUMPY_BLOCK], v, out=tb), out=tb)
+    return s
+
+
+def ball_shells(cols, succ, y, cuts):
+    """Per-shell (count, mean, M2) of the successors near y, as float arrays of
+    shapes (L,), (L, k) and (L,) for the L non-increasing cuts.
+
+    cols is the (k, n) block of predecessor columns and succ the (n, k)
+    block of their successors.  Point i lies in shell j, the deepest level
+    whose cut is above its squared distance s_i = ((c0_i - y0)^2 +
+    (c1_i - y1)^2) + ..., and in no shell when s_i is not below cuts[0].
+    Each shell's sums add in index order, as np.bincount does, so the C
+    loop and the numpy passes without it agree bit for bit.
+    """
+    cols, succ = np.ascontiguousarray(cols, dtype=float), np.ascontiguousarray(succ, dtype=float)
+    y, cuts = np.ascontiguousarray(y, dtype=float), np.ascontiguousarray(cuts, dtype=float)
+    (k, n), levels = cols.shape, len(cuts)
+    if not k or succ.shape != (n, k) or y.shape != (k,) or cuts.ndim != 1 or not levels:
+        raise ValueError(f"need (k, n) columns with k >= 1, (n, k) successors, k coordinates "
+                         f"and non-empty 1-D cuts, not {cols.shape}, {succ.shape}, {y.shape} "
+                         f"and {cuts.shape}")
+    lib = _library()
+    if lib is None or max(n, levels) >= 2**31:  # the C loop indexes points and shells in int32
+        s = _squares(cols, y)
+        ball = np.flatnonzero(s < cuts[0])
+        s = s.take(ball)
+        shell = np.zeros(len(ball), np.min_scalar_type(levels))
+        for cut in cuts[1:]:
+            shell += s < cut
+        shell = shell.astype(np.intp)
+        count = np.bincount(shell, minlength=levels).astype(float)
+        cloud = succ.take(ball, axis=0)
+        mean = np.empty((levels, k))
+        m2 = np.zeros(levels)
+        for c in range(k):
+            col = np.ascontiguousarray(cloud[:, c])
+            mean[:, c] = np.bincount(shell, weights=col, minlength=levels) / np.maximum(count, 1.0)
+            col -= mean[:, c].take(shell)
+            m2 += np.bincount(shell, weights=np.square(col, out=col), minlength=levels)
+        return count, mean, m2
+    work = np.empty(2 * n, dtype=np.int32)  # the top ball's indices and shells
+    out = np.empty((2 + 2 * k) * levels)  # count, m2, mean, and the C loop's per-coordinate M2
+    lib.ball_shells(cols.ctypes.data, succ.ctypes.data, n, k, y.ctypes.data, cuts.ctypes.data,
+                    levels, work.ctypes.data, out.ctypes.data)
+    return out[:levels], out[2 * levels:(2 + k) * levels].reshape(levels, k), out[levels:2 * levels]

@@ -1,11 +1,13 @@
 /* The map cores of _kernels.py in C, statement for statement, the two
- * orbit loops that iterate them as dynamics.step_state does, and the bin
- * search of the k = 1 engine, which returns numpy's searchsorted indices.
+ * orbit loops that iterate them as dynamics.step_state does, the bin
+ * search of the k = 1 engine, which returns numpy's searchsorted indices,
+ * and the shell moments of the k >= 2 engine, which are numpy's bincounts.
  *
  * Built with -O2 -ffp-contract=off -fno-fast-math, so every double operation
  * is rounded as in CPython and no multiply-add is fused; sin and exp are the
  * libm functions CPython's math module calls.  The loops are therefore
- * bitwise equal to step_state iterated.  Where CPython would raise (a zero
+ * bitwise equal to step_state iterated, and the shell moments add in
+ * numpy's order.  Where CPython would raise (a zero
  * divisor, an exp that overflows, the sine of an infinity) the skew loop
  * stops and returns 1, and the caller iterates step_state, which raises.
  */
@@ -225,4 +227,76 @@ void bin_right(const double *cuts, int64_t m, const double *x, int64_t n, int64_
         for (int j = 0; i + j < n; j++)
             out[i + j] = o[j];
     }
+}
+
+
+/* Per-shell moments of the successors of the points near y, over n points
+ * whose k predecessor coordinates are the rows of the C-ordered (k, n)
+ * block cols and whose successors are the rows of the C-ordered (n, k)
+ * block succ.
+ *
+ * s_i = ((c0_i - y0)^2 + (c1_i - y1)^2) + ... is summed column by column;
+ * point i lies in the top ball when s_i < cuts[0], and in shell
+ * j, the deepest of the levels 0 .. levels - 1 whose cut it is below, when
+ * the cuts do not increase.  Per shell j, in index order, as np.bincount
+ * adds: count[j], the successor sums, mean[j, c] = sum / max(count[j], 1),
+ * then q[j, c], the sum of (succ_ic - mean[j, c])^2, and m2[j] = 0 +
+ * q[j, 0] + q[j, 1] + ...  out holds count (levels), m2 (levels), mean
+ * (levels, k) and q (levels, k); work holds 2 n int32 indices (n and
+ * levels below 2^31).  The top ball is compacted a block at a time without
+ * a branch, and only its points get a shell. */
+#define BLOCK 256
+
+void ball_shells(const double *cols, const double *succ, int64_t n, int64_t k, const double *y,
+                 const double *cuts, int64_t levels, int32_t *work, double *out)
+{
+    double *count = out, *m2 = out + levels, *mean = out + 2 * levels, *q = mean + levels * k;
+    int32_t *ball = work, *shell = work + n, at[BLOCK];
+    int64_t m = 0;
+    double s[BLOCK], near[BLOCK];
+    for (int64_t j = 0; j < (2 + 2 * k) * levels; j++)
+        out[j] = 0.0;
+    for (int64_t start = 0; start < n; start += BLOCK) {
+        int64_t b = n - start < BLOCK ? n - start : BLOCK, nb = 0;
+        for (int64_t i = 0; i < b; i++) {
+            double t = cols[start + i] - y[0];
+            s[i] = t * t;
+        }
+        for (int64_t c = 1; c < k; c++)
+            for (int64_t i = 0; i < b; i++) {
+                double t = cols[c * n + start + i] - y[c];
+                s[i] += t * t;
+            }
+        for (int64_t i = 0; i < b; i++) {
+            double v = s[i];
+            at[nb] = (int32_t)i;
+            near[nb] = v;
+            nb += v < cuts[0];
+        }
+        for (int64_t p = 0; p < nb; p++, m++) {
+            int64_t i = start + at[p];
+            int32_t j = 0;
+            for (int64_t l = 1; l < levels; l++)
+                j += near[p] < cuts[l];
+            ball[m] = (int32_t)i;
+            shell[m] = j;
+            count[j] += 1.0;
+            for (int64_t c = 0; c < k; c++)
+                mean[j * k + c] += succ[i * k + c];
+        }
+    }
+    for (int64_t j = 0; j < levels; j++)
+        for (int64_t c = 0; c < k; c++)
+            mean[j * k + c] /= count[j] < 1.0 ? 1.0 : count[j];
+    for (int64_t p = 0; p < m; p++) {
+        const double *row = succ + ball[p] * k, *centre = mean + shell[p] * k;
+        double *sq = q + shell[p] * k;
+        for (int64_t c = 0; c < k; c++) {
+            double t = row[c] - centre[c];
+            sq[c] += t * t;
+        }
+    }
+    for (int64_t j = 0; j < levels; j++)
+        for (int64_t c = 0; c < k; c++)
+            m2[j] += q[j * k + c];
 }

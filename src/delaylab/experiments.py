@@ -346,14 +346,15 @@ def _circle_restriction(h):
     return c, a4, a5
 
 
-def _two_atom_sigma(h, t0, alpha):
-    """Exact eps -> 0 conditional deviation at the circle reference h(t0).
+def _two_atom_sigma(restriction, t0, alpha):
+    """Exact eps -> 0 conditional deviation at the circle reference h(t0), for
+    restriction = _circle_restriction(h).
 
     The level set of the cosine restriction through t0 is the reflected pair
     {t0, 2 t* - t0} with equal conditional weights; the deviation is half the
     gap between the two rotated images.
     """
-    c, a4, a5 = _circle_restriction(h)
+    c, a4, a5 = restriction
     tstar = math.atan2(a5, a4) / (2.0 * math.pi)
 
     def h_c(t):
@@ -391,9 +392,10 @@ def _run_e3(cfg, out):
         y_refs = evaluate(h, ref_amb)
         estimates = predictability_report(pairs, y_refs, cfg.param("ladder_levels"),
                                           cfg.param("ladder_top"), min_count, threshold)
+        restriction = _circle_restriction(h)
         n_def = n_pred = n_match = 0
         for t0, y, est in zip(ref_t, y_refs, estimates):
-            oracle = _two_atom_sigma(h, t0, alpha)
+            oracle = _two_atom_sigma(restriction, t0, alpha)
             matched = float("nan")
             if est.defined:
                 n_def += 1

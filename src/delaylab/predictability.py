@@ -12,10 +12,13 @@ series and its reference vectors, so the caller owns the orbit, the
 observable and the reference draw.  The engine depends on k alone, and both
 count a point inside a ball exactly when sqrt((x - y)^2 + ...) < eps:
 
-- BruteEngine (k >= 2) makes one distance pass per reference.  The nested
-  balls cut the top ball into shells; one reduction takes each shell's
-  count, mean and centred M2, and the balls are the shells merged from the
-  innermost outward.
+- BruteEngine (k >= 2) makes one pass per reference, _kernels.ball_shells,
+  compiled (numpy passes without gcc).  It takes no sqrt: it compares each
+  point's squared distance s with the level's exact cut T, the smallest
+  float with sqrt(T) >= eps (_square_cut), and s < T holds exactly when
+  sqrt(s) < eps.  The nested balls cut the top ball into shells; the pass
+  takes each shell's count, mean and centred M2, and the balls are the
+  shells merged from the innermost outward.
 - Sorted1DEngine (k = 1) takes all references and the ladder at once.  It
   bins the series once between the exact float edges of every ball, with
   no sort, and merges each ball's bins from per-bin count, mean and
@@ -27,6 +30,7 @@ Both merge moments with the pairwise formulas of Chan, Golub and LeVeque
 (_estimate).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +42,7 @@ DEFAULT_MIN_COUNT = 20
 DEFAULT_THRESHOLD = 1e-3
 DEFAULT_LADDER_TOP = 0.2
 DEFAULT_LADDER_LEVELS = 8
-_DIST_BLOCK = 1 << 14  # points per block of BruteEngine.distances: 128 KB per array
+
 
 @dataclass(frozen=True)
 class LadderEntry:
@@ -133,64 +137,49 @@ def _merge(a, b):
 class BruteEngine:
     """Exact per-reference ball statistics via one distance pass per reference.
 
-    The predecessor columns are stored contiguously, so a distance pass is a
-    few elementwise passes over the series.  The ladder's balls are nested:
-    each point of the top ball falls in one shell, the points of ball j
-    outside ball j + 1, so one reduction per reference takes every shell's
-    count, mean and centred M2, and the balls are the shells merged from the
-    innermost outward with Chan's pairwise formulas.
+    The predecessor columns are stored contiguously.  The ladder's balls are
+    nested: each point of the top ball falls in one shell, the points of
+    ball j outside ball j + 1.  One pass per reference (_kernels.ball_shells)
+    compares each point's squared distance with the levels' exact cuts
+    (_square_cut) and takes every shell's count, mean and centred M2; the
+    balls are the shells merged from the innermost outward with Chan's
+    pairwise formulas.
     """
 
     def __init__(self, series):
-        self.pred, self.succ = series.predecessors, series.successors
-        self.k = self.pred.shape[1]
-        self.cols = np.ascontiguousarray(self.pred.T)
-
-    def distances(self, y):
-        """Euclidean distance of every predecessor to y.
-
-        ((c0 - y0)^2 + (c1 - y1)^2) + ..., summed in the order of
-        np.linalg.norm(pred - y, axis=1), so equal to it bitwise, in blocks
-        of _DIST_BLOCK points: no n-length temporary besides the result.
-        """
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if len(y) != self.k:
-            raise ValueError(f"reference has {len(y)} coordinates, the series k = {self.k}")
-        d = np.empty(len(self.pred))
-        term = np.empty(min(len(d), _DIST_BLOCK))
-        for start in range(0, len(d), _DIST_BLOCK):
-            sq = d[start:start + _DIST_BLOCK]
-            t = term[:len(sq)]
-            np.square(np.subtract(self.cols[0][start:start + _DIST_BLOCK], y[0], out=sq), out=sq)
-            for col, v in zip(self.cols[1:], y[1:]):
-                sq += np.square(np.subtract(col[start:start + _DIST_BLOCK], v, out=t), out=t)
-        return np.sqrt(d, out=d)
+        self.pred, self.k = series.predecessors, series.k
+        self.cols = np.ascontiguousarray(self.pred.T, dtype=float)
+        self.succ = np.ascontiguousarray(series.successors, dtype=float)
 
     def profile(self, y, ladder, min_count=DEFAULT_MIN_COUNT, threshold=DEFAULT_THRESHOLD):
         ladder = _validate_ladder(ladder, min_count)
-        d = self.distances(y)
-        idx = np.flatnonzero(d < ladder[0])
-        d = d.take(idx)
-        # shell j holds ladder[j + 1] <= d < ladder[j]: j is the deepest level whose ball holds the point
-        shell = np.zeros(len(idx), np.min_scalar_type(len(ladder)))
-        for eps in ladder[1:]:
-            shell += d < eps
-        shell = shell.astype(np.intp)
-        n = np.bincount(shell, minlength=len(ladder)).astype(float)
-        cloud = self.succ.take(idx, axis=0)
-        mean = np.empty((len(ladder), self.k))
-        m2 = np.zeros(len(ladder))
-        for j in range(self.k):
-            col = np.ascontiguousarray(cloud[:, j])
-            mean[:, j] = np.bincount(shell, weights=col, minlength=len(ladder)) / np.maximum(n, 1.0)
-            col -= mean[:, j].take(shell)
-            m2 += np.bincount(shell, weights=np.square(col, out=col), minlength=len(ladder))
+        y = np.asarray(y, dtype=float).reshape(-1)
+        if len(y) != self.k:
+            raise ValueError(f"reference has {len(y)} coordinates, the series k = {self.k}")
+        n, mean, m2 = _k.ball_shells(self.cols, self.succ, y, [_square_cut(eps) for eps in ladder])
         ball = (0.0, np.zeros(self.k), 0.0)
         for j in reversed(range(len(ladder))):  # shell j's moments become ball j's
             ball = _merge(ball, (n[j], mean[j], m2[j]))
             n[j], mean[j], m2[j] = ball
         sigma = np.sqrt(m2 / np.maximum(n, 1.0))
         return _estimate(ladder, n.astype(np.int64), mean, sigma, min_count, threshold)
+
+
+def _square_cut(eps):
+    """The smallest float T with sqrt(T) >= eps, for eps > 0 (inf for an eps
+    above sqrt of the largest float).
+
+    sqrt is correctly rounded, so monotone: a sum of squares s (never
+    negative) is below T exactly when sqrt(s) < eps, NaN and inf included.
+    eps * eps lies within a few floats of T, or is 0 or inf when it
+    underflows or overflows, so each walk below takes a few steps.
+    """
+    cut = eps * eps
+    while cut > 0.0 and math.sqrt(math.nextafter(cut, 0.0)) >= eps:
+        cut = math.nextafter(cut, 0.0)
+    while math.sqrt(cut) < eps:
+        cut = math.nextafter(cut, math.inf)
+    return cut
 
 
 _SIGN = np.uint64(1 << 63)

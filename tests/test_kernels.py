@@ -1,4 +1,4 @@
-"""The compiled loops against step_state iterated and searchsorted, bit for bit."""
+"""The compiled loops against step_state iterated, searchsorted and bincount, bit for bit."""
 
 import math
 import re
@@ -13,6 +13,7 @@ from delaylab import _kernels as _k, dynamics
 from delaylab.dynamics import (DivergenceError, GOLDEN_ROTATION, HENON_A, HENON_B, SystemConfig,
                                _iterate, _orbit, step_state, trajectory)
 from delaylab.experiments import ExperimentConfig, run_experiment
+from delaylab.predictability import _square_cut
 
 HAVE_GCC = shutil.which("gcc") is not None
 needs_c = pytest.mark.skipif(not HAVE_GCC, reason="no C compiler on PATH")
@@ -285,6 +286,84 @@ def test_bin_right_large_and_empty(backend):
     assert np.array_equal(_k.bin_right(cuts, x), cuts.searchsorted(x, side="right"))
     assert np.array_equal(_k.bin_right(cuts[:0], x), np.zeros(len(x), dtype=np.int64))
     assert len(_k.bin_right(cuts, x[:0])) == 0
+
+
+# -- the k >= 2 shell moments are bincounts over sqrt distances ------------------
+
+
+def bincount_shells(pred, succ, y, ladder):
+    """Per-shell (count, mean, M2) by numpy passes: point i is in ball j when
+    sqrt(((p0 - y0)^2 + (p1 - y1)^2) + ...) < ladder[j], and in the shell of
+    the deepest such j."""
+    levels, k = len(ladder), pred.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.square(pred[:, 0] - y[0])
+        for c in range(1, k):
+            s += np.square(pred[:, c] - y[c])
+    d = np.sqrt(s)
+    ball = np.flatnonzero(d < ladder[0])
+    shell = np.zeros(len(ball), np.intp)
+    for eps in ladder[1:]:
+        shell += d[ball] < eps
+    count = np.bincount(shell, minlength=levels).astype(float)
+    mean, m2 = np.empty((levels, k)), np.zeros(levels)
+    for c in range(k):
+        col = succ[ball, c]
+        mean[:, c] = np.bincount(shell, weights=col, minlength=levels) / np.maximum(count, 1.0)
+        dev = col - mean[shell, c]
+        m2 += np.bincount(shell, weights=dev * dev, minlength=levels)
+    return count, mean, m2
+
+
+SHELL_CASES = ["normal", "duplicated rows", "non-finite", "empty top ball", "innermost shell",
+               "no points", "300 levels"]
+
+
+def shell_case(case, k):
+    rng = np.random.default_rng([k, SHELL_CASES.index(case)])
+    n = 0 if case == "no points" else 1_000 + 37 * k  # several blocks of the C loop and a partial one
+    pred, succ = 1e3 + rng.normal(size=(n, k)), rng.normal(size=(n, k))
+    y, ladder = pred[0] if n else np.full(k, 1e3), [2.0, 1.0, 0.5, 0.25, 0.125, 0.0625]
+    if case == "duplicated rows":
+        pred[rng.integers(0, n, n // 2)] = pred[0]  # at distance 0, in the innermost shell
+        dist = np.unique(np.linalg.norm(pred - y, axis=1))  # levels at exactly a point's distance
+        ladder = [float(dist[-1]), float(dist[len(dist) // 2]), float(dist[1])]
+    elif case == "non-finite":
+        pred[rng.integers(0, n, 40), rng.integers(0, k, 40)] = [math.nan, math.inf, -math.inf, 1e200] * 10
+        ladder = [math.inf, 1e300, 1.0, 0.5]
+    elif case == "empty top ball":
+        y = y + 100.0
+    elif case == "innermost shell":
+        ladder = [20.0, 10.0]
+    elif case == "300 levels":
+        ladder = np.geomspace(4.0, 1e-3, 300).tolist()
+    return pred, succ, y, ladder
+
+
+@pytest.mark.parametrize("case", SHELL_CASES)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_ball_shells_equal_bincount(backend, case, k):
+    # both backends match the sqrt-distance passes byte for byte, so they match each other
+    pred, succ, y, ladder = shell_case(case, k)
+    got = _k.ball_shells(pred.T, succ, y, [_square_cut(eps) for eps in ladder])
+    want = bincount_shells(pred, succ, y, ladder)
+    for g, w in zip(got, want):
+        assert same_bytes(g, w)
+    count = got[0]
+    if case == "empty top ball" or case == "no points":
+        assert count.sum() == 0
+    elif case == "innermost shell":
+        assert count[-1] == len(pred)
+    elif case == "300 levels":
+        assert count[256:].sum() > 0  # shell indices past a uint8
+
+
+def test_ball_shells_reject_bad_shapes(backend):
+    cols, succ = np.zeros((2, 5)), np.zeros((5, 2))
+    for args in [(cols, cols, [0.0, 0.0], [1.0]), (cols, succ, [0.0], [1.0]),
+                 (cols, succ, [0.0, 0.0], []), (cols[:0], succ[:, :0], [], [1.0])]:
+        with pytest.raises(ValueError, match="need"):
+            _k.ball_shells(*args)
 
 
 # -- start states just below zero wrap to zero, not to the period ---------------

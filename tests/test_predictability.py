@@ -11,7 +11,7 @@ from delaylab.embedding import delay_series, PairedVectors
 from delaylab.experiments import _draw, ExperimentConfig, run_experiment
 from delaylab.observables import evaluate, Observable
 from delaylab.predictability import (
-    _DIST_BLOCK,
+    _square_cut,
     BruteEngine,
     chi_sigma,
     default_ladder,
@@ -497,29 +497,33 @@ def test_brute_sigma_of_large_tight_balls():
         assert np.all(np.abs(entry.chi - chi) <= 1e-12 * chi)
 
 
-def test_brute_distances_equal_norm():
-    rng = np.random.default_rng(31)
-    for k in (1, 2, 3):
-        pred = 1e3 + rng.normal(size=(500, k))
-        engine = BruteEngine(PairedVectors(k, pred, pred))
-        y = pred[3] + 1e-9
-        assert np.all(engine.distances(y) == np.linalg.norm(pred - y, axis=1))
-
-
-def test_brute_distances_equal_norm_across_blocks():
-    # several blocks of the distance pass, ending in a partial one
-    rng = np.random.default_rng(32)
-    for k in (1, 2, 3):
-        pred = rng.normal(size=(2 * _DIST_BLOCK + 5, k))
-        y = pred[7] + 1e-9
-        assert np.all(BruteEngine(PairedVectors(k, pred, pred)).distances(y)
-                      == np.linalg.norm(pred - y, axis=1))
-
-
-def test_brute_distances_reject_wrong_width():
+def test_brute_profile_rejects_wrong_width():
     engine = BruteEngine(delay_series(np.arange(10.0), 2))
     with pytest.raises(ValueError, match="k = 2"):
-        engine.distances([1.0])
+        engine.profile([1.0], [1.0])
+
+
+# squares that are subnormal, that underflow to 0 or overflow to inf, and exact squares
+positive_eps = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=True),
+    st.floats(1.5e-162, 1.5e-154), st.floats(min_value=5e-324, max_value=1.5e-162),
+    st.floats(min_value=1.3e154, allow_infinity=False),
+    st.builds(math.ldexp, st.integers(1, 2**26), st.integers(-560, 500)),
+    st.just(math.inf),
+)
+
+
+@settings(max_examples=1_000, deadline=None)
+@given(eps=positive_eps)
+def test_square_cut_is_sqrt_membership(eps):
+    """s < _square_cut(eps) holds exactly when sqrt(s) < eps, for the sums of
+    squares (never negative) at and beside the cut and eps * eps."""
+    cut, square = _square_cut(eps), eps * eps
+    near = [cut, square, 0.0, math.inf, math.nan]
+    near += [math.nextafter(v, to) for v in (cut, square) for to in (-math.inf, math.inf)]
+    for s in near:
+        if not s < 0.0:
+            assert (s < cut) == (math.sqrt(s) < eps), (eps, cut, s)
 
 
 @settings(max_examples=100, deadline=None)
@@ -534,7 +538,7 @@ def test_sorted1d_and_brute_agree(ticks, offset, spread, ref, data):
     # round onto the point); the sums differ only in their order
     s = delay_series(offset + spread * np.asarray(ticks, dtype=float), 1)
     y = [offset + spread * (ref + data.draw(st.sampled_from([0.0, 0.5]), label="half"))]
-    d = BruteEngine(s).distances(y)
+    d = np.linalg.norm(s.predecessors - y, axis=1)
     levels = st.sampled_from([spread * e for e in (0.25, 0.75, 1.25, 2.25, 5.25, 10.25)])
     if (d > 0).any():
         exact = st.sampled_from(sorted({float(v) for v in d if v > 0.0}))
