@@ -219,15 +219,17 @@ def bin_right(cuts, x):
 
 def _squares(cols, y):
     """((c0 - y0)^2 + (c1 - y1)^2) + ... for the columns c of cols, in blocks
-    of _NUMPY_BLOCK points: no n-length temporary besides the result."""
+    of _NUMPY_BLOCK points: no n-length temporary besides the result.  As in
+    the C loop, overflow to inf and NaN from inf - inf pass silently."""
     s = np.empty(cols.shape[1])
     t = np.empty(min(len(s), _NUMPY_BLOCK))
-    for a in range(0, len(s), _NUMPY_BLOCK):
-        block = s[a:a + _NUMPY_BLOCK]
-        tb = t[:len(block)]
-        np.square(np.subtract(cols[0, a:a + _NUMPY_BLOCK], y[0], out=block), out=block)
-        for col, v in zip(cols[1:], y[1:]):
-            block += np.square(np.subtract(col[a:a + _NUMPY_BLOCK], v, out=tb), out=tb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, len(s), _NUMPY_BLOCK):
+            block = s[a:a + _NUMPY_BLOCK]
+            tb = t[:len(block)]
+            np.square(np.subtract(cols[0, a:a + _NUMPY_BLOCK], y[0], out=block), out=block)
+            for col, v in zip(cols[1:], y[1:]):
+                block += np.square(np.subtract(col[a:a + _NUMPY_BLOCK], v, out=tb), out=tb)
     return s
 
 

@@ -156,13 +156,13 @@ def ball_mass_dimension(mu, ladder, n_centers, seed):
     return est, np.asarray(pointwise)
 
 
-def pointwise_dim_quantiles(pointwise, qs=(0.05, 0.1, 0.25, 0.5)):
-    """Lower quantiles of per-center pointwise dimensions.
+def pointwise_dim_quantiles(pointwise):
+    """The 0.05, 0.1, 0.25 and 0.5 quantiles of per-center pointwise dimensions.
 
     A proxy for the Hausdorff dimension of the measure, not an estimate of it.
     """
     arr = np.asarray(pointwise)
-    return {q: float(np.quantile(arr, q)) for q in qs}
+    return {q: float(np.quantile(arr, q)) for q in (0.05, 0.1, 0.25, 0.5)}
 
 
 def _cell_entropy(points, weights, eps):
@@ -172,8 +172,7 @@ def _cell_entropy(points, weights, eps):
     sorted_cells = cells[order]
     boundaries = np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1)
     group_id = np.concatenate([[0], np.cumsum(boundaries)])
-    masses = np.zeros(group_id[-1] + 1)
-    np.add.at(masses, group_id, weights[order])
+    masses = np.bincount(group_id, weights=weights[order])
     masses = masses[masses > 0.0]
     return float(np.sum(masses * np.log(masses))), int(len(masses))
 
@@ -204,7 +203,7 @@ def uniform_segment_measure(n, seed):
     return EmpiricalMeasure.uniform(np.column_stack([x, np.zeros(n)]))
 
 
-def point_mass_measure(n, where=(0.25, -0.5)):
-    """n copies of a single point (a pure atom as an n-sample)."""
-    pts = np.tile(np.asarray(where, dtype=float), (n, 1))
+def point_mass_measure(n):
+    """n copies of the point (0.25, -0.5) (a pure atom as an n-sample)."""
+    pts = np.tile(np.array([0.25, -0.5]), (n, 1))
     return EmpiricalMeasure.uniform(pts)

@@ -9,8 +9,11 @@ absolute threshold.
 
 predictability_report is the one entry to the engines: it takes a built
 series and its reference vectors, so the caller owns the orbit, the
-observable and the reference draw.  The engine depends on k alone, and both
-count a point inside a ball exactly when sqrt((x - y)^2 + ...) < eps:
+observable and the reference draw.  Both engines are built as
+Engine(series, ys, ladder) into one (references x levels) table of count,
+chi and sigma, and their one profile function reads a reference's row.
+The engine depends on k alone, and both count a point inside a ball
+exactly when sqrt((x - y)^2 + ...) < eps:
 
 - BruteEngine (k >= 2) makes one pass per reference, _kernels.ball_shells,
   compiled (numpy passes without gcc).  It takes no sqrt: it compares each
@@ -18,12 +21,13 @@ count a point inside a ball exactly when sqrt((x - y)^2 + ...) < eps:
   float with sqrt(T) >= eps (_square_cut), and s < T holds exactly when
   sqrt(s) < eps.  The nested balls cut the top ball into shells; the pass
   takes each shell's count, mean and centred M2, and the balls are the
-  shells merged from the innermost outward.
-- Sorted1DEngine (k = 1) takes all references and the ladder at once.  It
-  bins the series once between the exact float edges of every ball, with
-  no sort, and merges each ball's bins from per-bin count, mean and
-  centred M2.  The binning is _kernels.bin_right, a compiled lockstep
-  binary search equal to searchsorted (searchsorted itself without gcc).
+  shells merged from the innermost outward, one level at a time over all
+  references.
+- Sorted1DEngine (k = 1) bins the series once between the exact float
+  edges of every ball, with no sort, and merges each ball's bins from
+  per-bin count, mean and centred M2.  The binning is _kernels.bin_right,
+  a compiled lockstep binary search equal to searchsorted (searchsorted
+  itself without gcc).
 
 Both merge moments with the pairwise formulas of Chan, Golub and LeVeque
 (_merge), and both hand per-level arrays to one result builder
@@ -74,11 +78,11 @@ class SigmaEstimate:
 def chi_sigma(series, y, eps):
     """Conditional mean and RMS deviation of successors over the eps-ball.
 
-    The one-level BruteEngine profile.  Returns (chi, sigma, count);
-    count == 0 signals an empty ball and chi, sigma are None then (distinct
-    from a zero sigma).
+    The one-level profile of a one-reference BruteEngine.  Returns (chi,
+    sigma, count); count == 0 signals an empty ball and chi, sigma are None
+    then (distinct from a zero sigma).
     """
-    entry = BruteEngine(series).profile(y, [eps], min_count=2).ladder[0]
+    entry = BruteEngine(series, [y], [eps]).profile(y, [eps], min_count=2).ladder[0]
     return entry.chi, entry.sigma, entry.count
 
 
@@ -93,13 +97,6 @@ def default_ladder(series, levels=DEFAULT_LADDER_LEVELS, top=DEFAULT_LADDER_TOP)
     if diam <= 0.0:
         diam = 1.0
     return [top * diam * 0.5**j for j in range(levels)]
-
-
-def _validate_ladder(ladder, min_count=DEFAULT_MIN_COUNT):
-    ladder = _check_ladder(ladder)
-    if min_count < 2:
-        raise ValueError("min_count must be >= 2")
-    return ladder
 
 
 def _estimate(ladder, count, chi, sigma, min_count, threshold):
@@ -134,35 +131,56 @@ def _merge(a, b):
     return n, ma + d * w[..., None], qa + qb + np.square(d).sum(axis=-1) * na * w
 
 
-class BruteEngine:
-    """Exact per-reference ball statistics via one distance pass per reference.
+def _init(self, series, ys, ladder):
+    """Check the ladder and the references ys, each k finite coordinates, then
+    build the table: _balls gives count (m, L), chi (m, L, k) and sigma (m, L)."""
+    self.pred, self.k = series.predecessors, series.k
+    self.ladder = _check_ladder(ladder)
+    if not len(ys):
+        raise ValueError("an engine needs at least one reference")
+    ys = np.asarray(ys, dtype=float).reshape(len(ys), -1)
+    if ys.shape[1] != self.k:
+        raise ValueError(f"reference 0 = {ys[0].tolist()} has {ys.shape[1]} coordinates, "
+                         f"the series k = {self.k}")
+    bad = np.flatnonzero(~np.isfinite(ys).all(axis=1))
+    if len(bad):
+        raise ValueError(f"reference {bad[0]} = {ys[bad[0]].tolist()} is not finite")
+    self._rows = {y: i for i, y in enumerate(map(tuple, ys.tolist()))}
+    self._table = self._balls(series, ys)
 
-    The predecessor columns are stored contiguously.  The ladder's balls are
-    nested: each point of the top ball falls in one shell, the points of
-    ball j outside ball j + 1.  One pass per reference (_kernels.ball_shells)
-    compares each point's squared distance with the levels' exact cuts
-    (_square_cut) and takes every shell's count, mean and centred M2; the
-    balls are the shells merged from the innermost outward with Chan's
-    pairwise formulas.
+
+def _profile(self, y, ladder, min_count=DEFAULT_MIN_COUNT, threshold=DEFAULT_THRESHOLD):
+    """SigmaEstimate of y, one of the engine's references, on the engine's ladder."""
+    if min_count < 2:
+        raise ValueError("min_count must be >= 2")
+    row = self._rows.get(tuple(np.asarray(y, dtype=float).reshape(-1).tolist()))
+    if row is None or list(ladder) != self.ladder:
+        raise ValueError(f"reference {y} on ladder {list(ladder)} is not in the engine's table")
+    return _estimate(self.ladder, *(t[row] for t in self._table), min_count, threshold)
+
+
+class BruteEngine:
+    """Exact ball statistics via one distance pass per reference.
+
+    Each point of the top ball falls in one shell, the points of ball j
+    outside ball j + 1.  The pass (_kernels.ball_shells) takes every shell's
+    count, mean and centred M2; the balls are the shells merged from the
+    innermost outward, one level at a time over all references.
     """
 
-    def __init__(self, series):
-        self.pred, self.k = series.predecessors, series.k
-        self.cols = np.ascontiguousarray(self.pred.T, dtype=float)
-        self.succ = np.ascontiguousarray(series.successors, dtype=float)
+    __init__ = _init
+    profile = _profile
 
-    def profile(self, y, ladder, min_count=DEFAULT_MIN_COUNT, threshold=DEFAULT_THRESHOLD):
-        ladder = _validate_ladder(ladder, min_count)
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if len(y) != self.k:
-            raise ValueError(f"reference has {len(y)} coordinates, the series k = {self.k}")
-        n, mean, m2 = _k.ball_shells(self.cols, self.succ, y, [_square_cut(eps) for eps in ladder])
-        ball = (0.0, np.zeros(self.k), 0.0)
-        for j in reversed(range(len(ladder))):  # shell j's moments become ball j's
-            ball = _merge(ball, (n[j], mean[j], m2[j]))
-            n[j], mean[j], m2[j] = ball
-        sigma = np.sqrt(m2 / np.maximum(n, 1.0))
-        return _estimate(ladder, n.astype(np.int64), mean, sigma, min_count, threshold)
+    def _balls(self, series, ys):
+        cols = np.ascontiguousarray(series.predecessors.T, dtype=float)
+        succ = np.ascontiguousarray(series.successors, dtype=float)
+        cuts = [_square_cut(eps) for eps in self.ladder]
+        n, mean, m2 = map(np.stack, zip(*[_k.ball_shells(cols, succ, y, cuts) for y in ys]))
+        ball = (np.zeros(len(ys)), np.zeros((len(ys), self.k)), np.zeros(len(ys)))
+        for j in reversed(range(len(self.ladder))):  # shell j's moments become ball j's
+            ball = _merge(ball, (n[:, j], mean[:, j], m2[:, j]))
+            n[:, j], mean[:, j], m2[:, j] = ball
+        return n.astype(np.int64), mean, np.sqrt(m2 / np.maximum(n, 1.0))
 
 
 def _square_cut(eps):
@@ -241,45 +259,30 @@ def _ball_edges(y, eps):
 class Sorted1DEngine:
     """Scalar-series engine: one binning of the series at its references' ball edges.
 
-    Built with the references ys and the ladder, it finds the exact float
-    edges of every (reference, level) ball, bins the series once between
-    those edges, takes each bin's count, mean and centred M2, and merges
-    each ball's contiguous run of bins with Chan's pairwise formulas, about
-    log2(bins) vectorised merges over all balls.  profile then answers from
-    that (references x levels) table; any other (y, ladder) is binned
-    alone the same way.
+    It bins the series once between the exact float edges of every
+    (reference, level) ball, takes each bin's count, mean and centred M2,
+    and merges each ball's contiguous run of bins, about log2(bins)
+    vectorised merges over all balls.
     """
 
-    def __init__(self, series, ys=(), ladder=None):
-        if series.k != 1:
-            raise ValueError("Sorted1DEngine requires k = 1")
-        self.x = series.predecessors[:, 0]
-        self.s = series.successors[:, 0]
-        self._ladder, self._rows, self._table = None, {}, None
-        if len(ys):
-            self._ladder = _validate_ladder(ladder)
-            ys = np.asarray(ys, dtype=float).reshape(len(ys), -1)
-            self._table = self._balls(ys, self._ladder)
-            self._rows = {y: i for i, y in enumerate(ys[:, 0].tolist())}
+    __init__ = _init
+    profile = _profile
 
-    def _balls(self, ys, ladder):
-        """(count, chi, sigma) arrays of shapes (m, L), (m, L, 1) and (m, L) for
-        the (m, 1) references ys and the L levels of ladder."""
-        if ys.shape[1] != 1:
-            raise ValueError(f"reference has {ys.shape[1]} coordinates, the series k = 1")
-        if not np.isfinite(ys).all():
-            raise ValueError("references must be finite")
+    def _balls(self, series, ys):
+        if self.k != 1:
+            raise ValueError("Sorted1DEngine requires k = 1")
+        x, s, ladder = series.predecessors[:, 0], series.successors[:, 0], self.ladder
         shape = (len(ys), len(ladder))
         a, b = _ball_edges(np.repeat(ys[:, 0], len(ladder)), np.tile(ladder, len(ys)))
         cuts = np.unique(np.concatenate([a, b]))
         pos = cuts.searchsorted(a) + 1  # bin j holds cuts[j - 1] <= x < cuts[j]
         length = cuts.searchsorted(b) + 1 - pos
 
-        bins = _k.bin_right(cuts, self.x)
+        bins = _k.bin_right(cuts, x)
         count = np.bincount(bins, minlength=len(cuts) + 1).astype(float)
-        mean = np.bincount(bins, weights=self.s, minlength=len(count)) / np.maximum(count, 1.0)
+        mean = np.bincount(bins, weights=s, minlength=len(count)) / np.maximum(count, 1.0)
         dev = mean.take(bins)
-        np.subtract(self.s, dev, out=dev)
+        np.subtract(s, dev, out=dev)
         dev *= dev
         table = [(count, mean[:, None], np.bincount(bins, weights=dev, minlength=len(count)))]
         del bins, dev
@@ -298,22 +301,16 @@ class Sorted1DEngine:
         sigma = np.sqrt(q / np.maximum(n, 1.0))
         return n.astype(np.int64).reshape(shape), chi.reshape(shape + (1,)), sigma.reshape(shape)
 
-    def profile(self, y, ladder, min_count=DEFAULT_MIN_COUNT, threshold=DEFAULT_THRESHOLD):
-        ladder = _validate_ladder(ladder, min_count)
-        y = np.asarray(y, dtype=float).reshape(1, -1)
-        row = self._rows.get(y[0, 0]) if ladder == self._ladder and y.shape[1] == 1 else None
-        table, row = (self._balls(y, ladder), 0) if row is None else (self._table, row)
-        return _estimate(ladder, *(t[row] for t in table), min_count, threshold)
-
 
 def predictability_report(series, ys, levels=DEFAULT_LADDER_LEVELS, top=DEFAULT_LADDER_TOP,
                           min_count=DEFAULT_MIN_COUNT, threshold=DEFAULT_THRESHOLD):
     """One SigmaEstimate per reference vector in ys, in order, on default_ladder(series, levels, top).
 
-    series is a PairedVectors.  The engine depends on k alone: for k = 1 one
-    table over all references, built before the first profile call; distance
-    passes otherwise.
+    series is a PairedVectors.  The engine, Sorted1DEngine for k = 1 and
+    BruteEngine otherwise, builds its table over all references at once.
     """
     ladder = default_ladder(series, levels, top)
-    engine = Sorted1DEngine(series, ys, ladder) if series.k == 1 else BruteEngine(series)
+    if not len(ys):
+        return ()
+    engine = (Sorted1DEngine if series.k == 1 else BruteEngine)(series, ys, ladder)
     return tuple(engine.profile(y, ladder, min_count, threshold) for y in ys)

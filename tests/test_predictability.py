@@ -120,21 +120,21 @@ def test_ladder_counts_monotone():
     ladder = default_ladder(s)
     for _ in range(10):
         y = s.predecessors[rng.integers(0, len(s))]
-        est = BruteEngine(s).profile(y, ladder, min_count=2)
+        est = BruteEngine(s, [y], ladder).profile(y, ladder, min_count=2)
         counts = [e.count for e in est.ladder]
         assert all(b <= a for a, b in zip(counts, counts[1:]))
 
 
 def test_sigma_profile_identical_vectors():
     s = delay_series([1.0] * 50, 1)
-    est = BruteEngine(s).profile([1.0], [0.5, 0.25], min_count=2)
+    est = BruteEngine(s, [[1.0]], [0.5, 0.25]).profile([1.0], [0.5, 0.25], min_count=2)
     assert est.sigma_hat == 0.0
     assert est.predictable is True
 
 
 def test_sigma_profile_undefined_when_sparse():
     s = delay_series([0.0, 1.0, 2.0, 3.0], 1)
-    est = BruteEngine(s).profile([0.0], [1e-6], min_count=2)
+    est = BruteEngine(s, [[0.0]], [1e-6]).profile([0.0], [1e-6], min_count=2)
     assert est.sigma_hat is None
     assert est.predictable is None
     assert not est.defined
@@ -143,9 +143,9 @@ def test_sigma_profile_undefined_when_sparse():
 def test_sigma_profile_ladder_validation():
     s = delay_series([0.0, 1.0, 2.0], 1)
     with pytest.raises(ValueError):
-        BruteEngine(s).profile([0.0], [0.1, 0.2])  # not decreasing
+        BruteEngine(s, [[0.0]], [0.1, 0.2])  # not decreasing
     with pytest.raises(ValueError):
-        BruteEngine(s).profile([0.0], [0.1], min_count=1)
+        BruteEngine(s, [[0.0]], [0.1]).profile([0.0], [0.1], min_count=1)
 
 
 @pytest.mark.parametrize("ladder", [[math.nan, 0.5, 0.25], [1.0, math.nan, 0.25],
@@ -154,8 +154,7 @@ def test_nan_ladder_level_rejected(ladder):
     # a NaN level compares false both ways: an empty ball to one engine, one point to the other
     s = delay_series(np.arange(10.0), 1)
     mu = EmpiricalMeasure.uniform(np.arange(20.0).reshape(10, 2))
-    for call in (lambda: BruteEngine(s).profile([1.0], ladder),
-                 lambda: Sorted1DEngine(s).profile([1.0], ladder),
+    for call in (lambda: BruteEngine(s, [[1.0]], ladder),
                  lambda: Sorted1DEngine(s, [[1.0]], ladder),
                  lambda: chi_sigma(s, [1.0], math.nan),
                  lambda: ball_mass_dimension(mu, ladder, 5, 0),
@@ -174,7 +173,8 @@ def test_linear_system_sigma_rate():
     gamma = GOLDEN_ROTATION
     m = np.mod(0.123 + gamma * np.arange(n), 1.0)
     s = delay_series(m, 1)
-    est = BruteEngine(s).profile([0.6], [0.05 * 2.0**-j for j in range(6)], min_count=10)
+    ladder = [0.05 * 2.0**-j for j in range(6)]
+    est = BruteEngine(s, [[0.6]], ladder).profile([0.6], ladder, min_count=10)
     assert est.sigma_hat < 0.01
     admissible = [e for e in est.ladder if e.count >= 10 and e.sigma > 0.0]
     assert len(admissible) >= 2
@@ -191,7 +191,8 @@ def test_two_atom_rotation_oracle():
     m = np.cos(2 * np.pi * t)
     s = delay_series(m, 1)
     oracle = abs(math.cos(2 * math.pi * (t0 + ALPHA)) - math.cos(2 * math.pi * (-t0 + ALPHA))) / 2
-    est = BruteEngine(s).profile([math.cos(2 * math.pi * t0)], [0.2 * 2.0**-j for j in range(8)])
+    y, ladder = [math.cos(2 * math.pi * t0)], [0.2 * 2.0**-j for j in range(8)]
+    est = BruteEngine(s, [y], ladder).profile(y, ladder)
     assert est.defined
     assert abs(est.sigma_hat - oracle) <= 0.1 * oracle
 
@@ -202,10 +203,10 @@ def test_engines_agree_small():
     s = delay_series(m, 1)
     ladder = default_ladder(s)
     ys = rng.normal(size=(25, 1))
-    brute = BruteEngine(s)
-    for sorted1d in (Sorted1DEngine(s), Sorted1DEngine(s, ys, ladder)):
-        for y in ys:
-            ea = brute.profile(y, ladder, 5, 1e-3)
+    table = Sorted1DEngine(s, ys, ladder)
+    for y in ys:
+        ea = BruteEngine(s, [y], ladder).profile(y, ladder, 5, 1e-3)
+        for sorted1d in (Sorted1DEngine(s, [y], ladder), table):
             eb = sorted1d.profile(y, ladder, 5, 1e-3)
             for la, lb in zip(ea.ladder, eb.ladder):
                 assert la.count == lb.count
@@ -220,21 +221,21 @@ def test_sorted1d_counts_equal_points_below_half_ulp():
     points next to a rounded edge y -/+ eps count as in BruteEngine."""
     pv = PairedVectors(1, np.full((5, 1), 1e9), np.arange(5.0)[:, None])
     for eps in (5e-8, 1e-7, 1e-20):
-        brute = BruteEngine(pv).profile([1e9], [eps], min_count=2).ladder[0]
-        sorted1d = Sorted1DEngine(pv).profile([1e9], [eps], min_count=2).ladder[0]
+        brute, sorted1d = (engine(pv, [[1e9]], [eps]).profile([1e9], [eps], min_count=2).ladder[0]
+                           for engine in (BruteEngine, Sorted1DEngine))
         assert brute.count == sorted1d.count == 5
         assert brute.sigma == sorted1d.sigma
     u = math.ulp(1e9)
     for ticks, eps, count in (([-1, 0, 0, 1], u / 4, 2), ([-1, 0, 0, 1], u / 2, 2), ([-1, 0, 0, 1], u, 2),
                               ([-1, 0, 1, 2], 2.5 * u, 4)):  # 1e9 + 2.5u rounds to 1e9 + 2u
         pv = PairedVectors(1, 1e9 + u * np.array(ticks, dtype=float)[:, None], np.zeros((4, 1)))
-        assert BruteEngine(pv).profile([1e9], [eps], 2).ladder[0].count == count
-        assert Sorted1DEngine(pv).profile([1e9], [eps], 2).ladder[0].count == count
+        assert BruteEngine(pv, [[1e9]], [eps]).profile([1e9], [eps], 2).ladder[0].count == count
+        assert Sorted1DEngine(pv, [[1e9]], [eps]).profile([1e9], [eps], 2).ladder[0].count == count
     # (x - 0)^2 underflows to 0 for |x| below about 1.5e-162, so those points
     # are inside a ball of radius 1e-300 whose rounded edges are 1e138 times closer
     pv = PairedVectors(1, np.array([[-1e-150], [-1e-170], [0.0], [1e-170], [1e-160]]), np.zeros((5, 1)))
-    assert BruteEngine(pv).profile([0.0], [1e-300], 2).ladder[0].count == 3
-    assert Sorted1DEngine(pv).profile([0.0], [1e-300], 2).ladder[0].count == 3
+    assert BruteEngine(pv, [[0.0]], [1e-300]).profile([0.0], [1e-300], 2).ladder[0].count == 3
+    assert Sorted1DEngine(pv, [[0.0]], [1e-300]).profile([0.0], [1e-300], 2).ladder[0].count == 3
 
 
 def test_engines_agree_large_balls():
@@ -243,10 +244,8 @@ def test_engines_agree_large_balls():
     m = rng.normal(size=60_000)
     s = delay_series(m, 1)
     ladder = [3.0, 1.0, 0.3]
-    brute = BruteEngine(s)
-    sorted1d = Sorted1DEngine(s)
-    ea = brute.profile([0.0], ladder, 5, 1e-3)
-    eb = sorted1d.profile([0.0], ladder, 5, 1e-3)
+    ea = BruteEngine(s, [[0.0]], ladder).profile([0.0], ladder, 5, 1e-3)
+    eb = Sorted1DEngine(s, [[0.0]], ladder).profile([0.0], ladder, 5, 1e-3)
     assert ea.ladder[0].count == eb.ladder[0].count > 16384
     for la, lb in zip(ea.ladder, eb.ladder):
         assert la.count == lb.count
@@ -264,9 +263,9 @@ def test_sorted1d_sigma_of_large_tight_balls():
     s = np.where(x < 0.5, 10.0 + 1e-5 * rng.normal(size=n), 0.0)
     pv = PairedVectors(1, x[:, None], s[:, None])
     ladder = [0.2, 0.1]
-    ea = BruteEngine(pv).profile([0.25], ladder, 2)
-    for table in ((), ([[0.25]], ladder)):
-        eb = Sorted1DEngine(pv, *table).profile([0.25], ladder, 2)
+    ea = BruteEngine(pv, [[0.25]], ladder).profile([0.25], ladder, 2)
+    for ys in ([[0.25]], [[0.25], [0.3], [0.1]]):  # alone, and cut into bins by other references
+        eb = Sorted1DEngine(pv, ys, ladder).profile([0.25], ladder, 2)
         assert [e.count for e in eb.ladder] == [e.count for e in ea.ladder]
         assert ea.ladder[1].count > 30_000
         for la, lb in zip(ea.ladder, eb.ladder):
@@ -276,14 +275,13 @@ def test_sorted1d_sigma_of_large_tight_balls():
 
 def test_report_table_equals_single_reference_profiles():
     """predictability_report answers k = 1 references from one table built over
-    all of them; each answer equals binning that reference alone."""
+    all of them; each answer equals a table of that reference alone."""
     rng = np.random.default_rng(42)
     s = delay_series(np.cumsum(rng.normal(size=60_001)) * 1e-2, 1)
     ys = s.predecessors[rng.choice(len(s), 100, replace=False)]
     ladder = default_ladder(s, 10)
-    single = Sorted1DEngine(s)
     for y, est in zip(ys, predictability_report(s, ys, 10, 0.2, 20, 1e-3)):
-        alone = single.profile(y, ladder, 20, 1e-3)
+        alone = Sorted1DEngine(s, [y], ladder).profile(y, ladder, 20, 1e-3)
         assert (est.sigma_hat_eps, est.sigma_hat_count, est.predictable) == (
             alone.sigma_hat_eps, alone.sigma_hat_count, alone.predictable)
         for a, b in zip(est.ladder, alone.ladder):
@@ -296,9 +294,62 @@ def test_report_table_equals_single_reference_profiles():
 def test_sorted1d_rejects_bad_references():
     s = delay_series(np.arange(10.0), 1)
     with pytest.raises(ValueError, match="k = 1"):
-        Sorted1DEngine(s).profile([1.0, 2.0], [0.5])
-    with pytest.raises(ValueError, match="finite"):
-        Sorted1DEngine(s, [[np.nan]], [0.5])
+        Sorted1DEngine(s, [[1.0, 2.0]], [0.5])
+
+
+@pytest.mark.parametrize("engine,k", [(Sorted1DEngine, 1), (BruteEngine, 1), (BruteEngine, 2)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_engines_reject_non_finite_reference(engine, k, bad):
+    s = delay_series(np.arange(10.0), k)
+    ys = np.ones((3, k))
+    ys[2, k - 1] = bad
+    with pytest.raises(ValueError, match="reference 2 .* not finite"):
+        engine(s, ys, [0.5])
+
+
+@pytest.mark.parametrize("engine,k", [(Sorted1DEngine, 1), (BruteEngine, 2)])
+def test_engines_need_references(engine, k):
+    with pytest.raises(ValueError, match="at least one reference"):
+        engine(delay_series(np.arange(10.0), k), [], [0.5])
+
+
+@pytest.mark.parametrize("engine,k", [(Sorted1DEngine, 1), (BruteEngine, 1), (BruteEngine, 3)])
+def test_profile_outside_the_table_raises(engine, k):
+    s = delay_series(np.arange(20.0), k)
+    ys, ladder = s.predecessors[[2, 5]], [4.0, 2.0]
+    e = engine(s, ys, ladder)
+    assert e.profile(ys[1], ladder, 2).ladder[0].count > 0
+    with pytest.raises(ValueError, match="not in the engine.s table"):
+        e.profile(ys[1] + 0.5, ladder, 2)
+    for other in ([4.0], [4.0, 1.0], [4.0, 2.0, 1.0], [math.nan, 2.0]):
+        with pytest.raises(ValueError, match="not in the engine.s table"):
+            e.profile(ys[1], other, 2)
+    with pytest.raises(ValueError, match="min_count"):
+        e.profile(ys[1], ladder, 1)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_brute_table_equals_one_reference_engines(k):
+    """One BruteEngine over m references, its shells merged one level at a
+    time over all of them, equals m one-reference engines bit for bit."""
+    rng = np.random.default_rng(44 + k)
+    s = delay_series(np.cumsum(rng.normal(size=5_000)) * 0.1, k)
+    ys = np.concatenate([s.predecessors[rng.choice(len(s), 30, replace=False)],
+                         rng.normal(size=(5, k)) * 100.0])  # the last ones hold no point
+    ladder = default_ladder(s, 8)
+    table = BruteEngine(s, ys, ladder)
+    for y in ys:
+        est, alone = table.profile(y, ladder, 5), BruteEngine(s, [y], ladder).profile(y, ladder, 5)
+        assert (est.sigma_hat, est.sigma_hat_eps, est.predictable) == (
+            alone.sigma_hat, alone.sigma_hat_eps, alone.predictable)
+        for a, b in zip(est.ladder, alone.ladder):
+            assert (a.eps, a.count, a.sigma) == (b.eps, b.count, b.sigma)
+            assert (a.chi is None and b.chi is None) or a.chi.tobytes() == b.chi.tobytes()
+
+
+def test_report_without_references_is_empty():
+    for k in (1, 2):
+        assert predictability_report(delay_series(np.arange(10.0), k), []) == ()
 
 
 def test_default_ladder_rejects_series_without_pairs():
@@ -411,7 +462,7 @@ def test_brute_profile_equals_norm_reduction(series, data):
     extra = data.draw(st.lists(st.floats(1e-12, 1e12), max_size=3, unique=True), label="extra")
     ladder = sorted(set(chosen) | set(extra), reverse=True)
     assume(ladder)
-    est = BruteEngine(s).profile(y, ladder, min_count=2)
+    est = BruteEngine(s, [y], ladder).profile(y, ladder, min_count=2)
     assert_levels_close(est, norm_profile(pred, succ, y, ladder), succ, ladder, 2)
 
 
@@ -428,7 +479,7 @@ def test_brute_profile_equals_norm_reduction_paired(k, n, offset, spread, seed):
     succ = offset + spread * rng.normal(size=(n, k))
     y = pred[rng.integers(0, n)]
     ladder = sorted(spread * rng.uniform(0.01, 4.0, 5), reverse=True)
-    est = BruteEngine(PairedVectors(k, pred, succ)).profile(y, ladder, min_count=2)
+    est = BruteEngine(PairedVectors(k, pred, succ), [y], ladder).profile(y, ladder, min_count=2)
     assert_levels_close(est, norm_profile(pred, succ, y, ladder), succ, ladder, 2)
 
 
@@ -466,7 +517,7 @@ def test_brute_shell_edge_cases(k, case, data):
         candidates = st.sampled_from([far, *gaps, *(e for e in dist if e > 0)])
         ladder = data.draw(st.lists(candidates, min_size=1, max_size=8, unique=True), label="levels")
     ladder = sorted({float(e) for e in ladder}, reverse=True)
-    est = BruteEngine(PairedVectors(k, pred, succ)).profile(y, ladder, min_count=2)
+    est = BruteEngine(PairedVectors(k, pred, succ), [y], ladder).profile(y, ladder, min_count=2)
     levels = norm_profile(pred, succ, y, ladder)
     assert_levels_close(est, levels, succ, ladder, 2)
     if case == "empty top ball":
@@ -485,7 +536,7 @@ def test_brute_sigma_of_large_tight_balls():
     succ = np.where(pred[:, :1] < 0.5, 10.0 + 1e-5 * (rng.normal(size=(n, 2)) + pred), 0.0)
     y = np.array([0.25, 0.5])
     ladder = [0.24, 0.12]
-    est = BruteEngine(PairedVectors(2, pred, succ)).profile(y, ladder, 2)
+    est = BruteEngine(PairedVectors(2, pred, succ), [y], ladder).profile(y, ladder, 2)
     d = np.linalg.norm(pred - y, axis=1)
     assert est.ladder[1].count > 10_000
     for eps, entry in zip(ladder, est.ladder):
@@ -498,9 +549,8 @@ def test_brute_sigma_of_large_tight_balls():
 
 
 def test_brute_profile_rejects_wrong_width():
-    engine = BruteEngine(delay_series(np.arange(10.0), 2))
     with pytest.raises(ValueError, match="k = 2"):
-        engine.profile([1.0], [1.0])
+        BruteEngine(delay_series(np.arange(10.0), 2), [[1.0]], [1.0])
 
 
 # squares that are subnormal, that underflow to 0 or overflow to inf, and exact squares
@@ -547,9 +597,9 @@ def test_sorted1d_and_brute_agree(ticks, offset, spread, ref, data):
     # other references cut y's balls into several bins of the table
     others = data.draw(st.lists(st.integers(0, 40), max_size=8), label="others")
     ys = [y] + [[offset + spread * o / 2] for o in others]
-    a = BruteEngine(s).profile(y, ladder, min_count=2)
+    a = BruteEngine(s, [y], ladder).profile(y, ladder, min_count=2)
     tol = 4 * len(ticks) * np.spacing(abs(offset) + 20 * spread)
-    for engine in (Sorted1DEngine(s), Sorted1DEngine(s, ys, ladder)):
+    for engine in (Sorted1DEngine(s, [y], ladder), Sorted1DEngine(s, ys, ladder)):
         b = engine.profile(y, ladder, min_count=2)
         for la, lb in zip(a.ladder, b.ladder):
             assert la.count == lb.count
