@@ -19,9 +19,10 @@ source and flags; builds of other sources are deleted) and loads it with
 ctypes; later processes load the cached library.  The C computes every
 double as CPython does, so its blocks are bitwise equal to step_state
 iterated, its bins are numpy's and its shell sums add in np.bincount's
-order.  ``skew_orbit`` and ``henon_orbit`` return None when the C cannot
-run: gcc is missing, the build or load failed, or (skew product) CPython
-would raise on the orbit.  dynamics.trajectory then iterates step_state
+order.  The orbit loops only iterate, from a start that
+dynamics.trajectory has checked and reduced.  ``skew_orbit`` and
+``henon_orbit`` return None only when the C is unavailable: gcc is missing,
+or the build or load failed.  dynamics.trajectory then iterates step_state
 instead; ``bin_right`` falls back to ``searchsorted`` and ``ball_shells``
 to numpy passes with the same cuts.  BACKEND names the code in use, "c" or
 "python", once any of the four has been called.
@@ -116,7 +117,7 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 _D, _I64 = ctypes.c_double, ctypes.c_int64
 _P = ctypes.c_void_p
 _SIGNATURES = {  # name: (restype, argtypes); the last argument is the output array
-    "skew_orbit": (ctypes.c_int, (_D, _D, _D, _D, _D, _D, _I64, _I64, _P)),
+    "skew_orbit": (None, (_D, _D, _D, _D, _D, _D, _I64, _I64, _P)),
     "henon_orbit": (_I64, (_D, _D, _D, _D, _I64, _I64, _P)),
     "bin_right": (None, (_P, _I64, _P, _I64, _P)),
     "ball_shells": (None, (_P, _P, _I64, _I64, _P, _P, _I64, _P, _P)),
@@ -172,35 +173,29 @@ def _library():
 
 
 def skew_orbit(r0, phi0, t0, kappa, delta, alpha, n, burn_in):
-    """(3, n) block of (r_i, phi_i, t_i) along the skew product, phi and t
-    wrapped to [0, 2*pi) and [0, 1); None when the C cannot run it."""
+    """(3, n) block of (r_i, phi_i, t_i) along the skew product from a start with
+    r0 > 0, phi0 in [0, 2*pi) and t0 in [0, 1); None when the C is unavailable."""
     lib = _library()
     if lib is None:
         return None
     out = np.empty((3, n))
-    if lib.skew_orbit(r0, phi0, t0, kappa, delta, alpha, n, burn_in, out.ctypes.data):
-        return None  # CPython raises on this orbit
+    lib.skew_orbit(r0, phi0, t0, kappa, delta, alpha, n, burn_in, out.ctypes.data)
     return out
 
 
 def henon_orbit(x0, y0, a, b, n, burn_in):
-    """Henon iterates as (block, fail) for a (2, n) block of (x_i, y_i); None
-    when the C cannot run.
+    """(block, index) of Henon iterates, block the (2, n) array of (x_i, y_i);
+    None when the C is unavailable.
 
-    fail == 0 on success; fail < 0 means divergence at burn-in step -fail
-    (block empty); fail > 0 means the state at output index fail went
-    non-finite and only the prefix [:, :fail] is returned.
+    index is 0, or the index of the first iterate before burn_in + n that is
+    not finite, counted from the start; only the block's first
+    max(index - burn_in, 0) columns are then filled.
     """
     lib = _library()
     if lib is None:
         return None
     out = np.empty((2, n))
-    fail = lib.henon_orbit(x0, y0, a, b, n, burn_in, out.ctypes.data)
-    if fail < 0:
-        return out[:, :0], fail
-    if fail > 0:
-        return out[:, :fail], fail
-    return out, 0
+    return out, lib.henon_orbit(x0, y0, a, b, n, burn_in, out.ctypes.data)
 
 
 def bin_right(cuts, x):

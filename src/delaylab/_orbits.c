@@ -7,9 +7,9 @@
  * is rounded as in CPython and no multiply-add is fused; sin and exp are the
  * libm functions CPython's math module calls.  The loops are therefore
  * bitwise equal to step_state iterated, and the shell moments add in
- * numpy's order.  Where CPython would raise (a zero
- * divisor, an exp that overflows, the sine of an infinity) the skew loop
- * stops and returns 1, and the caller iterates step_state, which raises.
+ * numpy's order.  The orbit loops only iterate: dynamics.trajectory checks
+ * the start and reduces its angles, and from a skew-product start it accepts
+ * no step divides by zero, overflows an exp or takes the sine of an infinity.
  */
 
 #include <math.h>
@@ -18,8 +18,6 @@
 static const double PI = 3.141592653589793;
 static const double TWO_PI = 2.0 * 3.141592653589793;
 static const double G_AMPLITUDE = 1.0 / 100.0;
-
-static _Thread_local int raises;
 
 /* float.__mod__ for a positive period: fmod, then the sign of the period. */
 static double py_mod(double x, double period)
@@ -34,56 +32,26 @@ static double py_mod(double x, double period)
     return m;
 }
 
-/* x mod period in [0, period): a tiny negative x rounds x % period up to period. */
-static double wrap(double x, double period)
-{
-    double w = py_mod(x, period);
-    return w == period ? 0.0 : w;
-}
-
-static double py_div(double a, double b)
-{
-    if (b == 0.0)
-        raises = 1;
-    return a / b;
-}
-
-static double py_exp(double x)
-{
-    double y = exp(x);
-    if (isinf(y) && isfinite(x))
-        raises = 1;
-    return y;
-}
-
-static double py_sin(double x)
-{
-    double y = sin(x);
-    if (isnan(y) && !isnan(x))
-        raises = 1;
-    return y;
-}
-
 static double smooth_step(double x)
 {
     if (x <= 0.0)
         return 0.0;
     if (x >= 1.0)
         return 1.0;
-    double a = py_exp(py_div(-1.0, x));
-    double b = py_exp(py_div(-1.0, 1.0 - x));
-    return py_div(a, a + b);
+    double a = exp(-1.0 / x);
+    double b = exp(-1.0 / (1.0 - x));
+    return a / (a + b);
 }
 
 static double r_core(double r, double kappa)
 {
     double omr = 1.0 - r;
-    return r + py_div(kappa * r * omr * omr * omr, 1.0 + r * r * r * r);
+    return r + kappa * r * omr * omr * omr / (1.0 + r * r * r * r);
 }
 
 static double theta_core(double phi)
 {
-    double s = py_sin(phi);
+    double s = sin(phi);
     return s * s;
 }
 
@@ -93,9 +61,9 @@ static double eta_core(double r)
     double hi = smooth_step(r - 1.5);
     double out = 1.0;
     if (lo > 0.0)
-        out *= py_exp(py_div(-lo, r));
+        out *= exp(-lo / r);
     if (hi > 0.0)
-        out *= py_exp(-hi * r);
+        out *= exp(-hi * r);
     return out;
 }
 
@@ -115,8 +83,8 @@ static double angle_dist_core(double phi, double target)
 
 static double bump_core(double r, double phi, double delta, double target)
 {
-    double fr = smooth_step(2.0 - py_div(fabs(1.0 - r), delta));
-    double fa = smooth_step(2.0 - py_div(angle_dist_core(phi, target), delta));
+    double fr = smooth_step(2.0 - fabs(1.0 - r) / delta);
+    double fa = smooth_step(2.0 - angle_dist_core(phi, target) / delta);
     return fr * fa;
 }
 
@@ -124,28 +92,25 @@ static double fiber_core(double r, double phi, double t, double delta, double al
 {
     double lam = bump_core(r, phi, delta, 0.0);
     double rho = bump_core(r, phi, delta, PI);
-    double s = py_sin(PI * t);
+    double s = sin(PI * t);
     return py_mod(t + lam * G_AMPLITUDE * s * s + rho * alpha, 1.0);
 }
 
-/* Each loop fills the rows of a C-ordered (state_dim, n) block at out. */
+/* Each loop fills the rows of a C-ordered (state_dim, n) block at out from a
+ * start that dynamics.trajectory has checked, its angles already reduced. */
 
-int skew_orbit(double r0, double phi0, double t0, double kappa, double delta, double alpha,
-               int64_t n, int64_t burn_in, double *out)
+void skew_orbit(double r0, double phi0, double t0, double kappa, double delta, double alpha,
+                int64_t n, int64_t burn_in, double *out)
 {
     double *rs = out, *ps = out + n, *ts = out + 2 * n;
-    double r = r0;
-    double phi = wrap(phi0, TWO_PI);
-    double t = wrap(t0, 1.0);
-    double tn;
-    raises = 0;
-    for (int64_t i = 0; i < burn_in && !raises; i++) {
+    double r = r0, phi = phi0, t = t0, tn;
+    for (int64_t i = 0; i < burn_in; i++) {
         tn = fiber_core(r, phi, t, delta, alpha);
         phi = py_mod(phi_core(r, phi, kappa), TWO_PI);
         r = r_core(r, kappa);
         t = tn;
     }
-    for (int64_t i = 0; i < n && !raises; i++) {
+    for (int64_t i = 0; i < n; i++) {
         rs[i] = r;
         ps[i] = phi;
         ts[i] = t;
@@ -154,10 +119,10 @@ int skew_orbit(double r0, double phi0, double t0, double kappa, double delta, do
         r = r_core(r, kappa);
         t = tn;
     }
-    return raises;
 }
 
-/* The fail code of _kernels.henon_orbit: 0, -(burn-in step) or the prefix length. */
+/* 0, or the index of the first iterate before burn_in + n that is not
+ * finite, counted from the start; the block holds the stored states up to it. */
 int64_t henon_orbit(double x0, double y0, double a, double b, int64_t n, int64_t burn_in,
                     double *out)
 {
@@ -168,7 +133,7 @@ int64_t henon_orbit(double x0, double y0, double a, double b, int64_t n, int64_t
         y = b * x;
         x = xn;
         if (!(isfinite(x) && isfinite(y)))
-            return -(i + 1);
+            return i + 1;
     }
     for (int64_t i = 0; i < n; i++) {
         xs[i] = x;
@@ -176,13 +141,11 @@ int64_t henon_orbit(double x0, double y0, double a, double b, int64_t n, int64_t
         xn = 1.0 - a * x * x + y;
         y = b * x;
         x = xn;
-        if (!(isfinite(x) && isfinite(y)))
-            if (i + 1 < n)
-                return i + 1;
+        if (!(isfinite(x) && isfinite(y)) && i + 1 < n)
+            return burn_in + i + 1;
     }
     return 0;
 }
-
 
 /* Bins of n values against m sorted, NaN-free cuts: out[i] counts the cuts c
  * with !(x[i] < c), which is cuts.searchsorted(x, side="right"), a NaN value
@@ -228,7 +191,6 @@ void bin_right(const double *cuts, int64_t m, const double *x, int64_t n, int64_
             out[i + j] = o[j];
     }
 }
-
 
 /* Per-shell moments of the successors of the points near y, over n points
  * whose k predecessor coordinates are the rows of the C-ordered (k, n)

@@ -27,6 +27,7 @@ from .manifold import circle_ambient_array, product_ambient_array, sphere_ambien
 GOLDEN_ROTATION = (math.sqrt(5.0) - 1.0) / 2.0
 
 SYSTEM_IDS = ("rotation", "spiral_f", "skew_T", "model_T0", "henon")
+_STATE_DIM = {"rotation": 1, "spiral_f": 2, "skew_T": 3, "model_T0": 2, "henon": 2}
 
 HENON_A = 1.4
 HENON_B = 0.3
@@ -62,6 +63,8 @@ class SystemConfig:
             object.__setattr__(self, name, float(getattr(self, name)))
         if self.system_id not in SYSTEM_IDS:
             raise ValueError(f"unknown system {self.system_id!r}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha {self.alpha!r} is not finite")
         if not 0.0 < self.kappa <= 0.1:
             raise ValueError(f"kappa {self.kappa!r} outside (0, 0.1]")
         if not 0.0 < self.delta <= 0.2:
@@ -179,20 +182,25 @@ def trajectory(cfg, x0, n, burn_in=0):
     """n states of the configured system after discarding burn_in iterates.
 
     Returns an (n, state_dim) float array in the encoding of step_state, the
-    .T view of a (state_dim, n) block.  Angles of the start state are
-    wrapped into [0, 2*pi) and fiber and circle coordinates into [0, 1).
-    Raises DivergenceError with the failing absolute iterate index if a
-    Henon state leaves the finite range, and ValueError for a spiral_f or
-    skew_T start whose radius is too large for the map's arithmetic; the
-    other systems cannot diverge.
+    .T view of a (state_dim, n) block.  This is the one place a start state
+    is checked and wrapped: angles go into [0, 2*pi) and fiber and circle
+    coordinates into [0, 1), and the orbit loops only iterate.  Raises
+    ValueError for a start of the wrong length or with a non-finite
+    coordinate, and for a spiral_f or skew_T start whose radius is not
+    positive or too large for the map's arithmetic; DivergenceError with the
+    failing absolute iterate index if a Henon state leaves the finite range.
+    The other systems cannot diverge.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
+    sid = cfg.system_id
+    if len(x0) != _STATE_DIM[sid]:
+        raise ValueError(f"start state {tuple(x0)!r} of {sid} has {len(x0)} coordinates, "
+                         f"not {_STATE_DIM[sid]}")
     if not all(math.isfinite(v) for v in x0):
         raise ValueError(f"non-finite start state {tuple(x0)!r}")
-    sid = cfg.system_id
     if sid in ("spiral_f", "skew_T") and not x0[0] > 0.0:
         raise ValueError(f"start state {tuple(x0)!r} of {sid} needs a radius r0 > 0")
     if sid == "rotation":
@@ -212,23 +220,23 @@ def trajectory(cfg, x0, n, burn_in=0):
         start = (float(x0[0]), _k.wrap(float(x0[1]), _k.TWO_PI))
         if sid == "skew_T":
             start += (_k.wrap(float(x0[2]), 1.0),)
-        # each step moves the radius monotonically toward 1 and keeps the angles wrapped, so
-        # when the first image is finite every later one is, and the loops need no check
+        # each step moves the radius monotonically toward 1 and keeps the angles wrapped, so when
+        # the first image is finite every later one is, no later step raises in CPython, and the
+        # loops need no check
         if not all(map(math.isfinite, step_state(cfg, start))):
             raise ValueError(f"start radius r0 = {start[0]!r} of {sid} leaves the finite range "
                              f"on the first step")
-    block, fail = _orbit(cfg, start, n, burn_in)
-    if fail < 0:
-        raise DivergenceError(-fail)
-    if fail > 0:
-        raise DivergenceError(burn_in + fail)
+    block, index = _orbit(cfg, start, n, burn_in)
+    if index:
+        raise DivergenceError(index)
     return block.T
 
 
 def _orbit(cfg, start, n, burn_in):
-    """(block, fail) of a spiral_f, skew_T or Henon orbit from a wrapped start: the C loop's,
-    or step_state iterated when the C cannot run or CPython would raise on the orbit.  A
-    spiral_f block is rows (r, phi) of a skew block from fiber start 0, which they do not read."""
+    """(block, index) of a spiral_f, skew_T or Henon orbit from a checked, wrapped start, as
+    _kernels.henon_orbit returns it: the C loop's, or step_state iterated when the C is
+    unavailable.  A spiral_f block is rows (r, phi) of a skew block from fiber start 0, which
+    they do not read."""
     if cfg.system_id == "henon":
         run = _k.henon_orbit(*start, HENON_A, HENON_B, n, burn_in)
     else:
@@ -239,20 +247,20 @@ def _orbit(cfg, start, n, burn_in):
 
 
 def _iterate(cfg, state, n, burn_in):
-    """The interpreted orbit: step_state iterated into a (state_dim, n) block, as (block, fail)
+    """The interpreted orbit: step_state iterated into a (state_dim, n) block, as (block, index)
     like _kernels.henon_orbit.  As in the C loops, only Henon states are checked for leaving
-    the finite range, and a step on which CPython raises raises here."""
+    the finite range."""
     checked = cfg.system_id == "henon"
     block = np.empty((len(state), n))
     for i in range(burn_in):
         state = step_state(cfg, state)
         if checked and not all(map(math.isfinite, state)):
-            return block[:, :0], -(i + 1)
+            return block, i + 1
     for i in range(n):
         block[:, i] = state
         state = step_state(cfg, state)
         if checked and i + 1 < n and not all(map(math.isfinite, state)):
-            return block[:, : i + 1], i + 1
+            return block, burn_in + i + 1
     return block, 0
 
 

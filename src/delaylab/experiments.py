@@ -560,44 +560,37 @@ def _run_e6(cfg, out):
     metrics = {}
     flags = {}
     ladder = [2.0 ** (-j) for j in range(cfg.param("eps_hi_exp"), cfg.param("eps_lo_exp") + 1)]
-    n_centers = cfg.param("n_centers")
+    n_samples = cfg.param("n_samples")
+
+    def seed(stage):
+        return int(rng_for(cfg.seed, "E6", stage).integers(0, 2**63))
+
+    def skew_measure():
+        skew = SystemConfig("skew_T", alpha=cfg.param("alpha"), kappa=cfg.param("kappa"),
+                            delta=cfg.param("delta"))
+        orbit = trajectory(skew, (0.5, 1.0, 0.3), cfg.param("skew_orbit_n"))
+        return EmpiricalMeasure.uniform(ambient_of_states(skew, orbit[::cfg.param("skew_stride")]))
+
+    measures = [  # (name, RNG stage whose "<stage>_centers" seeds the ball centres, builder)
+        ("model_measure", "model", lambda: sample_model_measure(n_samples, seed("model"))),
+        ("uniform_segment", "segment", lambda: uniform_segment_measure(n_samples, seed("segment"))),
+        ("point_mass", "point", lambda: point_mass_measure(cfg.param("point_n"))),
+        ("skew_orbit", "skew", skew_measure),
+    ]
     rows = []
-
-    def record(name, est, kind):
-        for (eps, val), n_used in zip(est.ladder, est.levels_used):
-            rows.append([name, kind, eps, val, float(n_used)])
-        metrics[f"{name}_{kind}"] = est.estimate
-
-    seed_int = int(rng_for(cfg.seed, "E6", "model").integers(0, 2**63))
-    mu0 = sample_model_measure(cfg.param("n_samples"), seed_int)
-    ball, pointwise = ball_mass_dimension(
-        mu0, ladder, n_centers, int(rng_for(cfg.seed, "E6", "model_centers").integers(0, 2**63)))
-    record("model_measure", ball, "ball")
-    record("model_measure", box_counting_idim(mu0, ladder), "box")
-    for q, v in pointwise_dim_quantiles(pointwise).items():
-        metrics[f"model_measure_dimH_proxy_q{int(q * 100):02d}"] = v
-
-    seg = uniform_segment_measure(cfg.param("n_samples"),
-                                  int(rng_for(cfg.seed, "E6", "segment").integers(0, 2**63)))
-    ball, _ = ball_mass_dimension(
-        seg, ladder, n_centers, int(rng_for(cfg.seed, "E6", "segment_centers").integers(0, 2**63)))
-    record("uniform_segment", ball, "ball")
-    record("uniform_segment", box_counting_idim(seg, ladder), "box")
-
-    pm = point_mass_measure(cfg.param("point_n"))
-    ball, _ = ball_mass_dimension(
-        pm, ladder, n_centers, int(rng_for(cfg.seed, "E6", "point_centers").integers(0, 2**63)))
-    record("point_mass", ball, "ball")
-    record("point_mass", box_counting_idim(pm, ladder), "box")
-
-    skew = SystemConfig("skew_T", alpha=cfg.param("alpha"), kappa=cfg.param("kappa"),
-                        delta=cfg.param("delta"))
-    orbit = trajectory(skew, (0.5, 1.0, 0.3), cfg.param("skew_orbit_n"))
-    mu_skew = EmpiricalMeasure.uniform(ambient_of_states(skew, orbit[::cfg.param("skew_stride")]))
-    ball, _ = ball_mass_dimension(
-        mu_skew, ladder, n_centers, int(rng_for(cfg.seed, "E6", "skew_centers").integers(0, 2**63)))
-    record("skew_orbit", ball, "ball")
-    record("skew_orbit", box_counting_idim(mu_skew, ladder), "box")
+    for name, stage, build in measures:
+        mu = build()
+        ball, pointwise = ball_mass_dimension(mu, ladder, cfg.param("n_centers"),
+                                              seed(f"{stage}_centers"))
+        box = box_counting_idim(mu, ladder)
+        del mu  # the next measure is built with this one freed
+        for kind, est in (("ball", ball), ("box", box)):
+            for (eps, val), n_used in zip(est.ladder, est.levels_used):
+                rows.append([name, kind, eps, val, float(n_used)])
+            metrics[f"{name}_{kind}"] = est.estimate
+        if stage == "model":
+            for q, v in pointwise_dim_quantiles(pointwise).items():
+                metrics[f"model_measure_dimH_proxy_q{int(q * 100):02d}"] = v
 
     flags["model_ball_half"] = abs(metrics["model_measure_ball"] - 0.5) <= 0.1
     flags["model_box_half"] = abs(metrics["model_measure_box"] - 0.5) <= 0.1

@@ -9,6 +9,7 @@ from delaylab.dynamics import (
     DivergenceError,
     GOLDEN_ROTATION,
     step_state,
+    SYSTEM_IDS,
     SystemConfig,
     trajectory,
     visit_gaps,
@@ -203,6 +204,16 @@ def test_trajectory_single_point_is_start(system, x0):
     assert traj[0] == pytest.approx(np.asarray(x0), abs=1e-15)
 
 
+@pytest.mark.parametrize("system", SYSTEM_IDS)
+def test_trajectory_rejects_start_of_wrong_length(system):
+    # a start one coordinate short used to raise a bare IndexError, one too long lost its tail
+    dim = {"rotation": 1, "skew_T": 3}.get(system, 2)
+    assert trajectory(SystemConfig(system), (0.5,) * dim, 3).shape == (3, dim)
+    for x0 in [(0.5,) * (dim - 1), (0.5,) * (dim + 1)]:
+        with pytest.raises(ValueError, match=rf"of {system} has {len(x0)} coordinates, not {dim}"):
+            trajectory(SystemConfig(system), x0, 3)
+
+
 def test_trajectory_spiral_radius_monotone():
     cfg = SystemConfig("spiral_f", kappa=0.05)
     traj = trajectory(cfg, (0.5, 0.0), 5_000)
@@ -321,3 +332,6 @@ def test_system_config_validation():
         SystemConfig("rotation", delta=0.3)
     with pytest.raises(TypeError, match="alpha"):
         SystemConfig("rotation", alpha="0.3")
+    for alpha in (math.inf, -math.inf, math.nan):  # would fill rotation and fiber rows with NaN
+        with pytest.raises(ValueError, match="alpha"):
+            SystemConfig("rotation", alpha=alpha)

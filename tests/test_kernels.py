@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from delaylab import _kernels as _k, dynamics
 from delaylab.dynamics import (DivergenceError, GOLDEN_ROTATION, HENON_A, HENON_B, SystemConfig,
-                               _iterate, _orbit, step_state, trajectory)
+                               _iterate, step_state, trajectory)
 from delaylab.experiments import ExperimentConfig, run_experiment
 from delaylab.predictability import _square_cut
 
@@ -35,15 +35,26 @@ def same_bytes(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def wrapped(r0, phi0, t0, *rest):
+    """The arguments of _k.skew_orbit with phi0 and t0 wrapped, as dynamics.trajectory passes them."""
+    return (r0, _k.wrap(phi0, _k.TWO_PI), _k.wrap(t0, 1.0), *rest)
+
+
 def skew_steps(r0, phi0, t0, kappa, delta, alpha, n, burn_in):
-    """step_state iterated from the start that _k.skew_orbit wraps, as a (3, n) block."""
-    start = (r0, _k.wrap(phi0, _k.TWO_PI), _k.wrap(t0, 1.0))
-    return _iterate(SystemConfig("skew_T", alpha, kappa, delta), start, n, burn_in)[0]
+    """step_state iterated from a wrapped start, as a (3, n) block."""
+    return _iterate(SystemConfig("skew_T", alpha, kappa, delta), (r0, phi0, t0), n, burn_in)[0]
 
 
 def henon_steps(x0, y0, n, burn_in):
-    """(block, fail) of step_state iterated on the Henon map."""
+    """(block, index) of step_state iterated on the Henon map."""
     return _iterate(SystemConfig("henon"), (x0, y0), n, burn_in)
+
+
+def same_run(got, want, burn_in):
+    """Equal divergence indices and equal blocks up to the first non-finite iterate."""
+    (got, got_index), (want, want_index) = got, want
+    valid = max(want_index - burn_in, 0) if want_index else want.shape[1]
+    return got_index == want_index and same_bytes(got[:, :valid], want[:, :valid])
 
 
 def test_backend_is_c_when_gcc_present(monkeypatch):
@@ -102,7 +113,7 @@ def test_failed_build_warns_and_runs_python(tmp_path, monkeypatch):
 ])
 @pytest.mark.parametrize("burn_in", [0, 1_000])
 def test_skew_orbit_bytes_equal(r0, phi0, t0, kappa, delta, burn_in):
-    args = (r0, phi0, t0, kappa, delta, GOLDEN_ROTATION, 100_000, burn_in)
+    args = wrapped(r0, phi0, t0, kappa, delta, GOLDEN_ROTATION, 100_000, burn_in)
     assert same_bytes(_k.skew_orbit(*args), skew_steps(*args))
 
 
@@ -113,9 +124,9 @@ def test_henon_orbit_bytes_equal(x0, y0, a, b, burn_in, monkeypatch):
     # the C loop takes the constants as arguments, step_state reads them from dynamics
     monkeypatch.setattr(dynamics, "HENON_A", a)
     monkeypatch.setattr(dynamics, "HENON_B", b)
-    (got, got_fail), (want, want_fail) = (_k.henon_orbit(x0, y0, a, b, 100_000, burn_in),
-                                          henon_steps(x0, y0, 100_000, burn_in))
-    assert got_fail == want_fail == 0
+    (got, got_index), (want, want_index) = (_k.henon_orbit(x0, y0, a, b, 100_000, burn_in),
+                                            henon_steps(x0, y0, 100_000, burn_in))
+    assert got_index == want_index == 0
     assert same_bytes(got, want)
 
 
@@ -123,19 +134,19 @@ def test_henon_orbit_bytes_equal(x0, y0, a, b, burn_in, monkeypatch):
 @pytest.mark.parametrize("n,burn_in", [(1_000, 0), (1_000, 3), (1_000, 1_000)])
 def test_henon_divergence_same_fail_and_prefix(n, burn_in):
     # from (2, 2) the map diverges at iterate 11: in the output, or in the burn-in
-    got, got_fail = _k.henon_orbit(2.0, 2.0, HENON_A, HENON_B, n, burn_in)
-    want, want_fail = henon_steps(2.0, 2.0, n, burn_in)
-    assert got_fail == want_fail != 0
-    assert same_bytes(got, want)
+    got = _k.henon_orbit(2.0, 2.0, HENON_A, HENON_B, n, burn_in)
+    want = henon_steps(2.0, 2.0, n, burn_in)
+    assert got[1] == want[1] == 11
+    assert same_run(got, want, burn_in)
 
 
 @needs_c
 def test_henon_divergence_on_last_step_keeps_block():
     # an orbit whose last stored state is finite but whose next image is not
-    _, fail = henon_steps(2.0, 2.0, 1_000, 0)
-    got, got_fail = _k.henon_orbit(2.0, 2.0, HENON_A, HENON_B, fail, 0)
-    want, want_fail = henon_steps(2.0, 2.0, fail, 0)
-    assert got_fail == want_fail == 0
+    _, index = henon_steps(2.0, 2.0, 1_000, 0)
+    got, got_index = _k.henon_orbit(2.0, 2.0, HENON_A, HENON_B, index, 0)
+    want, want_index = henon_steps(2.0, 2.0, index, 0)
+    assert got_index == want_index == 0
     assert same_bytes(got, want)
 
 
@@ -143,20 +154,9 @@ def test_henon_divergence_on_last_step_keeps_block():
 def test_henon_divergence_index_same_across_backends(backend, burn_in):
     # from (2, 2) the default map diverges at iterate 11: after the output starts
     # with burn_in = 0, inside the burn-in with burn_in = 1000
-    _, fail = henon_steps(2.0, 2.0, 1_000, burn_in)
-    assert (fail > 0) == (burn_in == 0)
-    expected = -fail if fail < 0 else burn_in + fail
     with pytest.raises(DivergenceError) as err:
         trajectory(SystemConfig("henon"), (2.0, 2.0), 1_000, burn_in)
-    assert err.value.index == expected
-
-
-def test_zero_radius_raises_like_python(backend):
-    # eta divides by r inside the inner annulus, so r = 0 is a ZeroDivisionError in CPython:
-    # the C loop reports it, and the step_state rerun raises it
-    assert _k.skew_orbit(0.0, 1.0, 0.3, 0.05, 0.1, GOLDEN_ROTATION, 10, 0) is None
-    with pytest.raises(ZeroDivisionError):
-        _orbit(SystemConfig("skew_T"), (0.0, 1.0, 0.3), 10, 0)
+    assert err.value.index == henon_steps(2.0, 2.0, 1_000, burn_in)[1] == 11
 
 
 @pytest.mark.parametrize("system,start", [
@@ -185,6 +185,33 @@ def test_trajectory_accepts_large_finite_radius(backend, system, start):
     assert np.isfinite(traj).all() and (np.diff(traj[:, 0]) < 0).all()
 
 
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    system=st.sampled_from(["spiral_f", "skew_T"]),
+    r0=st.one_of(st.floats(-323.3, 80.0).map(lambda e: 10.0 ** e), st.sampled_from([5e-324, 3e77, 1e80])),
+    phi0=st.floats(allow_nan=False, allow_infinity=False),
+    t0=st.floats(allow_nan=False, allow_infinity=False),
+    kappa=st.floats(0.0, 0.1, exclude_min=True), delta=st.floats(0.0, 0.2, exclude_min=True),
+    alpha=st.floats(allow_nan=False, allow_infinity=False),
+    n=st.integers(1, 40), burn_in=st.integers(0, 20),
+)
+def test_trajectory_start_check_property(backend, system, r0, phi0, t0, kappa, delta, alpha, n,
+                                         burn_in):
+    # r0 log-uniform from 5e-324 to 1e80: trajectory names the start in a ValueError, or
+    # returns a finite block equal to step_state iterated.  The C loops check nothing, so no
+    # start that trajectory accepts may reach a step on which CPython raises.
+    cfg = SystemConfig(system, alpha, kappa, delta)
+    start = (r0, phi0, t0)[:2 if system == "spiral_f" else 3]
+    try:
+        traj = trajectory(cfg, start, n, burn_in)
+    except ValueError as exc:
+        assert f"{r0!r} of {system}" in str(exc)
+        return
+    state = (r0, _k.wrap(phi0, _k.TWO_PI), _k.wrap(t0, 1.0))[:len(start)]
+    assert np.isfinite(traj).all()
+    assert same_bytes(traj.T, _iterate(cfg, state, n, burn_in)[0])
+
+
 def test_numpy_scalar_arguments_compute_in_double(monkeypatch):
     # the C loops take doubles; step_state must not round in the inputs' float32
     f32 = np.float32
@@ -211,7 +238,7 @@ def test_numpy_scalar_arguments_compute_in_double(monkeypatch):
     n=st.integers(1, 60), burn_in=st.integers(0, 30),
 )
 def test_skew_orbit_equal_property(r0, phi0, t0, kappa, delta, alpha, n, burn_in):
-    args = (r0, phi0, t0, kappa, delta, alpha, n, burn_in)
+    args = wrapped(r0, phi0, t0, kappa, delta, alpha, n, burn_in)
     assert same_bytes(_k.skew_orbit(*args), skew_steps(*args))
 
 
@@ -253,10 +280,8 @@ def test_henon_orbit_equal_property(x0, y0, a, b, n, burn_in):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "HENON_A", a)
         mp.setattr(dynamics, "HENON_B", b)
-        (got, got_fail), (want, want_fail) = (_k.henon_orbit(x0, y0, a, b, n, burn_in),
-                                              henon_steps(x0, y0, n, burn_in))
-    assert got_fail == want_fail
-    assert same_bytes(got, want)
+        got, want = _k.henon_orbit(x0, y0, a, b, n, burn_in), henon_steps(x0, y0, n, burn_in)
+    assert same_run(got, want, burn_in)
 
 
 # -- the k = 1 bin search is searchsorted(side="right") --------------------------

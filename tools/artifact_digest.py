@@ -4,8 +4,10 @@
 
 Each experiment writes into OUT/<experiment id>.  The lines name each file
 relative to OUT, in sorted order, so two trees' artifacts compare byte for
-byte with a ``diff`` of their outputs.  The package is imported from the
-checkout that holds this script.
+byte with a ``diff`` of their outputs.  After the runs, ``backend=c`` or
+``backend=python`` on stderr names the orbit, bin and shell code that ran,
+so a claim that two backends agree shows which ones did.  The package is
+imported from the checkout that holds this script.
 """
 
 import argparse
@@ -22,10 +24,12 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=7, help="base seed (default 7)")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(SRC))
+    from delaylab import _kernels
     from delaylab.experiments import EXPERIMENT_IDS, ExperimentConfig, run_experiment
 
     for eid in EXPERIMENT_IDS:
         run_experiment(ExperimentConfig(eid, args.seed), args.out / eid)
+    print(f"backend={_kernels.BACKEND}", file=sys.stderr)
     for eid in EXPERIMENT_IDS:
         for path in sorted((args.out / eid).iterdir()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
