@@ -12,7 +12,6 @@ from .dynamics import (
     DivergenceError,
     SystemConfig,
     trajectory,
-    VisitRecord,
     visit_statistics,
 )
 from .embedding import delay_map, delay_series, PairedVectors
@@ -30,7 +29,7 @@ __version__ = "0.1.0"
 
 # the documented API; the README's "API" section lists the same names
 __all__ = [
-    "SystemConfig", "trajectory", "DivergenceError", "VisitRecord", "visit_statistics",
+    "SystemConfig", "trajectory", "DivergenceError", "visit_statistics",
     "Observable", "monomial_basis", "perturb", "evaluate",
     "PairedVectors", "delay_series", "delay_map",
     "chi_sigma", "predictability_report", "SigmaEstimate",

@@ -36,19 +36,20 @@ def main(argv=None):
             print(f"{eid.split('_')[0]:4s} {eid:24s} {DESCRIPTIONS[eid]}")
         return 0
 
-    if args.config is not None:
-        cfg = parse_config(args.config.read_text())
-        if args.experiment is not None:
-            cfg = ExperimentConfig(_SHORT_IDS.get(args.experiment, args.experiment),
-                                   cfg.seed, cfg.overrides)
-        if args.seed is not None:
-            cfg = ExperimentConfig(cfg.experiment_id, args.seed, cfg.overrides)
-    else:
-        if args.experiment is None:
-            print("error: --experiment or --config required", file=sys.stderr)
-            return 2
-        cfg = ExperimentConfig(_SHORT_IDS.get(args.experiment, args.experiment),
-                               args.seed if args.seed is not None else 0)
+    if args.config is None and args.experiment is None:
+        print("error: --experiment or --config required", file=sys.stderr)
+        return 2
+    experiment, seed, overrides = args.experiment, 0, {}
+    try:  # input rejected before the run exits 2; a failed pass flag exits 1
+        if args.config is not None:
+            base = parse_config(args.config.read_text())
+            experiment = base.experiment_id if experiment is None else experiment
+            seed, overrides = base.seed, base.overrides
+        cfg = ExperimentConfig(_SHORT_IDS.get(experiment, experiment),
+                               seed if args.seed is None else args.seed, overrides)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     out = args.out if args.out is not None else Path("out") / f"{cfg.experiment_id}_seed{cfg.seed}"
     summary = run_experiment(cfg, out)

@@ -54,7 +54,6 @@ class DimensionEstimate:
     slope: float
     intercept: float
     r_squared: float
-    dropped_levels: tuple = ()
     levels_used: tuple = ()
 
     @property
@@ -128,10 +127,7 @@ def ball_mass_dimension(mu, ladder, n_centers, seed):
     tree = cKDTree(mu.points)
     uniform = mu.is_uniform()
     values = []
-    log_mass_means = []
-    pointwise = None
-    dropped = []
-    used = []
+    log_eps, log_mass = [], []
     for eps in ladder:
         if uniform:
             counts = tree.query_ball_point(centers, eps, return_length=True)
@@ -139,21 +135,14 @@ def ball_mass_dimension(mu, ladder, n_centers, seed):
         else:
             balls = tree.query_ball_point(centers, eps)
             mass = np.array([mu.weights[b].sum() for b in balls])[inverse]
-        if np.any(mass <= 0.0):
-            dropped.append(eps)
-            values.append((eps, float("nan")))
-            used.append(0)
-            continue
-        used.append(len(mass))
+        # mass > 0: each center has positive weight and lies in its own closed ball
         logm = np.log(mass)
         values.append((eps, float(np.mean(logm / math.log(eps)))))
-        log_mass_means.append((math.log(eps), float(logm.mean())))
-        pointwise = logm / math.log(eps)  # finest usable level wins
-    if len(log_mass_means) < 2:
-        raise ValueError("fewer than 2 usable levels, estimate undefined")
-    slope, intercept, r2 = _fit([x for x, _ in log_mass_means], [y for _, y in log_mass_means])
-    est = DimensionEstimate(tuple(values), slope, intercept, r2, tuple(dropped), tuple(used))
-    return est, np.asarray(pointwise)
+        log_eps.append(math.log(eps))
+        log_mass.append(float(logm.mean()))
+    slope, intercept, r2 = _fit(log_eps, log_mass)
+    est = DimensionEstimate(tuple(values), slope, intercept, r2, (n_centers,) * len(ladder))
+    return est, logm / math.log(ladder[-1])  # pointwise dimensions at the finest level
 
 
 def pointwise_dim_quantiles(pointwise):
@@ -193,7 +182,7 @@ def box_counting_idim(mu, ladder):
         values.append((eps, h))
         used.append(n_cells)
     slope, intercept, r2 = _fit([math.log(e) for e, _ in values], [v for _, v in values])
-    return DimensionEstimate(tuple(values), slope, intercept, r2, (), tuple(used))
+    return DimensionEstimate(tuple(values), slope, intercept, r2, tuple(used))
 
 
 def uniform_segment_measure(n, seed):

@@ -8,7 +8,10 @@ advances one state through the cores of _kernels.  ``trajectory`` runs the
 C loops of _orbits.c, which are tested bitwise against step_state, and
 iterates step_state itself where the C cannot run.  The caller names every
 start state; ``ambient_of_states`` maps a whole orbit to the ambient rows
-that observables are evaluated on.
+that observables are evaluated on.  ``visit_statistics`` finds a spiral
+orbit's completed stays in the boxes around p and q with one scan of the
+``box_flags`` masks and returns them, and the gaps between them, as int
+arrays.
 
 Layout: every (n, d) point array returned here, orbit or ambient, is the .T
 view of a coordinate-major (d, n) block, so each coordinate is a contiguous
@@ -69,35 +72,6 @@ class SystemConfig:
             raise ValueError(f"kappa {self.kappa!r} outside (0, 0.1]")
         if not 0.0 < self.delta <= 0.2:
             raise ValueError(f"delta {self.delta!r} outside (0, 0.2]")
-
-
-@dataclass(frozen=True)
-class VisitRecord:
-    """Entry/exit bookkeeping of the i-th stay in each of the two boxes.
-
-    Iteration times index the analysed trajectory segment; durations are
-    N_p = n_plus_p - n_minus_p and likewise for q.
-    """
-
-    i: int
-    n_minus_p: int
-    n_plus_p: int
-    n_minus_q: int
-    n_plus_q: int
-
-    @property
-    def N_p(self):
-        return self.n_plus_p - self.n_minus_p
-
-    @property
-    def N_q(self):
-        return self.n_plus_q - self.n_minus_q
-
-    def __post_init__(self):
-        if self.i < 1:
-            raise ValueError("visit index starts at 1")
-        if self.N_p <= 0 or self.N_q <= 0:
-            raise ValueError("visit durations must be positive")
 
 
 # -- one step and ambient coordinates -----------------------------------------
@@ -186,10 +160,11 @@ def trajectory(cfg, x0, n, burn_in=0):
     is checked and wrapped: angles go into [0, 2*pi) and fiber and circle
     coordinates into [0, 1), and the orbit loops only iterate.  Raises
     ValueError for a start of the wrong length or with a non-finite
-    coordinate, and for a spiral_f or skew_T start whose radius is not
-    positive or too large for the map's arithmetic; DivergenceError with the
-    failing absolute iterate index if a Henon state leaves the finite range.
-    The other systems cannot diverge.
+    coordinate, for a model_T0 start whose component is neither 0 nor 1, and
+    for a spiral_f or skew_T start whose radius is not positive or too large
+    for the map's arithmetic; DivergenceError with the failing absolute
+    iterate index if a Henon state leaves the finite range.  The other
+    systems cannot diverge.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -209,6 +184,9 @@ def trajectory(cfg, x0, n, burn_in=0):
         return ((t0 + idx * cfg.alpha) % 1.0)[:, None]
     if sid == "model_T0":
         comp, t0 = float(x0[0]), _k.wrap(float(x0[1]), 1.0)
+        if comp not in (0.0, 1.0):
+            raise ValueError(f"start state {tuple(x0)!r} of model_T0 needs component 0 (the "
+                             "marked point) or 1 (the circle)")
         block = np.zeros((2, n))
         if comp != 0.0:
             block[0] = 1.0
@@ -277,61 +255,35 @@ def box_flags(r, phi, delta):
     return radial & (dp < delta), radial & (dq < delta)
 
 
-def _runs(mask):
-    """(start, stop) index pairs of maximal True runs, completed runs only."""
-    m = np.asarray(mask, dtype=bool)
-    if m.size == 0:
-        return []
-    edges = np.flatnonzero(np.diff(m.astype(np.int8)))
-    starts = list(edges[~m[edges]] + 1)
-    stops = list(edges[m[edges]] + 1)
-    if m[0]:
-        starts.insert(0, 0)
-    if m[-1]:
-        # unfinished stay: exit not observed, drop it
-        starts = starts[: len(stops)]
-    return list(zip(starts, stops))
+def _stays(mask):
+    """(starts, stops) of a mask's completed True runs: a run from index 0 counts, one still open
+    at the last index is dropped, since its exit is not observed."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False))  # bool diff: True where the flag flips
+    starts, stops = edges[mask[edges]], edges[~mask[edges]]
+    return starts[:len(stops)], stops
 
 
 def visit_statistics(traj, delta):
-    """Completed visit records of a spiral-map trajectory.
+    """Completed stays of a spiral-map trajectory in the boxes around p and q, and the gaps
+    between them.
 
-    traj is an (n, 2) array of polar states (r, phi).  The i-th record pairs
-    the i-th completed stay in the box around p with the i-th around q; only
-    fully-observed stays are reported.  Also usable on the base component of
-    skew-product trajectories.
+    traj is an (n, 2) array of polar states (r, phi), or the base rows of a skew-product
+    trajectory.  Returns (visits, gap_pair, gap).  Row i - 1 of the (m, 4) int array visits is
+    (n_minus_p, n_plus_p, n_minus_q, n_plus_q): the entry and exit index of the i-th completed
+    stay in each box, so N_p = n_plus_p - n_minus_p.  gap[j] is the time from the exit of the
+    j-th stay in either box, in order of entry, to the entry of the next, and gap_pair[j] the
+    1-based index of the visit pair that stay belongs to.  Gaps end at the first stay of a pair
+    beyond m.
     """
     traj = np.asarray(traj, dtype=float)
-    in_p, in_q = box_flags(traj[:, 0], traj[:, 1], delta)
-    runs_p = _runs(in_p)
-    runs_q = _runs(in_q)
-    records = []
-    for i, ((ap, bp), (aq, bq)) in enumerate(zip(runs_p, runs_q), start=1):
-        records.append(VisitRecord(i, int(ap), int(bp), int(aq), int(bq)))
-    return records
-
-
-def visit_gaps(traj, delta):
-    """Chronological gaps between consecutive completed stays in either box.
-
-    Returns (pair_index, gap_length) arrays: each gap carries the 1-based
-    index of the visit pair it follows within.
-    """
-    traj = np.asarray(traj, dtype=float)
-    in_p, in_q = box_flags(traj[:, 0], traj[:, 1], delta)
-    runs_p, runs_q = _runs(in_p), _runs(in_q)
-    events = [("p", a, b) for a, b in runs_p] + [("q", a, b) for a, b in runs_q]
-    events.sort(key=lambda e: e[1])
-    n_pairs = min(len(runs_p), len(runs_q))
-    idx = []
-    gaps = []
-    seen = {"p": 0, "q": 0}
-    for j in range(len(events) - 1):
-        side, _, stop = events[j]
-        seen[side] += 1
-        pair = max(seen["p"], seen["q"])
-        if pair > n_pairs:
-            break
-        idx.append(pair)
-        gaps.append(events[j + 1][1] - stop)
-    return np.asarray(idx, dtype=int), np.asarray(gaps, dtype=int)
+    (start_p, stop_p), (start_q, stop_q) = map(_stays, box_flags(traj[:, 0], traj[:, 1], delta))
+    m = min(len(stop_p), len(stop_q))
+    visits = np.column_stack([start_p[:m], stop_p[:m], start_q[:m], stop_q[:m]])
+    start = np.concatenate([start_p, start_q])
+    order = np.argsort(start, kind="stable")
+    in_q = order >= len(start_p)
+    start, stop = start[order], np.concatenate([stop_p, stop_q])[order]
+    # a stay's pair index: the larger of the two boxes' stay counts up to and including it
+    pair = np.maximum(np.cumsum(~in_q), np.cumsum(in_q))[:-1]
+    kept = pair <= m
+    return visits, pair[kept], (start[1:] - stop[:-1])[kept]

@@ -27,7 +27,7 @@ from .dimension import (
     uniform_segment_measure,
 )
 from .dynamics import (GOLDEN_ROTATION, SystemConfig, ambient_of_states, box_flags,
-                       sample_model_states, trajectory, visit_gaps, visit_statistics)
+                       sample_model_states, trajectory, visit_statistics)
 from .embedding import delay_series, PairedVectors
 from .observables import evaluate, monomial_basis, Observable, perturb
 from .predictability import predictability_report
@@ -234,13 +234,12 @@ def _run_e1_visits(cfg, out):
     flags = {}
     vis_cfg = SystemConfig("spiral_f", kappa=cfg.param("visits_kappa"), delta=cfg.param("visits_delta"))
     traj = trajectory(vis_cfg, (cfg.param("visits_r0"), cfg.param("visits_phi0")), cfg.param("visits_n"))
-    records = visit_statistics(traj, vis_cfg.delta)
-    gap_idx, gaps = visit_gaps(traj, vis_cfg.delta)
+    visits, gap_idx, gaps = visit_statistics(traj, vis_cfg.delta)
 
-    i_arr = np.array([rec.i for rec in records])
-    n_p = np.array([rec.N_p for rec in records], dtype=float)
-    n_q = np.array([rec.N_q for rec in records], dtype=float)
-    metrics["visits_completed"] = float(len(records))
+    i_arr = np.arange(1, len(visits) + 1)
+    n_p = (visits[:, 1] - visits[:, 0]).astype(float)
+    n_q = (visits[:, 3] - visits[:, 2]).astype(float)
+    metrics["visits_completed"] = float(len(visits))
 
     band = (i_arr >= 10) & (i_arr <= 200)
     if band.any():
@@ -267,25 +266,18 @@ def _run_e1_visits(cfg, out):
     metrics["gap_max_150_200"] = float(w2.max()) if len(w2) else float("nan")
     flags["gap_maxima_equal"] = metrics["gap_max_50_100"] == metrics["gap_max_150_200"]
 
-    if records:
-        starts = np.array([[r.n_minus_p, r.n_plus_p, r.n_minus_q, r.n_plus_q] for r in records])
-        order = np.argsort(starts[0])  # chronological order of the four markers in visit 1
-        seq = starts[:, order].ravel()
+    if len(visits):
+        order = np.argsort(visits[0])  # chronological order of the four markers in visit 1
+        seq = visits[:, order].ravel()
         metrics["visits_interleaved"] = float(np.all(np.diff(seq) > 0))
     else:
         metrics["visits_interleaved"] = 0.0
 
-    emit_csv(
-        out / "visits.csv",
-        ["i", "n_minus_p", "n_plus_p", "N_p", "n_minus_q", "n_plus_q", "N_q", "absdiff"],
-        [
-            [float(r.i), float(r.n_minus_p), float(r.n_plus_p), float(r.N_p),
-             float(r.n_minus_q), float(r.n_plus_q), float(r.N_q), float(abs(r.N_p - r.N_q))]
-            for r in records
-        ],
-    )
-    emit_csv(out / "gaps.csv", ["pair_i", "gap"],
-             [[float(i), float(g)] for i, g in zip(gap_idx, gaps)])
+    # float rows, so each cell is a Python float and writes as "5.0"
+    emit_csv(out / "visits.csv",
+             ["i", "n_minus_p", "n_plus_p", "N_p", "n_minus_q", "n_plus_q", "N_q", "absdiff"],
+             np.column_stack([i_arr, visits[:, :2], n_p, visits[:, 2:], n_q, absdiff]).tolist())
+    emit_csv(out / "gaps.csv", ["pair_i", "gap"], np.column_stack([gap_idx, gaps]).astype(float).tolist())
     return metrics, flags
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from delaylab import _kernels as _k
 from delaylab.dynamics import (
@@ -12,7 +13,6 @@ from delaylab.dynamics import (
     SYSTEM_IDS,
     SystemConfig,
     trajectory,
-    visit_gaps,
     visit_statistics,
 )
 
@@ -208,10 +208,25 @@ def test_trajectory_single_point_is_start(system, x0):
 def test_trajectory_rejects_start_of_wrong_length(system):
     # a start one coordinate short used to raise a bare IndexError, one too long lost its tail
     dim = {"rotation": 1, "skew_T": 3}.get(system, 2)
-    assert trajectory(SystemConfig(system), (0.5,) * dim, 3).shape == (3, dim)
+    start = (1.0, 0.5) if system == "model_T0" else (0.5,) * dim  # a model component is 0 or 1
+    assert trajectory(SystemConfig(system), start, 3).shape == (3, dim)
     for x0 in [(0.5,) * (dim - 1), (0.5,) * (dim + 1)]:
         with pytest.raises(ValueError, match=rf"of {system} has {len(x0)} coordinates, not {dim}"):
             trajectory(SystemConfig(system), x0, 3)
+
+
+@pytest.mark.parametrize("comp", [0.5, -3.0, 2.0])
+def test_trajectory_rejects_model_component_other_than_0_or_1(comp):
+    # every nonzero component used to be taken as the circle, so the first row was not the start
+    with pytest.raises(ValueError, match=rf"start state \({comp}, 0.25\) of model_T0"):
+        trajectory(SystemConfig("model_T0"), (comp, 0.25), 2)
+
+
+def test_trajectory_model_components_0_and_1():
+    cfg = SystemConfig("model_T0", alpha=0.25)
+    assert trajectory(cfg, (0.0, 0.25), 3).tobytes() == np.zeros((3, 2)).tobytes()
+    circle = np.array([[1.0, 0.25], [1.0, 0.5], [1.0, 0.75]])
+    assert trajectory(cfg, (1.0, 0.25), 3).tobytes() == circle.tobytes()
 
 
 def test_trajectory_spiral_radius_monotone():
@@ -255,26 +270,20 @@ def test_trajectory_divergence_reports_index():
 def test_visit_statistics_start_inside_box():
     cfg = SystemConfig("spiral_f", kappa=0.05, delta=0.1)
     traj = trajectory(cfg, (0.95, 0.0), 60_000)
-    records = visit_statistics(traj, 0.1)
-    assert records
-    assert records[0].n_minus_p == 0
-    assert all(r.N_p >= 1 and r.N_q >= 1 for r in records)
+    visits = visit_statistics(traj, 0.1)[0]
+    assert len(visits)
+    assert visits[0, 0] == 0
+    assert np.all(visits[:, 1] - visits[:, 0] >= 1) and np.all(visits[:, 3] - visits[:, 2] >= 1)
 
 
 def test_visit_interleaving_strict():
     cfg = SystemConfig("spiral_f", kappa=0.092, delta=0.2)
     traj = trajectory(cfg, (0.5, 2.0), 150_000)
-    records = visit_statistics(traj, 0.2)
-    assert len(records) >= 50
-    markers = []
-    first = sorted([(records[0].n_minus_p, "p"), (records[0].n_minus_q, "q")])
-    q_first = first[0][1] == "q"
-    for r in records:
-        if q_first:
-            markers += [r.n_minus_q, r.n_plus_q, r.n_minus_p, r.n_plus_p]
-        else:
-            markers += [r.n_minus_p, r.n_plus_p, r.n_minus_q, r.n_plus_q]
-    assert all(b > a for a, b in zip(markers, markers[1:]))
+    visits = visit_statistics(traj, 0.2)[0]
+    assert len(visits) >= 50
+    q_first = visits[0, 2] < visits[0, 0]
+    markers = (visits[:, [2, 3, 0, 1]] if q_first else visits).ravel()
+    assert np.all(np.diff(markers) > 0)
 
 
 def test_visit_band_stable_across_starts():
@@ -282,9 +291,9 @@ def test_visit_band_stable_across_starts():
     spreads = []
     for x0 in [(0.5, 2.0), (0.7, 4.5)]:
         traj = trajectory(cfg, x0, 200_000)
-        records = visit_statistics(traj, 0.2)
-        i = np.array([r.i for r in records])
-        n_p = np.array([r.N_p for r in records], float)
+        visits = visit_statistics(traj, 0.2)[0]
+        i = np.arange(1, len(visits) + 1)
+        n_p = (visits[:, 1] - visits[:, 0]).astype(float)
         band = (i >= 10) & (i <= 100)
         ratios = n_p[band] / i[band]
         spreads.append(ratios.max() / ratios.min())
@@ -305,22 +314,74 @@ def test_parabolic_decay_quick():
 def test_partial_visits_never_reported():
     cfg = SystemConfig("spiral_f", kappa=0.092, delta=0.2)
     traj = trajectory(cfg, (0.5, 2.0), 30_000)
-    records = visit_statistics(traj, 0.2)
+    visits = visit_statistics(traj, 0.2)[0]
     in_p, in_q = box_flags(traj[:, 0], traj[:, 1], 0.2)
-    for r in records:
-        assert not in_p[r.n_plus_p]
-        assert in_p[r.n_plus_p - 1]
-        assert not in_q[r.n_plus_q]
-        assert in_q[r.n_plus_q - 1]
+    for _, n_plus_p, _, n_plus_q in visits:
+        assert not in_p[n_plus_p]
+        assert in_p[n_plus_p - 1]
+        assert not in_q[n_plus_q]
+        assert in_q[n_plus_q - 1]
 
 
-def test_visit_gaps_positive_and_indexed():
+def test_visit_statistics_gaps_positive_and_indexed():
     cfg = SystemConfig("spiral_f", kappa=0.092, delta=0.2)
     traj = trajectory(cfg, (0.5, 2.0), 100_000)
-    idx, gaps = visit_gaps(traj, 0.2)
+    _, idx, gaps = visit_statistics(traj, 0.2)
     assert len(idx) == len(gaps) > 0
     assert np.all(gaps >= 1)
     assert np.all(np.diff(idx) >= 0)
+
+
+def _reference_visits(in_p, in_q):
+    """visit_statistics's three arrays by a plain Python scan of the two masks: each box's
+    completed stays, then a walk over all stays in order of entry."""
+
+    def runs(mask):
+        found, start = [], None
+        for i, flag in enumerate(mask):
+            if flag and start is None:
+                start = i
+            elif not flag and start is not None:
+                found.append((start, i))
+                start = None
+        return found  # a stay still open at the end is not a run: its exit is not observed
+
+    runs_p, runs_q = runs(in_p), runs(in_q)
+    n_pairs = min(len(runs_p), len(runs_q))
+    visits = [[ap, bp, aq, bq] for (ap, bp), (aq, bq) in zip(runs_p, runs_q)]
+    events = sorted([("p", a, b) for a, b in runs_p] + [("q", a, b) for a, b in runs_q],
+                    key=lambda e: e[1])
+    pairs, gaps, seen = [], [], {"p": 0, "q": 0}
+    for (side, _, stop), (_, next_start, _) in zip(events, events[1:]):
+        seen[side] += 1
+        pair = max(seen.values())
+        if pair > n_pairs:
+            break
+        pairs.append(pair)
+        gaps.append(next_start - stop)
+    return visits, pairs, gaps
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([None, "p", "q"]), max_size=60))  # masks that never overlap
+@example([])
+@example(["p"] * 7)  # all True
+@example(["q", "q", None, "p", None, "q", None, "p"])  # stays at index 0 and open at the end
+@example([None, "p", "p", None, "q", "q"])
+def test_visit_statistics_matches_python_scan(steps):
+    in_p = np.array([s == "p" for s in steps], dtype=bool)
+    in_q = np.array([s == "q" for s in steps], dtype=bool)
+    # r = 1 on the circle; phi = 0 is p, pi is q and pi / 2 is in neither box
+    phi = np.where(in_p, 0.0, np.where(in_q, math.pi, math.pi / 2))
+    traj = np.column_stack([np.ones(len(steps)), phi])
+    got_p, got_q = box_flags(traj[:, 0], traj[:, 1], DELTA)
+    assert np.array_equal(got_p, in_p) and np.array_equal(got_q, in_q)
+    visits, gap_pair, gap = visit_statistics(traj, DELTA)
+    want_visits, want_pairs, want_gaps = _reference_visits(in_p.tolist(), in_q.tolist())
+    assert visits.shape == (len(want_visits), 4)
+    assert visits.tolist() == want_visits
+    assert gap_pair.tolist() == want_pairs
+    assert gap.tolist() == want_gaps
 
 
 def test_system_config_validation():

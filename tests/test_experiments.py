@@ -283,6 +283,22 @@ def test_cli_requires_experiment():
     assert main(["run"]) == 2
 
 
+@pytest.mark.parametrize("args,message", [
+    (["run", "--experiment", "E9"], "unknown experiment 'E9'"),
+    (["run", "--config", "{cfg}"], "unknown key 'no_such_key' for E1_parabolic"),
+    (["run", "--config", "{missing}"], "No such file"),
+])
+def test_cli_rejected_input_exits_2(tmp_path, capsys, args, message):
+    # exit 1 means a pass flag failed, so input rejected before the run must not exit 1
+    cfg_file = tmp_path / "cfg.txt"
+    cfg_file.write_text("experiment = E1\nno_such_key = 3\n")
+    args = [a.format(cfg=cfg_file, missing=tmp_path / "missing.cfg") for a in args]
+    assert main([*args, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_readme_api_matches_all():
     """The README's API section names exactly delaylab.__all__, and each name resolves."""
     import re
