@@ -8,7 +8,8 @@ planar spiral map (its base) and whose first row, the radius, depends on r
 alone, and the Henon map.  Each loop fills a (state_dim, n) block, so the
 (n, state_dim) view that dynamics.trajectory returns has contiguous columns.
 A third loop, ``bin_right``, bins the k = 1 engine's series at its sorted
-ball edges, running 16 binary searches in lockstep.  A fourth,
+ball edges, running 16 binary searches in lockstep over whole sets of 16
+values; searchsorted bins the last n % 16.  A fourth,
 ``ball_shells``, makes the k >= 2 engine's one pass per reference: squared
 distances against the levels' exact cuts, no sqrt, and each shell's count,
 mean and M2.
@@ -119,7 +120,7 @@ _P = ctypes.c_void_p
 _SIGNATURES = {  # name: (restype, argtypes); the last argument is the output array
     "skew_orbit": (None, (_D, _D, _D, _D, _D, _D, _I64, _I64, _P)),
     "henon_orbit": (_I64, (_D, _D, _D, _D, _I64, _I64, _P)),
-    "bin_right": (None, (_P, _I64, _P, _I64, _P)),
+    "bin_right": (_I64, (_P, _I64, _P, _I64, _P)),
     "ball_shells": (None, (_P, _P, _I64, _I64, _P, _P, _I64, _P, _P)),
 }
 
@@ -204,12 +205,27 @@ def bin_right(cuts, x):
     cuts, x = np.ascontiguousarray(cuts, dtype=float), np.ascontiguousarray(x, dtype=float)
     if cuts.ndim != 1 or x.ndim != 1:
         raise ValueError(f"cuts and values must be 1-D, not {cuts.ndim}-D and {x.ndim}-D")
-    lib = _library()
-    if lib is None:
-        return cuts.searchsorted(x, side="right")
-    out = np.empty(len(x), dtype=np.int64)
-    lib.bin_right(cuts.ctypes.data, len(cuts), x.ctypes.data, len(x), out.ctypes.data)
+    lib, out, done = _library(), np.empty(len(x), dtype=np.int64), 0
+    if lib is not None and len(cuts):  # the C bins whole sets of 16 values against >= 1 cut
+        done = lib.bin_right(cuts.ctypes.data, len(cuts), x.ctypes.data, len(x), out.ctypes.data)
+    out[done:] = cuts.searchsorted(x[done:], side="right")
     return out
+
+
+def _moments(labels, values, groups):
+    """Per-group (count, mean, M2) of the rows of the (n, k) values, labelled
+    in [0, groups), as float arrays of shapes (groups,), (groups, k) and
+    (groups,): np.bincount passes, so each sum adds in index order.  M2 is
+    centred on each group's mean and summed over the k coordinates."""
+    count = np.bincount(labels, minlength=groups).astype(float)
+    mean = np.empty((groups, values.shape[1]))
+    m2 = np.zeros(groups)
+    for c, col in enumerate(values.T):
+        mean[:, c] = np.bincount(labels, weights=col, minlength=groups) / np.maximum(count, 1.0)
+        dev = mean[:, c].take(labels)  # col may be the caller's own data: subtract into dev
+        np.subtract(col, dev, out=dev)
+        m2 += np.bincount(labels, weights=np.square(dev, out=dev), minlength=groups)
+    return count, mean, m2
 
 
 def _squares(cols, y):
@@ -254,17 +270,7 @@ def ball_shells(cols, succ, y, cuts):
         shell = np.zeros(len(ball), np.min_scalar_type(levels))
         for cut in cuts[1:]:
             shell += s < cut
-        shell = shell.astype(np.intp)
-        count = np.bincount(shell, minlength=levels).astype(float)
-        cloud = succ.take(ball, axis=0)
-        mean = np.empty((levels, k))
-        m2 = np.zeros(levels)
-        for c in range(k):
-            col = np.ascontiguousarray(cloud[:, c])
-            mean[:, c] = np.bincount(shell, weights=col, minlength=levels) / np.maximum(count, 1.0)
-            col -= mean[:, c].take(shell)
-            m2 += np.bincount(shell, weights=np.square(col, out=col), minlength=levels)
-        return count, mean, m2
+        return _moments(shell, succ.take(ball, axis=0), levels)
     work = np.empty(2 * n, dtype=np.int32)  # the top ball's indices and shells
     out = np.empty((2 + 2 * k) * levels)  # count, m2, mean, and the C loop's per-coordinate M2
     lib.ball_shells(cols.ctypes.data, succ.ctypes.data, n, k, y.ctypes.data, cuts.ctypes.data,

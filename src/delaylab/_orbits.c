@@ -1,7 +1,8 @@
-/* The map cores of _kernels.py in C, statement for statement, the two
- * orbit loops that iterate them as dynamics.step_state does, the bin
- * search of the k = 1 engine, which returns numpy's searchsorted indices,
- * and the shell moments of the k >= 2 engine, which are numpy's bincounts.
+/* The map cores of _kernels.py in C, statement for statement; one orbit
+ * loop per map, which iterates them as dynamics.step_state does; the bin
+ * search of the k = 1 engine over whole sets of 16 values, which returns
+ * numpy's searchsorted indices; and the shell moments of the k >= 2 engine,
+ * which are numpy's bincounts.
  *
  * Built with -O2 -ffp-contract=off -fno-fast-math, so every double operation
  * is rounded as in CPython and no multiply-add is fused; sin and exp are the
@@ -19,17 +20,11 @@ static const double PI = 3.141592653589793;
 static const double TWO_PI = 2.0 * 3.141592653589793;
 static const double G_AMPLITUDE = 1.0 / 100.0;
 
-/* float.__mod__ for a positive period: fmod, then the sign of the period. */
+/* float.__mod__ for a positive period: fmod keeps the sign of x; -0.0 + 0.0 is +0.0. */
 static double py_mod(double x, double period)
 {
     double m = fmod(x, period);
-    if (m != 0.0) {
-        if (m < 0.0)
-            m += period;
-    } else {
-        m = 0.0;
-    }
-    return m;
+    return m < 0.0 ? m + period : m + 0.0;
 }
 
 static double smooth_step(double x)
@@ -97,23 +92,20 @@ static double fiber_core(double r, double phi, double t, double delta, double al
 }
 
 /* Each loop fills the rows of a C-ordered (state_dim, n) block at out from a
- * start that dynamics.trajectory has checked, its angles already reduced. */
+ * start that dynamics.trajectory has checked, its angles already reduced.
+ * Step i runs from -burn_in to n - 1 and first stores the state when i >= 0. */
 
 void skew_orbit(double r0, double phi0, double t0, double kappa, double delta, double alpha,
                 int64_t n, int64_t burn_in, double *out)
 {
     double *rs = out, *ps = out + n, *ts = out + 2 * n;
     double r = r0, phi = phi0, t = t0, tn;
-    for (int64_t i = 0; i < burn_in; i++) {
-        tn = fiber_core(r, phi, t, delta, alpha);
-        phi = py_mod(phi_core(r, phi, kappa), TWO_PI);
-        r = r_core(r, kappa);
-        t = tn;
-    }
-    for (int64_t i = 0; i < n; i++) {
-        rs[i] = r;
-        ps[i] = phi;
-        ts[i] = t;
+    for (int64_t i = -burn_in; i < n; i++) {
+        if (i >= 0) {
+            rs[i] = r;
+            ps[i] = phi;
+            ts[i] = t;
+        }
         tn = fiber_core(r, phi, t, delta, alpha);
         phi = py_mod(phi_core(r, phi, kappa), TWO_PI);
         r = r_core(r, kappa);
@@ -128,16 +120,11 @@ int64_t henon_orbit(double x0, double y0, double a, double b, int64_t n, int64_t
 {
     double *xs = out, *ys = out + n;
     double x = x0, y = y0, xn;
-    for (int64_t i = 0; i < burn_in; i++) {
-        xn = 1.0 - a * x * x + y;
-        y = b * x;
-        x = xn;
-        if (!(isfinite(x) && isfinite(y)))
-            return i + 1;
-    }
-    for (int64_t i = 0; i < n; i++) {
-        xs[i] = x;
-        ys[i] = y;
+    for (int64_t i = -burn_in; i < n; i++) {
+        if (i >= 0) {
+            xs[i] = x;
+            ys[i] = y;
+        }
         xn = 1.0 - a * x * x + y;
         y = b * x;
         x = xn;
@@ -147,11 +134,12 @@ int64_t henon_orbit(double x0, double y0, double a, double b, int64_t n, int64_t
     return 0;
 }
 
-/* Bins of n values against m sorted, NaN-free cuts: out[i] counts the cuts c
- * with !(x[i] < c), which is cuts.searchsorted(x, side="right"), a NaN value
- * landing after every cut.  A branchless binary search is a chain of
- * dependent loads, so LANES searches advance in lockstep and their loads
- * overlap; all lanes share the same sequence of halvings. */
+/* Bins of the first n - n % LANES values against m >= 1 sorted, NaN-free
+ * cuts; returns that count.  out[i] counts the cuts c with !(x[i] < c),
+ * which is cuts.searchsorted(x, side="right"), a NaN value landing after
+ * every cut.  A branchless binary search is a chain of dependent loads, so
+ * LANES searches advance in lockstep and their loads overlap; all lanes
+ * share the same sequence of halvings. */
 #define LANES 16
 
 static void bin_lanes(const double *cuts, int64_t m, const double *x, int64_t *out)
@@ -171,25 +159,12 @@ static void bin_lanes(const double *cuts, int64_t m, const double *x, int64_t *o
         out[j] = (base[j] - cuts) + !(v[j] < *base[j]);
 }
 
-void bin_right(const double *cuts, int64_t m, const double *x, int64_t n, int64_t *out)
+int64_t bin_right(const double *cuts, int64_t m, const double *x, int64_t n, int64_t *out)
 {
-    if (m == 0) {
-        for (int64_t i = 0; i < n; i++)
-            out[i] = 0;
-        return;
-    }
     int64_t i = 0;
     for (; i + LANES <= n; i += LANES)
         bin_lanes(cuts, m, x + i, out + i);
-    if (i < n) { /* the last n - i values, padded with the first of them to a full set of lanes */
-        double v[LANES];
-        int64_t o[LANES];
-        for (int j = 0; j < LANES; j++)
-            v[j] = x[i + (j < n - i ? j : 0)];
-        bin_lanes(cuts, m, v, o);
-        for (int j = 0; i + j < n; j++)
-            out[i + j] = o[j];
-    }
+    return i;
 }
 
 /* Per-shell moments of the successors of the points near y, over n points

@@ -156,7 +156,11 @@ def pointwise_dim_quantiles(pointwise):
 
 def _cell_entropy(points, weights, eps):
     """(sum of mass * log(mass), occupied-cube count) for side-eps origin-grid cubes."""
-    cells = np.floor(points / eps).astype(np.int64)
+    with np.errstate(over="ignore"):  # an infinite quotient is rejected below
+        scaled = points / eps
+    if not np.all(np.abs(scaled) < 2.0**63):  # NaN fails too; int64 cube indices would wrap
+        raise ValueError(f"eps = {eps!r}: a coordinate / eps is not finite or reaches 2^63")
+    cells = np.floor(scaled).astype(np.int64)
     order = np.lexsort(cells.T[::-1])
     sorted_cells = cells[order]
     boundaries = np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1)
@@ -173,8 +177,6 @@ def box_counting_idim(mu, ladder):
     is the slope of H(eps) against log eps.
     """
     ladder = _check_ladder(ladder)
-    if len(ladder) < 2:
-        raise ValueError("fewer than 2 usable levels, estimate undefined")
     values = []
     used = []
     for eps in ladder:

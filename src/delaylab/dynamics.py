@@ -230,12 +230,9 @@ def _iterate(cfg, state, n, burn_in):
     the finite range."""
     checked = cfg.system_id == "henon"
     block = np.empty((len(state), n))
-    for i in range(burn_in):
-        state = step_state(cfg, state)
-        if checked and not all(map(math.isfinite, state)):
-            return block, i + 1
-    for i in range(n):
-        block[:, i] = state
+    for i in range(-burn_in, n):
+        if i >= 0:
+            block[:, i] = state
         state = step_state(cfg, state)
         if checked and i + 1 < n and not all(map(math.isfinite, state)):
             return block, burn_in + i + 1

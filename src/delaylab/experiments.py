@@ -163,11 +163,12 @@ def parse_config(text):
     """Flat ``key = value`` configuration, '#' starts a comment.
 
     The experiment key is mandatory; seed defaults to 0; every other key must
-    belong to the experiment's override table.
+    belong to the experiment's override table.  No key may appear twice.
     """
     experiment = None
     seed = 0
     overrides = {}
+    lines = {}  # key: the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -177,6 +178,9 @@ def parse_config(text):
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
+        if key in lines:
+            raise ValueError(f"line {lineno}: key {key!r} already set on line {lines[key]}")
+        lines[key] = lineno
         if key == "experiment":
             experiment = _SHORT_IDS.get(val, val)
             continue
@@ -635,11 +639,9 @@ def run_experiment(cfg, out_dir):
 
 
 def _config_echo(cfg):
-    echo = {"experiment": cfg.experiment_id, "seed": cfg.seed}
-    defaults = DEFAULTS[cfg.experiment_id]
-    for key in sorted(defaults):
-        echo[key] = cfg.overrides.get(key, defaults[key])
-    return echo
+    """Every key as the run reads it, so two spellings of one override (2, 2.0) echo alike."""
+    return {"experiment": cfg.experiment_id, "seed": cfg.seed,
+            **{key: cfg.param(key) for key in sorted(DEFAULTS[cfg.experiment_id])}}
 
 
 def _write_summary(path, summary):

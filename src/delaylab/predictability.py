@@ -13,28 +13,27 @@ observable and the reference draw.  Both engines are built as
 Engine(series, ys, ladder) into one (references x levels) table of count,
 chi and sigma, and their one profile function reads a reference's row.
 The engine depends on k alone, and both count a point inside a ball
-exactly when sqrt((x - y)^2 + ...) < eps:
+exactly when its squared distance s = (x - y)^2 + ... is below the level's
+exact cut T = _square_cut(eps), the smallest float with sqrt(T) >= eps, so
+exactly when sqrt(s) < eps, with no sqrt taken:
 
 - BruteEngine (k >= 2) makes one pass per reference, _kernels.ball_shells,
-  compiled (numpy passes without gcc).  It takes no sqrt: it compares each
-  point's squared distance s with the level's exact cut T, the smallest
-  float with sqrt(T) >= eps (_square_cut), and s < T holds exactly when
-  sqrt(s) < eps.  The nested balls cut the top ball into shells; the pass
-  takes each shell's count, mean and centred M2, and the balls are the
-  shells merged from the innermost outward, one level at a time over all
-  references.
+  compiled (numpy passes without gcc).  The nested balls cut the top ball
+  into shells; the pass takes each shell's count, mean and centred M2, and
+  the balls are the shells merged from the innermost outward, one level at
+  a time over all references.
 - Sorted1DEngine (k = 1) bins the series once between the exact float
-  edges of every ball, with no sort, and merges each ball's bins from
-  per-bin count, mean and centred M2.  The binning is _kernels.bin_right,
-  a compiled lockstep binary search equal to searchsorted (searchsorted
-  itself without gcc).
+  edges of every ball, the floats where (x - y)^2 < T flips, with no sort,
+  and merges each ball's bins from per-bin count, mean and centred M2
+  (_kernels._moments, which the numpy shell pass shares).  The binning is
+  _kernels.bin_right, a compiled lockstep binary search equal to
+  searchsorted (searchsorted itself without gcc).
 
 Both merge moments with the pairwise formulas of Chan, Golub and LeVeque
 (_merge), and both hand per-level arrays to one result builder
 (_estimate).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,7 +173,7 @@ class BruteEngine:
     def _balls(self, series, ys):
         cols = np.ascontiguousarray(series.predecessors.T, dtype=float)
         succ = np.ascontiguousarray(series.successors, dtype=float)
-        cuts = [_square_cut(eps) for eps in self.ladder]
+        cuts = _square_cut(self.ladder)
         n, mean, m2 = map(np.stack, zip(*[_k.ball_shells(cols, succ, y, cuts) for y in ys]))
         ball = (np.zeros(len(ys)), np.zeros((len(ys), self.k)), np.zeros(len(ys)))
         for j in reversed(range(len(self.ladder))):  # shell j's moments become ball j's
@@ -184,20 +183,20 @@ class BruteEngine:
 
 
 def _square_cut(eps):
-    """The smallest float T with sqrt(T) >= eps, for eps > 0 (inf for an eps
-    above sqrt of the largest float).
+    """The smallest float T with sqrt(T) >= eps, elementwise for eps > 0, a
+    scalar or an array (inf for an eps above sqrt of the largest float).
 
     sqrt is correctly rounded, so monotone: a sum of squares s (never
     negative) is below T exactly when sqrt(s) < eps, NaN and inf included.
-    eps * eps lies within a few floats of T, or is 0 or inf when it
-    underflows or overflows, so each walk below takes a few steps.
+    The search starts from eps * eps, a few floats from T unless it
+    underflows to 0 or overflows to inf.
     """
-    cut = eps * eps
-    while cut > 0.0 and math.sqrt(math.nextafter(cut, 0.0)) >= eps:
-        cut = math.nextafter(cut, 0.0)
-    while math.sqrt(cut) < eps:
-        cut = math.nextafter(cut, math.inf)
-    return cut
+    flat = np.asarray(eps, dtype=float).ravel()
+    with np.errstate(over="ignore"):
+        start = _keys(np.square(flat))
+    cut = _first_key(_keys(np.full_like(flat, -0.0)), _keys(np.full_like(flat, np.inf)), start,
+                     lambda t, sel: np.sqrt(t) >= flat[sel])
+    return _floats(cut).reshape(np.shape(eps))[()]
 
 
 _SIGN = np.uint64(1 << 63)
@@ -214,21 +213,17 @@ def _floats(keys):
     return np.where(keys & _SIGN, keys ^ _SIGN, ~keys).view(float)
 
 
-def _first_key(lo, hi, start, y, eps, outside):
+def _first_key(lo, hi, start, test):
     """Smallest key in (lo, hi] whose float passes the test, elementwise,
     for a start in [lo, hi].
 
-    The test is BruteEngine's k = 1 membership sqrt((x - y)^2) < eps, or
-    its negation when outside is True; it fails at lo, holds at hi and is
-    monotone between them.  The search first splits the bracket at start,
-    then steps away from start by 1, 2, 4, ... keys until the test flips
-    and bisects the last step, so a start a few ulps from the edge settles
-    in a few vectorised passes.
+    test(x, sel) is vectorised over the floats x of the keys at positions
+    sel; it fails at lo, holds at hi and is monotone between them.  The
+    search first splits the bracket at start, then steps away from start by
+    1, 2, 4, ... keys until the test flips and bisects the last step, so a
+    start a few ulps from the edge settles in a few vectorised passes.
     """
-    def test(k, sel):
-        return (np.sqrt(np.square(_floats(k) - y[sel])) < eps[sel]) != outside
-
-    down = test(start, slice(None))
+    down = test(_floats(start), slice(None))
     lo, hi = np.where(down, lo, start), np.where(down, start, hi)
     step = np.ones_like(lo)
     todo = np.flatnonzero(hi - lo > 1)
@@ -236,23 +231,32 @@ def _first_key(lo, hi, start, y, eps, outside):
         l, h = lo[todo], hi[todo]
         s = np.minimum(step[todo], (h - l) >> 1)
         probe = np.where(down[todo], h - s, l + s)
-        hit = test(probe, todo)
+        hit = test(_floats(probe), todo)
         lo[todo], hi[todo] = np.where(hit, l, probe), np.where(hit, probe, h)
         step[todo] = s << 1
         todo = todo[hi[todo] - lo[todo] > 1]
     return hi
 
 
-def _ball_edges(y, eps):
-    """Float edges [a, b) of BruteEngine's open k = 1 balls, elementwise:
-    x is inside the ball of (y, eps) exactly when a <= x < b.
+def _ball_edges(ys, ladder):
+    """Float edges [a, b) of BruteEngine's open k = 1 balls around each
+    reference in ys at each level of the ladder, reference-major: x is
+    inside the ball of (y, eps) exactly when a <= x < b, that is when
+    (x - y)^2 < _square_cut(eps).
 
     a is the smallest float inside, b the smallest float above y outside;
     each search starts from the rounded edge y -/+ eps.
     """
+    y, eps = np.repeat(ys, len(ladder)), np.tile(ladder, len(ys))
+    cut = np.tile(_square_cut(ladder), len(ys))
+
+    def inside(x, sel):
+        return np.square(x - y[sel]) < cut[sel]
+
     ky = _keys(y)
-    lo = _first_key(_keys(np.full_like(y, -np.inf)), ky, _keys(y - eps), y, eps, False)
-    hi = _first_key(ky, _keys(np.full_like(y, np.inf)), _keys(y + eps), y, eps, True)
+    lo = _first_key(_keys(np.full_like(y, -np.inf)), ky, _keys(y - eps), inside)
+    hi = _first_key(ky, _keys(np.full_like(y, np.inf)), _keys(y + eps),
+                    lambda x, sel: ~inside(x, sel))
     return _floats(lo), _floats(hi)
 
 
@@ -271,22 +275,13 @@ class Sorted1DEngine:
     def _balls(self, series, ys):
         if self.k != 1:
             raise ValueError("Sorted1DEngine requires k = 1")
-        x, s, ladder = series.predecessors[:, 0], series.successors[:, 0], self.ladder
-        shape = (len(ys), len(ladder))
-        a, b = _ball_edges(np.repeat(ys[:, 0], len(ladder)), np.tile(ladder, len(ys)))
+        x = series.predecessors[:, 0]
+        a, b = _ball_edges(ys[:, 0], self.ladder)
         cuts = np.unique(np.concatenate([a, b]))
         pos = cuts.searchsorted(a) + 1  # bin j holds cuts[j - 1] <= x < cuts[j]
         length = cuts.searchsorted(b) + 1 - pos
-
-        bins = _k.bin_right(cuts, x)
-        count = np.bincount(bins, minlength=len(cuts) + 1).astype(float)
-        mean = np.bincount(bins, weights=s, minlength=len(count)) / np.maximum(count, 1.0)
-        dev = mean.take(bins)
-        np.subtract(s, dev, out=dev)
-        dev *= dev
-        table = [(count, mean[:, None], np.bincount(bins, weights=dev, minlength=len(count)))]
-        del bins, dev
-        while 2 ** len(table) <= len(count):  # level j: runs of 2^j bins from each bin
+        table = [_k._moments(_k.bin_right(cuts, x), series.successors, len(cuts) + 1)]
+        while 2 ** len(table) <= len(cuts) + 1:  # level j: runs of 2^j bins from each bin
             w = 2 ** (len(table) - 1)
             table.append(_merge([m[:-w] for m in table[-1]], [m[w:] for m in table[-1]]))
 
@@ -299,6 +294,7 @@ class Sorted1DEngine:
             pos[sel] += 2**j
         n, chi, q = acc
         sigma = np.sqrt(q / np.maximum(n, 1.0))
+        shape = (len(ys), len(self.ladder))
         return n.astype(np.int64).reshape(shape), chi.reshape(shape + (1,)), sigma.reshape(shape)
 
 

@@ -78,6 +78,17 @@ def test_cell_entropy_matches_manual_three_points():
     assert _cell_entropy(mu2.points, mu2.weights, eps)[0] == pytest.approx(manual, abs=1e-15)
 
 
+def test_cell_entropy_rejects_cube_index_beyond_int64():
+    # 1.0 / 2^-63 = 2^63 would wrap to int64's -2^63 and merge cubes
+    mu = EmpiricalMeasure.uniform([[1.0, 0.0], [0.0, 0.0]])
+    assert _cell_entropy(mu.points, mu.weights, 2.0**-62) == (math.log(0.5), 2)
+    for eps in (2.0**-63, 1e-320):
+        with pytest.raises(ValueError, match=f"eps = {eps!r}"):
+            _cell_entropy(mu.points, mu.weights, eps)
+    with pytest.raises(ValueError, match="eps = "):
+        box_counting_idim(mu, [2.0**-60, 2.0**-64])
+
+
 def test_atom_weight_moves_entropy_exactly():
     base = np.array([[0.1, 0.1], [0.9, 0.9]])
     for w_atom in (0.2, 0.5):

@@ -46,6 +46,16 @@ def test_parse_config_missing_experiment():
         parse_config("# nothing\n\n")
 
 
+@pytest.mark.parametrize("text,key,lines", [
+    ("experiment = E3\nn_obs = 5\nn_obs = 6\nexperiment = E4\n", "n_obs", (2, 3)),
+    ("experiment = E3\nn_obs = 5\n# n_obs = 6\nexperiment = E4\n", "experiment", (1, 4)),
+    ("seed = 1\nexperiment = E3\n\nseed = 1\n", "seed", (1, 4)),
+])
+def test_parse_config_rejects_repeated_key(text, key, lines):
+    with pytest.raises(ValueError, match=f"line {lines[1]}: key '{key}' already set on line {lines[0]}"):
+        parse_config(text)
+
+
 def test_parse_config_unknown_key_named():
     with pytest.raises(ValueError, match="frobnicate"):
         parse_config("experiment = E1\nfrobnicate = 3\n")
@@ -165,6 +175,17 @@ def test_run_experiment_deterministic_bytes(e3_small, tmp_path):
     run_experiment(cfg, out_b)
     assert (out_a / "model_refs.csv").read_bytes() == (out_b / "model_refs.csv").read_bytes()
     assert (out_a / "summary.txt").read_bytes() == (out_b / "summary.txt").read_bytes()
+
+
+def test_summary_echo_independent_of_override_spelling(tmp_path):
+    # 2 and 2.0 are one run of an integer key, 1 and 1.0 one run of a float key
+    summaries = []
+    for spelling in ("n_obs = 2\nalpha = 1", "n_obs = 2.0\nalpha = 1.0"):
+        cfg = parse_config(f"experiment = E3\nn_samples = 2000\nn_refs = 5\n{spelling}\n")
+        run_experiment(cfg, tmp_path / spelling[-1])
+        summaries.append((tmp_path / spelling[-1] / "summary.txt").read_text())
+    assert summaries[0] == summaries[1]
+    assert "n_obs = 2\n" in summaries[0] and "alpha = 1.0\n" in summaries[0]
 
 
 def test_run_experiment_e6_smoke_and_determinism(tmp_path):
@@ -287,12 +308,14 @@ def test_cli_requires_experiment():
     (["run", "--experiment", "E9"], "unknown experiment 'E9'"),
     (["run", "--config", "{cfg}"], "unknown key 'no_such_key' for E1_parabolic"),
     (["run", "--config", "{missing}"], "No such file"),
+    (["run", "--config", "{repeated}"], "line 3: key 'seed' already set on line 2"),
 ])
 def test_cli_rejected_input_exits_2(tmp_path, capsys, args, message):
     # exit 1 means a pass flag failed, so input rejected before the run must not exit 1
-    cfg_file = tmp_path / "cfg.txt"
+    cfg_file, repeated = tmp_path / "cfg.txt", tmp_path / "repeated.cfg"
     cfg_file.write_text("experiment = E1\nno_such_key = 3\n")
-    args = [a.format(cfg=cfg_file, missing=tmp_path / "missing.cfg") for a in args]
+    repeated.write_text("experiment = E1\nseed = 1\nseed = 2\n")
+    args = [a.format(cfg=cfg_file, missing=tmp_path / "missing.cfg", repeated=repeated) for a in args]
     assert main([*args, "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

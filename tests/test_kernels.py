@@ -12,8 +12,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from delaylab import _kernels as _k, dynamics
 from delaylab.dynamics import (DivergenceError, GOLDEN_ROTATION, HENON_A, HENON_B, SystemConfig,
                                _iterate, step_state, trajectory)
+from delaylab.embedding import delay_series
 from delaylab.experiments import ExperimentConfig, run_experiment
-from delaylab.predictability import _square_cut
+from delaylab.predictability import _square_cut, BruteEngine, Sorted1DEngine
 
 HAVE_GCC = shutil.which("gcc") is not None
 needs_c = pytest.mark.skipif(not HAVE_GCC, reason="no C compiler on PATH")
@@ -313,6 +314,19 @@ def test_bin_right_large_and_empty(backend):
     assert len(_k.bin_right(cuts, x[:0])) == 0
 
 
+def test_bin_right_every_tail_length(backend):
+    # 0-40 values straddle one and two whole sets of 16 lanes; the C leaves the rest to searchsorted
+    rng = np.random.default_rng(5)
+    cuts = np.sort(rng.normal(size=37))
+    for n in range(41):
+        x = rng.normal(size=n)
+        x[::3] = rng.choice(cuts, size=len(x[::3]))  # values on a cut land after it
+        x[1::7] = math.nan
+        for c in (cuts, cuts[:1], cuts[:0]):
+            got = _k.bin_right(c, x)
+            assert got.dtype == np.int64 and np.array_equal(got, c.searchsorted(x, side="right"))
+
+
 # -- the k >= 2 shell moments are bincounts over sqrt distances ------------------
 
 
@@ -381,6 +395,15 @@ def test_ball_shells_equal_bincount(backend, case, k):
         assert count[-1] == len(pred)
     elif case == "300 levels":
         assert count[256:].sum() > 0  # shell indices past a uint8
+
+
+@pytest.mark.parametrize("engine,k", [(Sorted1DEngine, 1), (BruteEngine, 1), (BruteEngine, 2)])
+def test_engine_build_leaves_series_unchanged(backend, engine, k):
+    # at k = 1 the successor column handed to the moment passes is the series' own memory
+    s = delay_series(np.random.default_rng(4).normal(size=2_000), k)
+    before = s.predecessors.tobytes(), s.successors.tobytes()
+    engine(s, s.predecessors[:200:7], [1.0, 0.5, 0.1])
+    assert (s.predecessors.tobytes(), s.successors.tobytes()) == before
 
 
 def test_ball_shells_reject_bad_shapes(backend):

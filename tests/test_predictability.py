@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from delaylab.dimension import ball_mass_dimension, box_counting_idim, EmpiricalMeasure
 from delaylab.dynamics import ambient_of_states, GOLDEN_ROTATION, SystemConfig, trajectory
@@ -574,6 +574,16 @@ def test_square_cut_is_sqrt_membership(eps):
     for s in near:
         if not s < 0.0:
             assert (s < cut) == (math.sqrt(s) < eps), (eps, cut, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(eps=st.lists(positive_eps, min_size=1, max_size=12))
+@example(eps=[1e-200, 1e-160, 5e-324, 1.0, 1e160, 1e200, math.inf])  # squares under- and overflow
+def test_square_cut_array_equals_scalars(eps):
+    cuts = _square_cut(np.array(eps))
+    assert cuts.shape == (len(eps),)
+    assert [float(c) for c in cuts] == [float(_square_cut(e)) for e in eps]
+    assert _square_cut(np.array(eps).reshape(-1, 1)).shape == (len(eps), 1)
 
 
 @settings(max_examples=100, deadline=None)
