@@ -263,7 +263,7 @@ def ball_shells(cols, succ, y, cuts):
                          f"and non-empty 1-D cuts, not {cols.shape}, {succ.shape}, {y.shape} "
                          f"and {cuts.shape}")
     lib = _library()
-    if lib is None or max(n, levels) >= 2**31:  # the C loop indexes points and shells in int32
+    if lib is None:
         s = _squares(cols, y)
         ball = np.flatnonzero(s < cuts[0])
         s = s.take(ball)
@@ -271,7 +271,7 @@ def ball_shells(cols, succ, y, cuts):
         for cut in cuts[1:]:
             shell += s < cut
         return _moments(shell, succ.take(ball, axis=0), levels)
-    work = np.empty(2 * n, dtype=np.int32)  # the top ball's indices and shells
+    work = np.empty(2 * n, dtype=np.int64)  # the top ball's indices and shells
     out = np.empty((2 + 2 * k) * levels)  # count, m2, mean, and the C loop's per-coordinate M2
     lib.ball_shells(cols.ctypes.data, succ.ctypes.data, n, k, y.ctypes.data, cuts.ctypes.data,
                     levels, work.ctypes.data, out.ctypes.data)

@@ -179,17 +179,16 @@ int64_t bin_right(const double *cuts, int64_t m, const double *x, int64_t n, int
  * adds: count[j], the successor sums, mean[j, c] = sum / max(count[j], 1),
  * then q[j, c], the sum of (succ_ic - mean[j, c])^2, and m2[j] = 0 +
  * q[j, 0] + q[j, 1] + ...  out holds count (levels), m2 (levels), mean
- * (levels, k) and q (levels, k); work holds 2 n int32 indices (n and
- * levels below 2^31).  The top ball is compacted a block at a time without
- * a branch, and only its points get a shell. */
+ * (levels, k) and q (levels, k); work holds 2 n int64 indices.  The top
+ * ball is compacted a block at a time without a branch, and only its points
+ * get a shell. */
 #define BLOCK 256
 
 void ball_shells(const double *cols, const double *succ, int64_t n, int64_t k, const double *y,
-                 const double *cuts, int64_t levels, int32_t *work, double *out)
+                 const double *cuts, int64_t levels, int64_t *work, double *out)
 {
     double *count = out, *m2 = out + levels, *mean = out + 2 * levels, *q = mean + levels * k;
-    int32_t *ball = work, *shell = work + n, at[BLOCK];
-    int64_t m = 0;
+    int64_t *ball = work, *shell = work + n, at[BLOCK], m = 0;
     double s[BLOCK], near[BLOCK];
     for (int64_t j = 0; j < (2 + 2 * k) * levels; j++)
         out[j] = 0.0;
@@ -206,16 +205,16 @@ void ball_shells(const double *cols, const double *succ, int64_t n, int64_t k, c
             }
         for (int64_t i = 0; i < b; i++) {
             double v = s[i];
-            at[nb] = (int32_t)i;
+            at[nb] = i;
             near[nb] = v;
             nb += v < cuts[0];
         }
         for (int64_t p = 0; p < nb; p++, m++) {
             int64_t i = start + at[p];
-            int32_t j = 0;
+            int64_t j = 0;
             for (int64_t l = 1; l < levels; l++)
                 j += near[p] < cuts[l];
-            ball[m] = (int32_t)i;
+            ball[m] = i;
             shell[m] = j;
             count[j] += 1.0;
             for (int64_t c = 0; c < k; c++)

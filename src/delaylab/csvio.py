@@ -2,11 +2,14 @@
 
 from pathlib import Path
 
+import numpy as np
+
 
 def format_cell(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    """A float, Python or numpy, as its shortest round-trip repr, a numpy integer as an int."""
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(int(v) if isinstance(v, np.integer) else v)
 
 
 def emit_csv(path, header, rows):

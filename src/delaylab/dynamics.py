@@ -6,12 +6,14 @@ Every state is a tuple (one step) or an (n, state_dim) float array (an
 orbit).  ``step_state`` is the one Python definition of each map: it
 advances one state through the cores of _kernels.  ``trajectory`` runs the
 C loops of _orbits.c, which are tested bitwise against step_state, and
-iterates step_state itself where the C cannot run.  The caller names every
-start state; ``ambient_of_states`` maps a whole orbit to the ambient rows
-that observables are evaluated on.  ``visit_statistics`` finds a spiral
-orbit's completed stays in the boxes around p and q with one scan of the
-``box_flags`` masks and returns them, and the gaps between them, as int
-arrays.
+iterates step_state itself where the C cannot run.  Rotation and model_T0
+circle orbits are the closed form (wrap(t0) + (burn_in + i) * alpha) mod 1
+at row i, not step_state iterated, from which they can differ in the last
+bits.  The caller names every start state; ``ambient_of_states`` maps a
+whole orbit to the ambient rows that observables are evaluated on.
+``visit_statistics`` finds a spiral orbit's completed stays in the boxes
+around p and q with one scan of the ``box_flags`` masks and returns them,
+and the gaps between them, as int arrays.
 
 Layout: every (n, d) point array returned here, orbit or ambient, is the .T
 view of a coordinate-major (d, n) block, so each coordinate is a contiguous
@@ -61,9 +63,10 @@ class SystemConfig:
 
     def __post_init__(self):
         for name in ("alpha", "kappa", "delta"):
-            if not isinstance(getattr(self, name), numbers.Real):  # float() would parse a str
-                raise TypeError(f"{name} {getattr(self, name)!r} is not a real number")
-            object.__setattr__(self, name, float(getattr(self, name)))
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, numbers.Real):  # float() parses a str
+                raise TypeError(f"{name} {val!r} is not a real number")
+            object.__setattr__(self, name, float(val))
         if self.system_id not in SYSTEM_IDS:
             raise ValueError(f"unknown system {self.system_id!r}")
         if not math.isfinite(self.alpha):
@@ -159,17 +162,18 @@ def trajectory(cfg, x0, n, burn_in=0):
     .T view of a (state_dim, n) block.  This is the one place a start state
     is checked and wrapped: angles go into [0, 2*pi) and fiber and circle
     coordinates into [0, 1), and the orbit loops only iterate.  Raises
-    ValueError for a start of the wrong length or with a non-finite
-    coordinate, for a model_T0 start whose component is neither 0 nor 1, and
-    for a spiral_f or skew_T start whose radius is not positive or too large
-    for the map's arithmetic; DivergenceError with the failing absolute
-    iterate index if a Henon state leaves the finite range.  The other
-    systems cannot diverge.
+    ValueError naming n or burn_in unless it is a Python or numpy integer
+    (not a bool, not a float such as 5.0) of at least 1 or 0; ValueError for
+    a start of the wrong length or with a non-finite coordinate, for a
+    model_T0 start whose component is neither 0 nor 1, and for a spiral_f or
+    skew_T start whose radius is not positive or too large for the map's
+    arithmetic; DivergenceError with the failing absolute iterate index if a
+    Henon state leaves the finite range.  The other systems cannot diverge.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
+    for name, val, least in (("n", n, 1), ("burn_in", burn_in, 0)):
+        if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < least:
+            raise ValueError(f"{name} must be an integer >= {least}, not {val!r}")
+    n, burn_in = int(n), int(burn_in)
     sid = cfg.system_id
     if len(x0) != _STATE_DIM[sid]:
         raise ValueError(f"start state {tuple(x0)!r} of {sid} has {len(x0)} coordinates, "

@@ -102,7 +102,7 @@ class ExperimentConfig:
         for key, val in self.overrides.items():
             if key not in defaults:
                 raise ValueError(f"unknown key {key!r} for {self.experiment_id}")
-            if not isinstance(val, numbers.Real):
+            if isinstance(val, bool) or not isinstance(val, numbers.Real):
                 raise ValueError(f"key {key!r} must be a number, got {val!r}")
             if not math.isfinite(val):
                 raise ValueError(f"key {key!r} must be finite, got {val!r}")
@@ -217,6 +217,31 @@ def _draw(rng, pool, n):
 def _logspaced_ints(lo, hi, n=200):
     vals = np.unique(np.round(np.logspace(math.log10(lo), math.log10(hi), n)).astype(int))
     return vals[(vals >= lo) & (vals <= hi)]
+
+
+def _report_table(cfg, series, ys):
+    """predictability_report of the reference vectors ys, in order, on the config's ladder_levels,
+    ladder_top, min_count and threshold, as arrays: the ladder (L,), count (m, L) as floats, sigma
+    (m, L), NaN in an empty ball, and hat (m,), the level sigma_hat was taken at, -1 if undefined."""
+    estimates = predictability_report(series, ys, *map(cfg.param, ("ladder_levels", "ladder_top",
+                                                                   "min_count", "threshold")))
+    ladder = [e.eps for e in estimates[0].ladder]
+    entries = [e for est in estimates for e in est.ladder]  # reference-major
+    count, sigma = (np.array(v, dtype=float).reshape(len(estimates), -1)  # a None sigma reads as NaN
+                    for v in ([e.count for e in entries], [e.sigma for e in entries]))
+    hat = [-1 if est.sigma_hat_eps is None else ladder.index(est.sigma_hat_eps) for est in estimates]
+    return np.array(ladder), count, sigma, np.array(hat)
+
+
+def _at_hat(table, hat, undefined):
+    """Row i's entry at level hat[i] of an (m, L) table or the (L,) ladder; undefined where hat is -1."""
+    table = np.broadcast_to(table, (len(hat), np.shape(table)[-1]))
+    return np.where(hat >= 0, table[np.arange(len(hat)), hat], undefined)
+
+
+def _fraction(flags):
+    """The share of true flags, NaN when there are none to count."""
+    return float(np.mean(flags)) if len(flags) else float("nan")
 
 
 # -- E1: parabolic decay and visit growth -------------------------------------
@@ -362,11 +387,9 @@ def _two_atom_sigma(restriction, t0, alpha):
 
 
 def _run_e3(cfg, out):
-    metrics = {}
-    flags = {}
+    metrics, flags = {}, {}
     alpha = cfg.param("alpha")
     n_refs = cfg.param("n_refs")
-    min_count = cfg.param("min_count")
     threshold = cfg.param("threshold")
 
     model = SystemConfig("model_T0", alpha=alpha)
@@ -379,32 +402,20 @@ def _run_e3(cfg, out):
     ref_amb = ambient_of_states(model, np.column_stack([np.ones(n_refs), ref_t]))
 
     base = Observable(5, "cosine_fiber", degree_bound=1)
-    pred_fracs = []
-    match_fracs = []
-    rows = []
+    pred_fracs, match_fracs, rows = [], [], []
     for j in range(cfg.param("n_obs")):
         h = _perturbed(cfg, "E3", f"obs{j}", base)
         pairs = PairedVectors(1, evaluate(h, pred_amb)[:, None], evaluate(h, succ_amb)[:, None])
         y_refs = evaluate(h, ref_amb)
-        estimates = predictability_report(pairs, y_refs, cfg.param("ladder_levels"),
-                                          cfg.param("ladder_top"), min_count, threshold)
+        _, count, sigma, hat = _report_table(cfg, pairs, y_refs)
         restriction = _circle_restriction(h)
-        n_def = n_pred = n_match = 0
-        for t0, y, est in zip(ref_t, y_refs, estimates):
-            oracle = _two_atom_sigma(restriction, t0, alpha)
-            matched = float("nan")
-            if est.defined:
-                n_def += 1
-                n_pred += bool(est.predictable)
-                matched = float(abs(est.sigma_hat - oracle) <= 0.1 * max(oracle, threshold))
-                n_match += int(matched)
-            rows.append([
-                float(j), float(t0), float(y),
-                float("nan") if est.sigma_hat is None else est.sigma_hat,
-                float(est.sigma_hat_count), oracle, matched,
-            ])
-        pred_fracs.append(n_pred / n_def if n_def else float("nan"))
-        match_fracs.append(n_match / n_def if n_def else float("nan"))
+        oracle = np.array([_two_atom_sigma(restriction, t0, alpha) for t0 in ref_t])
+        s_hat, defined = _at_hat(sigma, hat, np.nan), hat >= 0
+        matched = np.abs(s_hat - oracle) <= 0.1 * np.maximum(oracle, threshold)
+        pred_fracs.append(_fraction(s_hat[defined] < threshold))
+        match_fracs.append(_fraction(matched[defined]))
+        rows += np.column_stack([np.full(n_refs, float(j)), ref_t, y_refs, s_hat, _at_hat(count, hat, 0.0),
+                                 oracle, np.where(defined, matched, np.nan)]).tolist()
 
     metrics["predictable_fraction_max"] = float(np.max(pred_fracs))
     metrics["predictable_fraction_mean"] = float(np.mean(pred_fracs))
@@ -432,11 +443,7 @@ def _reference_pools(cfg, sys_cfg, orbit):
 
 
 def _run_e4(cfg, out):
-    metrics = {}
-    flags = {}
-    threshold = cfg.param("threshold")
-    min_count = cfg.param("min_count")
-
+    metrics, flags = {}, {}
     sys_cfg = SystemConfig("skew_T", alpha=cfg.param("alpha"), kappa=cfg.param("kappa"),
                            delta=cfg.param("delta"))
     orbit = trajectory(sys_cfg, (cfg.param("start_r"), cfg.param("start_phi"), cfg.param("start_t")),
@@ -454,33 +461,24 @@ def _run_e4(cfg, out):
 
     base = Observable(5, "coord:0", degree_bound=1)
     refs = np.concatenate([refs_p, refs_q])  # one engine profiles both sides, p first
-    sigmas = {"p": [], "q": []}
-    rows = []
+    on_p = np.arange(len(refs)) < len(refs_p)
+    defined, rows = [], []  # defined[j]: the p and the q sigma_hat defined for observable j
     for j in range(cfg.param("n_obs")):
         m = evaluate(_perturbed(cfg, "E4", f"obs{j}", base), amb)
-        estimates = predictability_report(delay_series(m, 1), m[refs], cfg.param("ladder_levels"),
-                                          cfg.param("ladder_top"), min_count, threshold)
-        for side, side_refs, side_est in (("p", refs_p, estimates[:len(refs_p)]),
-                                          ("q", refs_q, estimates[len(refs_p):])):
-            for i, est in zip(side_refs, side_est):
-                if est.defined:
-                    sigmas[side].append(est.sigma_hat)
-                rows.append([
-                    float(j), side, float(i),
-                    float("nan") if est.sigma_hat is None else est.sigma_hat,
-                    float("nan") if est.sigma_hat_eps is None else est.sigma_hat_eps,
-                    float(est.sigma_hat_count),
-                ])
-    for side, name, pool in (("p", "marked-point", pool_p), ("q", "fiber", pool_q)):
-        if not sigmas[side]:
-            raise ValueError(f"no {name} reference was defined: none reached min_count = {min_count} "
-                             f"in a pool of {len(pool)} late passages")
+        ladder, count, sigma, hat = _report_table(cfg, delay_series(m, 1), m[refs])
+        s_hat = _at_hat(sigma, hat, np.nan)
+        defined.append((s_hat[(hat >= 0) & on_p], s_hat[(hat >= 0) & ~on_p]))
+        rows += [[float(j), "p" if p else "q", *cells] for p, cells in zip(on_p, np.column_stack([
+            refs, s_hat, _at_hat(ladder, hat, np.nan), _at_hat(count, hat, 0.0)]).tolist())]
+    p_arr, q_arr = map(np.concatenate, zip(*defined))
+    for arr, name, pool in ((p_arr, "marked-point", pool_p), (q_arr, "fiber", pool_q)):
+        if not len(arr):
+            raise ValueError(f"no {name} reference was defined: none reached min_count = "
+                             f"{cfg.param('min_count')} in a pool of {len(pool)} late passages")
 
-    p_arr = np.asarray(sigmas["p"])
-    q_arr = np.asarray(sigmas["q"])
     metrics["p_sigma_max"] = float(p_arr.max())
     metrics["p_sigma_median"] = float(np.median(p_arr))
-    metrics["q_nonpredictable_fraction"] = float(np.mean(q_arr >= threshold))
+    metrics["q_nonpredictable_fraction"] = float(np.mean(q_arr >= cfg.param("threshold")))
     metrics["q_sigma_median"] = float(np.median(q_arr))
     flags["atom_predictable"] = metrics["p_sigma_max"] < 1e-3
     flags["fiber_nonpredictable"] = metrics["q_nonpredictable_fraction"] >= 0.5
@@ -492,24 +490,20 @@ def _run_e4(cfg, out):
 # -- E5: predictability trend for ergodic benchmarks ----------------------------
 
 
-def _monotone_last4(estimates, min_count):
-    eligible = 0
-    monotone = 0
-    for est in estimates:
-        adm = [e for e in est.ladder if e.count >= min_count and e.sigma is not None]
-        if len(adm) < 4:
-            continue
-        eligible += 1
-        sig = [e.sigma for e in adm[-4:]]
-        if all(b < a for a, b in zip(sig, sig[1:])):
-            monotone += 1
+def _monotone_last4(count, sigma, min_count):
+    """(fraction, eligible): eligible counts the rows of the (m, L) count and sigma tables with four
+    levels of min_count points, fraction the share of them whose sigma falls strictly over the last four."""
+    eligible = monotone = 0
+    for c, s in zip(count, sigma):
+        last = s[c >= min_count][-4:]
+        if len(last) == 4:
+            eligible += 1
+            monotone += bool(np.all(last[1:] < last[:-1]))
     return (monotone / eligible if eligible else float("nan")), eligible
 
 
 def _run_e5(cfg, out):
-    metrics = {}
-    flags = {}
-    min_count = cfg.param("min_count")
+    metrics, flags = {}, {}
     rot_cfg = SystemConfig("rotation", alpha=cfg.param("alpha"))
     henon_cfg = SystemConfig("henon")
     henon_n = cfg.param("henon_n")
@@ -519,7 +513,6 @@ def _run_e5(cfg, out):
         ("henon_k2", "henon_k2", henon_cfg, (0.0, 0.0), 2, henon_n, henon_burn, "coord:0", 3),
         ("henon_k3", "henon_k3", henon_cfg, (0.0, 0.0), 3, henon_n, henon_burn, "coord:0", 5),
     )
-    estimates = {}
     rows = []
     for case, stage, sys_cfg, x0, k, n_orbit, burn_in, base_id, degree in cases:
         h = _perturbed(cfg, "E5", f"{stage}_obs", Observable(2, base_id, degree_bound=degree))
@@ -529,20 +522,16 @@ def _run_e5(cfg, out):
         # references sample the push-forward of the orbit's empirical measure over its second half
         refs = _draw(rng_for(cfg.seed, "E5", f"{stage}_refs"), np.arange(n_pred // 2, n_pred),
                      cfg.param("n_refs"))
-        estimates[case] = predictability_report(series, series.predecessors[refs],
-                                                cfg.param("ladder_levels"), cfg.param("ladder_top"),
-                                                min_count, cfg.param("threshold"))
-        frac, eligible = _monotone_last4(estimates[case], min_count)
+        ladder, count, sigma, hat = _report_table(cfg, series, series.predecessors[refs])
+        frac, eligible = _monotone_last4(count, sigma, cfg.param("min_count"))
         metrics[f"{case}_monotone_fraction"] = frac
         metrics[f"{case}_eligible_refs"] = float(eligible)
-        for ref, est in zip(refs, estimates[case]):
-            for entry in est.ladder:
-                rows.append([case, float(ref), entry.eps, float(entry.count),
-                             float("nan") if entry.sigma is None else entry.sigma])
+        rows += [[case, *cells] for cells in np.column_stack([np.repeat(refs, len(ladder)),
+                 np.tile(ladder, len(refs)), count.ravel(), sigma.ravel()]).tolist()]
+        if case == "rotation_k2":
+            metrics["rotation_k2_predictable_fraction"] = _fraction(
+                _at_hat(sigma, hat, np.nan)[hat >= 0] < cfg.param("threshold"))
 
-    defined = [est for est in estimates["rotation_k2"] if est.defined]
-    metrics["rotation_k2_predictable_fraction"] = (
-        sum(est.predictable for est in defined) / len(defined) if defined else float("nan"))
     flags["rotation_k2_trend"] = metrics["rotation_k2_monotone_fraction"] >= 0.9
     flags["henon_k3_trend"] = metrics["henon_k3_monotone_fraction"] >= 0.8
     emit_csv(out / "trend_refs.csv", ["case", "ref_idx", "eps", "count", "sigma"], rows)

@@ -215,6 +215,60 @@ def test_trajectory_rejects_start_of_wrong_length(system):
             trajectory(SystemConfig(system), x0, 3)
 
 
+START = {"rotation": (0.2,), "spiral_f": (0.5, 1.0), "skew_T": (0.5, 1.0, 0.3),
+         "model_T0": (1.0, 0.2), "henon": (0.0, 0.0)}
+
+
+@pytest.mark.parametrize("system", SYSTEM_IDS)
+def test_trajectory_lengths_are_integers(system):
+    # a float n used to round (rotation: 10.5 gave 11 rows) or raise a TypeError naming
+    # no argument, and n = True gave one row
+    cfg, x0 = SystemConfig(system), START[system]
+    want = trajectory(cfg, x0, 5, 2)
+    for n, burn_in in ((np.int64(5), 2), (5, np.int32(2)), (np.uint8(5), np.int64(2))):
+        assert trajectory(cfg, x0, n, burn_in).tobytes() == want.tobytes()
+    for bad in (10.5, 5.0, True, np.float64(5.0), np.bool_(True), "5", None):
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 1, not "):
+            trajectory(cfg, x0, bad)
+    for bad in (1.5, 0.0, False, True, np.float64(2.0)):
+        with pytest.raises(ValueError, match=r"^burn_in must be an integer >= 0, not "):
+            trajectory(cfg, x0, 5, bad)
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 1, not 0"):
+        trajectory(cfg, x0, 0)
+    with pytest.raises(ValueError, match=r"^burn_in must be an integer >= 0, not -1"):
+        trajectory(cfg, x0, 5, -1)
+
+
+@pytest.mark.parametrize("system", SYSTEM_IDS)
+def test_system_config_rejects_bool(system):
+    # bool is a numbers.Real, so alpha=True used to become alpha = 1.0
+    for name in ("alpha", "kappa", "delta"):
+        for bad in (True, False, np.bool_(True)):
+            with pytest.raises(TypeError, match=rf"^{name} .* is not a real number"):
+                SystemConfig(system, **{name: bad})
+
+
+@pytest.mark.parametrize("system,x0", [("rotation", (1.2,)), ("model_T0", (1.0, -0.8))])
+def test_circle_trajectory_is_the_closed_form(system, x0):
+    # rotation and model_T0 circle orbits are not iterated: row i is
+    # (wrap(t0) + (burn_in + i) * alpha) mod 1, which at the golden angle drifts
+    # from step_state iterated in the last bits
+    cfg = SystemConfig(system, alpha=GOLDEN_ROTATION)
+    n, burn_in = 20_000, 1_000
+    t0 = _k.wrap(x0[-1], 1.0)
+    want = [(t0 + i * GOLDEN_ROTATION) % 1.0 for i in range(burn_in, burn_in + n)]
+    rows = trajectory(cfg, x0, n, burn_in)
+    assert rows[:, -1].tobytes() == np.array(want).tobytes()
+    if system == "model_T0":
+        assert np.all(rows[:, 0] == 1.0)
+    state, iterated = x0, []
+    for i in range(burn_in + n):
+        if i >= burn_in:
+            iterated.append(state[-1])
+        state = step_state(cfg, state)
+    assert iterated != want  # step_state iterated is not the same orbit
+
+
 @pytest.mark.parametrize("comp", [0.5, -3.0, 2.0])
 def test_trajectory_rejects_model_component_other_than_0_or_1(comp):
     # every nonzero component used to be taken as the circle, so the first row was not the start

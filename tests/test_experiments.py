@@ -3,6 +3,7 @@ import pytest
 
 from delaylab import embedding, experiments
 from delaylab.cli import main
+from delaylab.embedding import delay_series
 from delaylab.experiments import (
     emit_csv,
     ExperimentConfig,
@@ -10,6 +11,7 @@ from delaylab.experiments import (
     rng_for,
     run_experiment,
 )
+from delaylab.predictability import predictability_report
 
 
 def test_parse_config_basic():
@@ -114,6 +116,16 @@ def test_config_override_type_check():
     assert ExperimentConfig("E5_ergodic_predict", 0, {"rot_n": 3, "henon_n": 4}).param("henon_n") == 4
 
 
+def test_config_rejects_bool_overrides():
+    # bool is a numbers.Real, so True used to run as n_obs = 1 and alpha = 1.0
+    for experiment, key in (("E3_model_nonpredict", "n_obs"), ("E3_model_nonpredict", "alpha"),
+                            ("E4_counterexample", "threshold"), ("E5_ergodic_predict", "henon_burn")):
+        for bad in (True, False, np.bool_(True)):
+            with pytest.raises(ValueError, match=f"key '{key}' must be a number"):
+                ExperimentConfig(experiment, 0, {key: bad})
+    assert ExperimentConfig("E3_model_nonpredict", 0, {"n_obs": np.int64(3)}).param("n_obs") == 3
+
+
 def test_fiber_gate_at_most_half():
     # min(t, 1 - t) never exceeds 1/2, so a wider gate would admit every fiber point
     with pytest.raises(ValueError, match="p_ref_fiber_gate"):
@@ -140,6 +152,78 @@ def test_emit_csv(tmp_path):
 
     with pytest.raises(ValueError):
         emit_csv(path, ["a", "b"], [[1.0]])
+
+
+def test_emit_csv_numpy_scalars_write_as_python_scalars(tmp_path):
+    # numpy 2 reprs a float64 as "np.float64(0.5)"; no CSV cell or summary metric may read so
+    py_row = [0.5, 1.0 / 3.0, float("nan"), float("inf"), -0.0, 1e-300, 7, -3, "p"]
+    np_row = [np.float64(0.5), np.float64(1.0 / 3.0), np.float64("nan"), np.float64("inf"),
+              np.float64(-0.0), np.float64(1e-300), np.int64(7), np.int32(-3), "p"]
+    emit_csv(tmp_path / "py.csv", list("abcdefghi"), [py_row])
+    emit_csv(tmp_path / "np.csv", list("abcdefghi"), [np_row])
+    assert (tmp_path / "np.csv").read_bytes() == (tmp_path / "py.csv").read_bytes()
+    assert [experiments.format_cell(v) for v in np_row] == [experiments.format_cell(v) for v in py_row]
+    assert experiments.format_cell(np.float32(0.1)) == repr(float(np.float32(0.1)))
+
+
+def _series_with_sparse_references(k):
+    """A delay series of a scalar orbit in [0, 1) plus one isolated point at 5,
+    and its references: three data vectors, the isolated one (balls of one
+    point, below min_count) and one far outside (empty balls)."""
+    x = np.concatenate([np.random.default_rng(3).random(3_000) ** 2, [5.0], [0.5] * k])
+    series = delay_series(x, k)
+    iso = np.flatnonzero(series.predecessors[:, 0] == 5.0)[0]
+    ys = np.vstack([series.predecessors[[10, 500, 2_000, iso]], np.full((1, k), 100.0)])
+    return series, ys
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_report_table_equals_sigma_estimates(k):
+    cfg = ExperimentConfig("E3_model_nonpredict", 0, {"ladder_levels": 10, "min_count": 20})
+    series, ys = _series_with_sparse_references(k)
+    ladder, count, sigma, hat = experiments._report_table(cfg, series, ys)
+    estimates = predictability_report(series, ys, 10, cfg.param("ladder_top"), 20, cfg.param("threshold"))
+    assert ladder.shape == (10,) and count.shape == sigma.shape == (len(ys), 10)
+    assert hat.shape == (len(ys),) and count.dtype == float
+    for i, est in enumerate(estimates):
+        assert ladder.tolist() == [e.eps for e in est.ladder]
+        assert count[i].tolist() == [e.count for e in est.ladder]
+        assert np.array_equal(np.isnan(sigma[i]), count[i] == 0)
+        assert sigma[i][count[i] > 0].tolist() == [e.sigma for e in est.ladder if e.count]
+        assert (hat[i] == -1) == (est.sigma_hat is None)
+        if hat[i] >= 0:
+            assert ladder[hat[i]] == est.sigma_hat_eps
+            assert sigma[i, hat[i]] == est.sigma_hat and count[i, hat[i]] == est.sigma_hat_count
+    # the isolated reference holds only itself, the far one nothing, and the data ones sigma_hat
+    assert count[3].tolist() == [1.0] * 10 and hat[3] == -1
+    assert count[4].tolist() == [0.0] * 10 and hat[4] == -1
+    assert (hat[:3] >= 0).all() and (count[:3] < 20).any()
+    # _at_hat reads each reference's hat level, and the undefined value where hat is -1
+    assert np.array_equal(experiments._at_hat(sigma, hat, np.nan),
+                          [np.nan if e.sigma_hat is None else e.sigma_hat for e in estimates],
+                          equal_nan=True)
+    assert experiments._at_hat(ladder, hat, -1.0).tolist() == [
+        -1.0 if e.sigma_hat_eps is None else e.sigma_hat_eps for e in estimates]
+
+
+def test_monotone_last4_on_a_hand_made_table():
+    nan = np.nan
+    count = np.array([[10, 8, 6, 4, 3, 3],      # falls over the last four: monotone
+                      [10, 8, 6, 4, 3, 3],      # a tie in the last four (and in the first)
+                      [10, 8, 6, 4, 0, 0],      # empty levels at the end: the last four admissible fall
+                      [10, 8, 6, 2, 1, 0],      # three admissible levels: not eligible
+                      [10, 9, 8, 7, 6, 2],      # the last four admissible fall, the first four do not
+                      [10] * 6], dtype=float)   # rises
+    sigma = np.array([[6, 5, 4, 3, 2, 1],
+                      [6, 6, 4, 3, 3, 1],
+                      [5, 4, 3, 2, nan, nan],
+                      [3, 2, 1, 0.5, 0, nan],
+                      [1, 5, 4, 3, 2, 9],
+                      [1, 2, 3, 4, 5, 6]], dtype=float)
+    assert experiments._monotone_last4(count, sigma, 3) == (3 / 5, 5)
+    frac, eligible = experiments._monotone_last4(count[3:4], sigma[3:4], 3)
+    assert np.isnan(frac) and eligible == 0
+    assert experiments._monotone_last4(count, sigma, 11)[1] == 0
 
 
 def test_rng_for_keyed_streams():
