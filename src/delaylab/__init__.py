@@ -5,7 +5,6 @@ from .dimension import (
     ball_mass_dimension,
     box_counting_idim,
     DimensionEstimate,
-    EmpiricalMeasure,
     sample_model_measure,
 )
 from .dynamics import (
@@ -33,7 +32,6 @@ __all__ = [
     "Observable", "monomial_basis", "perturb", "evaluate",
     "PairedVectors", "delay_series", "delay_map",
     "chi_sigma", "predictability_report", "SigmaEstimate",
-    "EmpiricalMeasure", "sample_model_measure", "ball_mass_dimension", "box_counting_idim",
-    "DimensionEstimate",
+    "sample_model_measure", "ball_mass_dimension", "box_counting_idim", "DimensionEstimate",
     "ExperimentConfig", "parse_config", "run_experiment", "RunSummary", "emit_csv",
 ]

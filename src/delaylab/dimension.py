@@ -1,5 +1,7 @@
 """Information-dimension estimators over empirical measures.
 
+A measure is an (n, d) float array of n equally weighted points, each of
+mass 1/n; an atom is a point repeated over as many rows as its mass takes.
 Two routes: averaged log ball mass at sampled centers, and the entropy of
 grid-cube masses.  Both report per-scale values and take the dimension
 estimate from the least-squares slope over the scale ladder, where the
@@ -7,39 +9,12 @@ constant prefactors cancel.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import ambient_of_states, sample_model_states, SystemConfig
-
-_WEIGHT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Finite weighted point set; weights normalized to total mass one."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.points.ndim != 2 or len(self.points) != len(self.weights):
-            raise ValueError("points must be (n, d) with matching weights")
-        if not np.all(np.isfinite(self.points)):
-            raise ValueError("non-finite support point")
-        if np.any(self.weights < 0.0) or abs(self.weights.sum() - 1.0) > _WEIGHT_TOL:
-            raise ValueError("weights must be nonnegative and sum to 1")
-
-    @classmethod
-    def uniform(cls, points):
-        points = np.asarray(points, dtype=float)
-        n = len(points)
-        return cls(points, np.full(n, 1.0 / n))
-
-    def is_uniform(self):
-        w = self.weights
-        return bool(np.all(np.abs(w - 1.0 / len(w)) < _WEIGHT_TOL / len(w)))
 
 
 @dataclass(frozen=True)
@@ -93,50 +68,56 @@ def _check_ladder(ladder):
     return ladder
 
 
+def _check_points(points):
+    """points as an (n, d) float array with at least one row, every value finite."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.size == 0 or not np.all(np.isfinite(pts)):
+        raise ValueError(f"points must be a non-empty (n, d) array of finite values, "
+                         f"got shape {pts.shape}")
+    return pts
+
+
 def sample_model_measure(n, seed):
     """n draws from the half atom / half uniform-circle model measure.
 
     The samples of dynamics.sample_model_states under
-    np.random.default_rng(seed) (a Generator is used as it is), as equally
-    weighted points of the R^5 product embedding.
+    np.random.default_rng(seed) (a Generator is used as it is), as an (n, 5)
+    array of equally weighted points of the R^5 product embedding.
     """
     if n < 2:
         raise ValueError("need n >= 2 samples")
     states = sample_model_states(n, np.random.default_rng(seed))
-    return EmpiricalMeasure.uniform(ambient_of_states(SystemConfig("model_T0"), states))
+    return ambient_of_states(SystemConfig("model_T0"), states)
 
 
-def ball_mass_dimension(mu, ladder, n_centers, seed):
-    """Scaling exponent of the mu-averaged log ball mass.
+def ball_mass_dimension(points, ladder, n_centers, seed):
+    """Scaling exponent of the averaged log ball mass of an (n, d) point array.
 
-    Centers are drawn from mu itself; per level the recorded value is the
-    center average of log mu(B(x, eps)) / log eps (the pointwise-dimension
-    form), while the returned estimate is the slope of the averaged
-    log-mass against log eps over the ladder.
+    Centers are drawn from the points themselves; per level the recorded
+    value is the center average of log mu(B(x, eps)) / log eps (the
+    pointwise-dimension form), while the returned estimate is the slope of
+    the averaged log-mass against log eps over the ladder.  Balls are closed.
     """
+    points = _check_points(points)
     ladder = _check_ladder(ladder)
-    if n_centers < 1:
-        raise ValueError("n_centers must be >= 1")
+    if isinstance(n_centers, bool) or not isinstance(n_centers, numbers.Integral) or n_centers < 1:
+        raise ValueError(f"n_centers must be an integer >= 1, not {n_centers!r}")
+    n = len(points)
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(mu.points), size=n_centers, replace=True, p=mu.weights)
+    # an explicit uniform p: p=None draws another stream
+    idx = rng.choice(n, size=n_centers, replace=True, p=np.full(n, 1.0 / n))
     # atoms repeat centers: each distinct one is queried once, its mass indexed back
-    centers, inverse = np.unique(mu.points[idx], axis=0, return_inverse=True)
+    centers, inverse = np.unique(points[idx], axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
     from scipy.spatial import cKDTree  # most of the time of `import delaylab`: imported on use
 
-    tree = cKDTree(mu.points)
-    uniform = mu.is_uniform()
+    tree = cKDTree(points)
     values = []
     log_eps, log_mass = [], []
     for eps in ladder:
-        if uniform:
-            counts = tree.query_ball_point(centers, eps, return_length=True)
-            mass = counts[inverse] / len(mu.points)
-        else:
-            balls = tree.query_ball_point(centers, eps)
-            mass = np.array([mu.weights[b].sum() for b in balls])[inverse]
-        # mass > 0: each center has positive weight and lies in its own closed ball
-        logm = np.log(mass)
+        counts = tree.query_ball_point(centers, eps, return_length=True)
+        # mass > 0: each center lies in its own closed ball
+        logm = np.log(counts[inverse] / n)
         values.append((eps, float(np.mean(logm / math.log(eps)))))
         log_eps.append(math.log(eps))
         log_mass.append(float(logm.mean()))
@@ -154,7 +135,7 @@ def pointwise_dim_quantiles(pointwise):
     return {q: float(np.quantile(arr, q)) for q in (0.05, 0.1, 0.25, 0.5)}
 
 
-def _cell_entropy(points, weights, eps):
+def _cell_entropy(points, eps):
     """(sum of mass * log(mass), occupied-cube count) for side-eps origin-grid cubes."""
     with np.errstate(over="ignore"):  # an infinite quotient is rejected below
         scaled = points / eps
@@ -165,22 +146,24 @@ def _cell_entropy(points, weights, eps):
     sorted_cells = cells[order]
     boundaries = np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1)
     group_id = np.concatenate([[0], np.cumsum(boundaries)])
-    masses = np.bincount(group_id, weights=weights[order])
-    masses = masses[masses > 0.0]
+    # summing 1/n per point, not counts / n, which rounds differently
+    masses = np.bincount(group_id, weights=np.full(len(points), 1.0 / len(points)))
     return float(np.sum(masses * np.log(masses))), int(len(masses))
 
 
-def box_counting_idim(mu, ladder):
+def box_counting_idim(points, ladder):
     """Scaling exponent of the cube-entropy H(eps) = sum mu(C) log mu(C).
 
-    Cubes have side eps and are anchored at the origin lattice; the estimate
-    is the slope of H(eps) against log eps.
+    mu puts mass 1/n on each row of the (n, d) point array.  Cubes have side
+    eps and are anchored at the origin lattice; the estimate is the slope of
+    H(eps) against log eps.
     """
+    points = _check_points(points)
     ladder = _check_ladder(ladder)
     values = []
     used = []
     for eps in ladder:
-        h, n_cells = _cell_entropy(mu.points, mu.weights, eps)
+        h, n_cells = _cell_entropy(points, eps)
         values.append((eps, h))
         used.append(n_cells)
     slope, intercept, r2 = _fit([math.log(e) for e, _ in values], [v for _, v in values])
@@ -188,13 +171,12 @@ def box_counting_idim(mu, ladder):
 
 
 def uniform_segment_measure(n, seed):
-    """n uniform samples of the unit segment embedded on the first axis of R^2."""
+    """n uniform samples of the unit segment embedded on the first axis of R^2, as (n, 2)."""
     rng = np.random.default_rng(seed)
     x = rng.random(n)
-    return EmpiricalMeasure.uniform(np.column_stack([x, np.zeros(n)]))
+    return np.column_stack([x, np.zeros(n)])
 
 
 def point_mass_measure(n):
-    """n copies of the point (0.25, -0.5) (a pure atom as an n-sample)."""
-    pts = np.tile(np.array([0.25, -0.5]), (n, 1))
-    return EmpiricalMeasure.uniform(pts)
+    """n copies of the point (0.25, -0.5) (a pure atom as an n-sample), as (n, 2)."""
+    return np.tile(np.array([0.25, -0.5]), (n, 1))

@@ -20,7 +20,6 @@ from .dimension import (
     _fit,
     ball_mass_dimension,
     box_counting_idim,
-    EmpiricalMeasure,
     point_mass_measure,
     pointwise_dim_quantiles,
     sample_model_measure,
@@ -98,6 +97,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment_id not in EXPERIMENT_IDS:
             raise ValueError(f"unknown experiment {self.experiment_id!r}")
+        # rng_for keys its streams with the seed's text, so 7.0 or "7" would draw other samples
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         defaults = DEFAULTS[self.experiment_id]
         for key, val in self.overrides.items():
             if key not in defaults:
@@ -554,7 +557,7 @@ def _run_e6(cfg, out):
         skew = SystemConfig("skew_T", alpha=cfg.param("alpha"), kappa=cfg.param("kappa"),
                             delta=cfg.param("delta"))
         orbit = trajectory(skew, (0.5, 1.0, 0.3), cfg.param("skew_orbit_n"))
-        return EmpiricalMeasure.uniform(ambient_of_states(skew, orbit[::cfg.param("skew_stride")]))
+        return ambient_of_states(skew, orbit[::cfg.param("skew_stride")])
 
     measures = [  # (name, RNG stage whose "<stage>_centers" seeds the ball centres, builder)
         ("model_measure", "model", lambda: sample_model_measure(n_samples, seed("model"))),

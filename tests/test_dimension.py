@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from delaylab.dimension import (
     _cell_entropy,
     ball_mass_dimension,
     box_counting_idim,
-    EmpiricalMeasure,
     point_mass_measure,
     pointwise_dim_quantiles,
     sample_model_measure,
@@ -21,21 +21,21 @@ LADDER = [2.0 ** (-j) for j in range(4, 9)]
 def test_sample_model_measure_reproducible():
     a = sample_model_measure(4, 123)
     b = sample_model_measure(4, 123)
-    assert np.array_equal(a.points, b.points)
+    assert a.shape == (4, 5) and np.array_equal(a, b)
     c = sample_model_measure(4, 124)
-    assert not np.array_equal(a.points, c.points)
+    assert not np.array_equal(a, c)
 
 
 def test_sample_model_measure_atom_fraction():
-    mu = sample_model_measure(100_000, 9)
-    atom = np.all(np.abs(mu.points - np.array([1, 0, 0, 1, 0])) < 1e-12, axis=1)
+    points = sample_model_measure(100_000, 9)
+    atom = np.all(np.abs(points - np.array([1, 0, 0, 1, 0])) < 1e-12, axis=1)
     assert abs(atom.mean() - 0.5) < 0.01
 
 
 def test_sample_model_measure_circle_points_on_circle():
-    mu = sample_model_measure(10_000, 10)
-    atom = np.all(np.abs(mu.points - np.array([1, 0, 0, 1, 0])) < 1e-12, axis=1)
-    circ = mu.points[~atom]
+    points = sample_model_measure(10_000, 10)
+    atom = np.all(np.abs(points - np.array([1, 0, 0, 1, 0])) < 1e-12, axis=1)
+    circ = points[~atom]
     assert np.max(np.abs(circ[:, 0] + 1.0)) < 1e-12  # x1 = -1 over the marked circle
     assert np.max(np.abs(circ[:, 1])) < 1e-12
     assert np.max(np.abs(circ[:, 2])) < 1e-12
@@ -63,39 +63,37 @@ def test_uniform_segment_estimates():
 
 
 def test_cell_entropy_matches_manual_three_points():
-    pts = np.array([[0.1, 0.1], [0.12, 0.11], [0.9, 0.9]])
-    w = np.array([0.25, 0.25, 0.5])
-    mu = EmpiricalMeasure(pts, w)
+    # masses 1/4, 1/4, 1/2: the third point is repeated over two of four rows
+    pts = np.array([[0.1, 0.1], [0.12, 0.11], [0.9, 0.9], [0.9, 0.9]])
     eps = 0.5
     # cells: (0,0) holds mass 0.5, (1,1) holds mass 0.5
     manual = 0.5 * math.log(0.5) + 0.5 * math.log(0.5)
-    assert _cell_entropy(mu.points, mu.weights, eps)[0] == pytest.approx(manual, abs=1e-15)
+    assert _cell_entropy(pts, eps)[0] == pytest.approx(manual, abs=1e-15)
     eps = 0.02
     # cells [0.1, 0.12) and [0.12, 0.14) split the first two points
-    pts2 = np.array([[0.11, 0.11], [0.13, 0.11], [0.9, 0.9]])
-    mu2 = EmpiricalMeasure(pts2, w)
+    pts2 = np.array([[0.11, 0.11], [0.13, 0.11], [0.9, 0.9], [0.9, 0.9]])
     manual = 2 * (0.25 * math.log(0.25)) + 0.5 * math.log(0.5)
-    assert _cell_entropy(mu2.points, mu2.weights, eps)[0] == pytest.approx(manual, abs=1e-15)
+    assert _cell_entropy(pts2, eps)[0] == pytest.approx(manual, abs=1e-15)
 
 
 def test_cell_entropy_rejects_cube_index_beyond_int64():
     # 1.0 / 2^-63 = 2^63 would wrap to int64's -2^63 and merge cubes
-    mu = EmpiricalMeasure.uniform([[1.0, 0.0], [0.0, 0.0]])
-    assert _cell_entropy(mu.points, mu.weights, 2.0**-62) == (math.log(0.5), 2)
+    pts = np.array([[1.0, 0.0], [0.0, 0.0]])
+    assert _cell_entropy(pts, 2.0**-62) == (math.log(0.5), 2)
     for eps in (2.0**-63, 1e-320):
         with pytest.raises(ValueError, match=f"eps = {eps!r}"):
-            _cell_entropy(mu.points, mu.weights, eps)
+            _cell_entropy(pts, eps)
     with pytest.raises(ValueError, match="eps = "):
-        box_counting_idim(mu, [2.0**-60, 2.0**-64])
+        box_counting_idim(pts, [2.0**-60, 2.0**-64])
 
 
 def test_atom_weight_moves_entropy_exactly():
     base = np.array([[0.1, 0.1], [0.9, 0.9]])
-    for w_atom in (0.2, 0.5):
-        w = np.array([(1 - w_atom) / 2, (1 - w_atom) / 2, w_atom])
-        pts = np.vstack([base, [[5.0, 5.0]]])
-        mu = EmpiricalMeasure(pts, w)
-        h, _ = _cell_entropy(mu.points, mu.weights, 0.5)
+    # an atom of mass w_atom is atom_rows of n_rows rows; the rest splits evenly over base
+    for w_atom, n_rows, atom_rows in ((0.2, 10, 2), (0.5, 4, 2)):
+        base_rows = (n_rows - atom_rows) // 2
+        pts = np.vstack([np.repeat(base, base_rows, axis=0), np.tile([5.0, 5.0], (atom_rows, 1))])
+        h, _ = _cell_entropy(pts, 0.5)
         manual = 2 * ((1 - w_atom) / 2) * math.log((1 - w_atom) / 2) + w_atom * math.log(w_atom)
         assert h == pytest.approx(manual, abs=1e-15)
 
@@ -103,14 +101,12 @@ def test_atom_weight_moves_entropy_exactly():
 def test_scale_covariance_power_of_two():
     rng = np.random.default_rng(4)
     pts = np.column_stack([rng.random(20_000), np.zeros(20_000)])
-    mu = EmpiricalMeasure.uniform(pts)
-    mu4 = EmpiricalMeasure.uniform(4.0 * pts)
     ladder4 = [4.0 * e for e in LADDER]
-    ball, _ = ball_mass_dimension(mu, LADDER, 800, 5)
-    ball4, _ = ball_mass_dimension(mu4, ladder4, 800, 5)
+    ball, _ = ball_mass_dimension(pts, LADDER, 800, 5)
+    ball4, _ = ball_mass_dimension(4.0 * pts, ladder4, 800, 5)
     assert abs(ball.estimate - ball4.estimate) < 1e-9
-    box = box_counting_idim(mu, LADDER)
-    box4 = box_counting_idim(mu4, ladder4)
+    box = box_counting_idim(pts, LADDER)
+    box4 = box_counting_idim(4.0 * pts, ladder4)
     assert abs(box.estimate - box4.estimate) < 1e-9
 
 
@@ -137,13 +133,25 @@ def test_ladder_validation_and_degenerate():
         box_counting_idim(mu, [0.2, 0.2])
 
 
-def test_empirical_measure_validation():
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(np.zeros((3, 2)), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(np.zeros((2, 2)), np.array([0.6, 0.6]))
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(np.array([[np.nan, 0.0]]), np.array([1.0]))
+@pytest.mark.parametrize("points,shape", [
+    (np.zeros((0, 2)), (0, 2)),              # no point to give mass 1/n
+    (np.zeros((3, 0)), (3, 0)),
+    (np.arange(4.0), (4,)),                  # not (n, d)
+    (np.zeros((2, 2, 2)), (2, 2, 2)),
+    (np.array([[np.nan, 0.0]]), (1, 2)),
+    (np.array([[0.0, 0.0], [np.inf, 1.0]]), (2, 2)),
+])
+def test_estimators_reject_bad_points(points, shape):
+    for call in (lambda: ball_mass_dimension(points, LADDER, 10, 0),
+                 lambda: box_counting_idim(points, LADDER)):
+        with pytest.raises(ValueError, match=rf"points must be .* got shape {re.escape(str(shape))}"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, np.bool_(True), "3", None, 0, -1])
+def test_ball_mass_rejects_bad_n_centers(bad):
+    with pytest.raises(ValueError, match=f"n_centers must be an integer >= 1, not {re.escape(repr(bad))}"):
+        ball_mass_dimension(uniform_segment_measure(100, 8), LADDER, bad, 0)
 
 
 def test_estimate_r_squared_in_range():
@@ -158,27 +166,31 @@ def test_estimate_r_squared_in_range():
     assert len(box.levels_used) == len(LADDER) and min(box.levels_used) >= 1
 
 
-@pytest.mark.parametrize("weighted", [False, True])
-def test_ball_mass_repeated_centers_equal_per_center_queries(weighted):
+def test_ball_mass_repeated_centers_equal_per_center_queries():
     """Each distinct center is queried once; every level equals one query per drawn center."""
-    mu = sample_model_measure(2_000, 31)
-    if weighted:
-        w = np.random.default_rng(32).random(len(mu.points))
-        mu = EmpiricalMeasure(mu.points, w / w.sum())
-    n_centers, seed = 400, 33
-    est, pointwise = ball_mass_dimension(mu, LADDER, n_centers, seed)
-    idx = np.random.default_rng(seed).choice(len(mu.points), size=n_centers, replace=True, p=mu.weights)
-    centers = mu.points[idx]
+    points = sample_model_measure(2_000, 31)
+    n, n_centers, seed = len(points), 400, 33
+    est, pointwise = ball_mass_dimension(points, LADDER, np.int64(n_centers), seed)
+    # the uniform p given explicitly: p=None draws other centres
+    idx = np.random.default_rng(seed).choice(n, size=n_centers, replace=True, p=np.full(n, 1.0 / n))
+    centers = points[idx]
     assert len(np.unique(centers, axis=0)) < n_centers // 2  # the atom repeats
-    tree = cKDTree(mu.points)
+    tree = cKDTree(points)
     for eps, value in est.ladder:
-        if weighted:
-            mass = np.array([mu.weights[tree.query_ball_point(c, eps, return_sorted=True)].sum()
-                             for c in centers])
-        else:
-            mass = np.array([tree.query_ball_point(c, eps, return_length=True) for c in centers])
-            mass = mass / len(mu.points)
+        mass = np.array([tree.query_ball_point(c, eps, return_length=True) for c in centers]) / n
         want = np.log(mass) / math.log(eps)
         assert value == float(np.mean(want))
     assert pointwise.tobytes() == want.tobytes()  # the finest level
     assert est.levels_used == (n_centers,) * len(LADDER)
+
+
+def test_cell_entropy_sums_one_over_n_per_point():
+    """Each cube's mass is 1/n added once per point in index order, as a Python loop does."""
+    rng = np.random.default_rng(41)
+    pts = rng.random((997, 2))
+    for eps in (0.5, 0.1, 0.02):
+        masses = {}
+        for cell in map(tuple, np.floor(pts / eps).astype(np.int64)):
+            masses[cell] = masses.get(cell, 0.0) + 1.0 / len(pts)
+        m = np.array([masses[c] for c in sorted(masses)])
+        assert _cell_entropy(pts, eps) == (float(np.sum(m * np.log(m))), len(m))

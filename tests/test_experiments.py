@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -294,6 +296,23 @@ def test_parse_config_fractional_seed_rejected():
         parse_config("experiment = E1\nseed = 7.5\n")
 
 
+@pytest.mark.parametrize("bad", [True, np.bool_(False), 2.5, 7.0, "7", None])
+def test_config_rejects_non_integer_seed(bad):
+    # rng_for keys its streams with the seed's text, so 7.0 drew other samples than 7
+    with pytest.raises(ValueError, match=f"seed must be an integer, got {re.escape(repr(bad))}"):
+        ExperimentConfig("E3_model_nonpredict", bad)
+
+
+def test_config_numpy_integer_seed_is_that_integer(tmp_path):
+    cfg = ExperimentConfig("E3_model_nonpredict", np.int64(7))
+    assert type(cfg.seed) is int and cfg.seed == 7
+    assert rng_for(cfg.seed, "E3", "refs").random(5).tolist() == rng_for(7, "E3", "refs").random(5).tolist()
+    summary = experiments.RunSummary(cfg.experiment_id, experiments._config_echo(cfg), {}, {}, 0.0)
+    experiments._write_summary(tmp_path / "summary.txt", summary)
+    assert "\nseed = 7\n" in (tmp_path / "summary.txt").read_text()
+    assert ExperimentConfig("E3_model_nonpredict", -3).seed == -3  # as parse_config and the CLI accept
+
+
 def test_run_experiment_e1_smoke_files_and_determinism(tmp_path):
     cfg = ExperimentConfig("E1_parabolic", 0, {"rho_n": 50_000, "visits_n": 150_000})
     a = tmp_path / "a"
@@ -408,7 +427,6 @@ def test_cli_rejected_input_exits_2(tmp_path, capsys, args, message):
 
 def test_readme_api_matches_all():
     """The README's API section names exactly delaylab.__all__, and each name resolves."""
-    import re
     from pathlib import Path
 
     import delaylab

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from delaylab.dimension import ball_mass_dimension, box_counting_idim, EmpiricalMeasure
+from delaylab.dimension import ball_mass_dimension, box_counting_idim
 from delaylab.dynamics import ambient_of_states, GOLDEN_ROTATION, SystemConfig, trajectory
 from delaylab.embedding import delay_series, PairedVectors
 from delaylab.experiments import _draw, ExperimentConfig, run_experiment
@@ -153,12 +153,12 @@ def test_sigma_profile_ladder_validation():
 def test_nan_ladder_level_rejected(ladder):
     # a NaN level compares false both ways: an empty ball to one engine, one point to the other
     s = delay_series(np.arange(10.0), 1)
-    mu = EmpiricalMeasure.uniform(np.arange(20.0).reshape(10, 2))
+    points = np.arange(20.0).reshape(10, 2)
     for call in (lambda: BruteEngine(s, [[1.0]], ladder),
                  lambda: Sorted1DEngine(s, [[1.0]], ladder),
                  lambda: chi_sigma(s, [1.0], math.nan),
-                 lambda: ball_mass_dimension(mu, ladder, 5, 0),
-                 lambda: box_counting_idim(mu, ladder)):
+                 lambda: ball_mass_dimension(points, ladder, 5, 0),
+                 lambda: box_counting_idim(points, ladder)):
         with pytest.raises(ValueError, match="ladder"):
             call()
 
