@@ -1,16 +1,22 @@
 /* The map cores of _kernels.py in C, statement for statement; one orbit
  * loop per map, which iterates them as dynamics.step_state does; the bin
  * search of the k = 1 engine over whole sets of 16 values, which returns
- * numpy's searchsorted indices; and the shell moments of the k >= 2 engine,
- * which are numpy's bincounts.
+ * numpy's searchsorted indices; and the cell grid of the k >= 2 engine,
+ * whose cell and shell moments add in the order of _kernels._moments'
+ * np.bincount passes.
  *
  * Built with -O2 -ffp-contract=off -fno-fast-math, so every double operation
  * is rounded as in CPython and no multiply-add is fused; sin and exp are the
  * libm functions CPython's math module calls.  The loops are therefore
- * bitwise equal to step_state iterated, and the shell moments add in
- * numpy's order.  The orbit loops only iterate: dynamics.trajectory checks
- * the start and reduces its angles, and from a skew-product start it accepts
- * no step divides by zero, overflows an exp or takes the sine of an infinity.
+ * bitwise equal to step_state iterated, and the grid's moments equal the
+ * numpy passes' bit for bit; sigma's last digits depend on that order of
+ * addition and on the merges the engine makes after it.  The grid's counts
+ * are exact: rounded subtraction, squaring and addition are monotone, so a
+ * point's squared distance lies between the sums of the same form over its
+ * cell's tight box.  The orbit loops only iterate: dynamics.trajectory
+ * checks the start and reduces its angles, and from a skew-product start it
+ * accepts no step divides by zero, overflows an exp or takes the sine of an
+ * infinity.
  */
 
 #include <math.h>
@@ -167,72 +173,229 @@ int64_t bin_right(const double *cuts, int64_t m, const double *x, int64_t n, int
     return i;
 }
 
-/* Per-shell moments of the successors of the points near y, over n points
- * whose k predecessor coordinates are the rows of the C-ordered (k, n)
- * block cols and whose successors are the rows of the C-ordered (n, k)
- * block succ.
- *
- * s_i = ((c0_i - y0)^2 + (c1_i - y1)^2) + ... is summed column by column;
- * point i lies in the top ball when s_i < cuts[0], and in shell
- * j, the deepest of the levels 0 .. levels - 1 whose cut it is below, when
- * the cuts do not increase.  Per shell j, in index order, as np.bincount
- * adds: count[j], the successor sums, mean[j, c] = sum / max(count[j], 1),
- * then q[j, c], the sum of (succ_ic - mean[j, c])^2, and m2[j] = 0 +
- * q[j, 0] + q[j, 1] + ...  out holds count (levels), m2 (levels), mean
- * (levels, k) and q (levels, k); work holds 2 n int64 indices.  The top
- * ball is compacted a block at a time without a branch, and only its points
- * get a shell. */
-#define BLOCK 256
-
-void ball_shells(const double *cols, const double *succ, int64_t n, int64_t k, const double *y,
-                 const double *cuts, int64_t levels, int64_t *work, double *out)
+/* The cell grid of the k >= 2 engine over n < 2^31 points whose k
+ * coordinates are the rows of the C-ordered (n, k) block pred.  Along an
+ * axis d with side[d] > 1 a point lies in cell (x_d - lo[d]) * scale[d],
+ * cut to side[d] - 1 and truncated, along any other axis in cell 0; its
+ * dense cell is the row-major index of those cells.  A point with a
+ * coordinate that is not finite is in no cell: its squared distance to a
+ * finite y is inf or NaN, below no cut. */
+static int64_t dense_cell(const double *x, int64_t k, const double *lo, const double *scale,
+                          const int64_t *side)
 {
-    double *count = out, *m2 = out + levels, *mean = out + 2 * levels, *q = mean + levels * k;
-    int64_t *ball = work, *shell = work + n, at[BLOCK], m = 0;
-    double s[BLOCK], near[BLOCK];
-    for (int64_t j = 0; j < (2 + 2 * k) * levels; j++)
-        out[j] = 0.0;
-    for (int64_t start = 0; start < n; start += BLOCK) {
-        int64_t b = n - start < BLOCK ? n - start : BLOCK, nb = 0;
-        for (int64_t i = 0; i < b; i++) {
-            double t = cols[start + i] - y[0];
-            s[i] = t * t;
+    int64_t cell = 0;
+    for (int64_t d = 0; d < k; d++)
+        if (!isfinite(x[d]))
+            return -1;
+    for (int64_t d = 0; d < k; d++) {
+        double t = (x[d] - lo[d]) * scale[d], last = (double)(side[d] - 1);
+        cell = cell * side[d] + (side[d] > 1 ? (int64_t)(t < last ? t : last) : 0);
+    }
+    return cell;
+}
+
+/* Counts the points of each of the cells dense cells into count; returns
+ * the number of occupied cells, and the number of points in cells in
+ * *points. */
+int64_t grid_count(const double *pred, int64_t n, int64_t k, const double *lo,
+                   const double *scale, const int64_t *side, int64_t cells, int32_t *count,
+                   int64_t *points)
+{
+    int64_t occupied = 0, m = 0;
+    for (int64_t c = 0; c < cells; c++)
+        count[c] = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t c = dense_cell(pred + i * k, k, lo, scale, side);
+        if (c >= 0) {
+            occupied += !count[c]++;
+            m++;
         }
-        for (int64_t c = 1; c < k; c++)
-            for (int64_t i = 0; i < b; i++) {
-                double t = cols[c * n + start + i] - y[c];
-                s[i] += t * t;
+    }
+    *points = m;
+    return occupied;
+}
+
+/* Sorts the m points in cells into the occupied cells, taken in dense
+ * order, by a stable counting sort over grid_count's count (overwritten):
+ * cols gets the C-ordered (k, m) block of their coordinates in run order,
+ * index order within a cell, order their indices, and start (occupied + 1)
+ * the offset of each cell's run.  box gets the (2, k, occupied) block of
+ * each cell's tight bounds, the min and the max of each coordinate over
+ * its own points.  Per cell, adding in run order as np.bincount does:
+ * total the count, mean the sums of the successors, the rows of the
+ * C-ordered (n, k) block succ, over total, and m2 = 0 + q_0 + q_1 + ...,
+ * q_d the sum of (succ_d - mean_d)^2. */
+void grid_fill(const double *pred, const double *succ, int64_t n, int64_t k, const double *lo,
+               const double *scale, const int64_t *side, int64_t cells, int32_t *count,
+               int64_t occupied, int64_t m, double *cols, int32_t *order, int64_t *start,
+               double *box, double *total, double *mean, double *m2)
+{
+    int64_t end = 0, j = 0;
+    for (int64_t c = 0; c < cells; c++)
+        if (count[c]) {
+            start[j++] = end;
+            end += count[c];
+            count[c] = (int32_t)end;  /* one past the cell's run; the sort fills it backwards */
+        }
+    start[occupied] = end;
+    for (int64_t i = n - 1; i >= 0; i--) {
+        int64_t c = dense_cell(pred + i * k, k, lo, scale, side);
+        if (c >= 0)
+            order[--count[c]] = (int32_t)i;
+    }
+    for (int64_t p = 0; p < m; p++)
+        for (int64_t d = 0; d < k; d++)
+            cols[d * m + p] = pred[order[p] * k + d];
+    for (j = 0; j < occupied; j++) {
+        int64_t a = start[j], b = start[j + 1];
+        double *mu = mean + j * k, q[k];
+        for (int64_t d = 0; d < k; d++) {
+            const double *x = cols + d * m;
+            double least = x[a], most = x[a];
+            for (int64_t p = a; p < b; p++) {
+                least = x[p] < least ? x[p] : least;
+                most = x[p] > most ? x[p] : most;
             }
-        for (int64_t i = 0; i < b; i++) {
-            double v = s[i];
-            at[nb] = i;
-            near[nb] = v;
-            nb += v < cuts[0];
+            box[d * occupied + j] = least;
+            box[(k + d) * occupied + j] = most;
+            mu[d] = q[d] = 0.0;
         }
-        for (int64_t p = 0; p < nb; p++, m++) {
-            int64_t i = start + at[p];
-            int64_t j = 0;
-            for (int64_t l = 1; l < levels; l++)
-                j += near[p] < cuts[l];
-            ball[m] = i;
-            shell[m] = j;
-            count[j] += 1.0;
-            for (int64_t c = 0; c < k; c++)
-                mean[j * k + c] += succ[i * k + c];
-        }
+        for (int64_t p = a; p < b; p++)
+            for (int64_t d = 0; d < k; d++)
+                mu[d] += succ[order[p] * k + d];
+        total[j] = (double)(b - a);
+        for (int64_t d = 0; d < k; d++)
+            mu[d] /= total[j];
+        for (int64_t p = a; p < b; p++)
+            for (int64_t d = 0; d < k; d++) {
+                double t = succ[order[p] * k + d] - mu[d];
+                q[d] += t * t;
+            }
+        m2[j] = 0.0;
+        for (int64_t d = 0; d < k; d++)
+            m2[j] += q[d];
     }
-    for (int64_t j = 0; j < levels; j++)
-        for (int64_t c = 0; c < k; c++)
-            mean[j * k + c] /= count[j] < 1.0 ? 1.0 : count[j];
-    for (int64_t p = 0; p < m; p++) {
-        const double *row = succ + ball[p] * k, *centre = mean + shell[p] * k;
-        double *sq = q + shell[p] * k;
-        for (int64_t c = 0; c < k; c++) {
-            double t = row[c] - centre[c];
-            sq[c] += t * t;
-        }
+}
+
+/* The squared distance ((x_0 - y_0)^2 + (x_1 - y_1)^2) + ... from y of
+ * point p of a grid_fill grid's (k, m) block cols. */
+static double point_square(const double *cols, int64_t m, int64_t k, int64_t p, const double *y)
+{
+    double t = cols[p] - y[0], s = t * t;
+    for (int64_t d = 1; d < k; d++) {
+        t = cols[d * m + p] - y[d];
+        s += t * t;
     }
-    for (int64_t j = 0; j < levels; j++)
-        for (int64_t c = 0; c < k; c++)
-            m2[j] += q[j * k + c];
+    return s;
+}
+
+/* The number of the levels non-increasing cuts that s is below, counted
+ * from slot, a number that s is known to be below at least: 0 outside the
+ * top ball, else one more than the shell of s, the deepest level whose
+ * ball holds it. */
+static int32_t slot_of(double s, const double *cuts, int64_t levels, int32_t slot)
+{
+    while (slot < levels && s < cuts[slot])
+        slot++;
+    return slot;
+}
+
+/* Per-shell moments of the successors near each of the refs references in
+ * ys (C-ordered (refs, k)), over a grid_fill grid of occupied cells and m
+ * points, against levels non-increasing cuts.
+ *
+ * A point's squared distance is s, as point_square sums it.  Every point
+ * of a cell lies in the cell's tight box, and rounded subtraction,
+ * squaring and addition are monotone, so s lies between dmin and dmax, the
+ * sums of the same form over the box's nearest and farthest coordinates.
+ * A cell with dmin >= cuts[0] is skipped; a cell whose dmin and dmax lie in
+ * one shell is whole, and its cached moments join that shell; every other
+ * cell is scanned point by point.  Per reference, out
+ * gets two parts, the whole cells' and the scanned points', each of count
+ * (levels + 1), m2 (levels + 1), mean (levels + 1, k) and q (levels + 1, k)
+ * indexed by slot_of, so that slot 0 gathers the scanned points outside
+ * the top ball and is discarded.  Each part adds in cell order, a cell's
+ * points in run order:
+ * - whole: count = sum of total, mean = sum of total * mean over
+ *   max(count, 1), m2 = (sum of the cells' m2) + q_0 + q_1 + ..., q_d the
+ *   sum of (mean_cd - mean_d)^2 * total_c;
+ * - scanned: count, mean and m2 = 0 + q_0 + q_1 + ... of the successors,
+ *   as grid_fill takes a cell's.
+ * kind holds one int32 per cell: its slot when whole, 0 when skipped and
+ * -1 - (the slot of dmax) when scanned; the second pass scans those cells
+ * again. */
+void grid_shells(const double *cols, const int32_t *order, const double *succ, int64_t m,
+                 int64_t k, const int64_t *start, const double *box, const double *total,
+                 const double *mean, const double *m2, int64_t occupied, const double *ys,
+                 int64_t refs, const double *cuts, int64_t levels, int32_t *kind, double *out)
+{
+    const double *lo = box, *hi = box + k * occupied;
+    int64_t slots = levels + 1, size = 2 * (2 + 2 * k) * slots;
+    for (int64_t r = 0; r < refs; r++) {
+        const double *y = ys + r * k;
+        double *wc = out + r * size, *wm2 = wc + slots, *wmean = wm2 + slots;
+        double *wq = wmean + slots * k, *sc = wq + slots * k, *sm2 = sc + slots;
+        double *smean = sm2 + slots, *sq = smean + slots * k;
+        for (int64_t j = 0; j < size; j++)
+            wc[j] = 0.0;
+        for (int64_t c = 0; c < occupied; c++) {
+            double a = lo[c] - y[0], b = hi[c] - y[0];
+            double near = a > -b ? a : -b, far = -a > b ? -a : b;
+            near = near > 0.0 ? near : 0.0;
+            double dmin = near * near, dmax = far * far;
+            for (int64_t d = 1; d < k; d++) {
+                a = lo[d * occupied + c] - y[d];
+                b = hi[d * occupied + c] - y[d];
+                near = a > -b ? a : -b;
+                near = near > 0.0 ? near : 0.0;
+                far = -a > b ? -a : b;
+                dmin += near * near;
+                dmax += far * far;
+            }
+            int32_t slot = slot_of(dmin, cuts, levels, 0);
+            kind[c] = slot;
+            if (!slot)
+                continue;
+            if (dmax < cuts[slot - 1]) {
+                wc[slot] += total[c];
+                wm2[slot] += m2[c];
+                for (int64_t d = 0; d < k; d++)
+                    wmean[slot * k + d] += total[c] * mean[c * k + d];
+                continue;
+            }
+            slot = slot_of(dmax, cuts, levels, 0);  /* every point's slot is at least dmax's */
+            kind[c] = -1 - slot;
+            for (int64_t p = start[c]; p < start[c + 1]; p++) {
+                int32_t i = slot_of(point_square(cols, m, k, p, y), cuts, levels, slot);
+                sc[i] += 1.0;
+                for (int64_t d = 0; d < k; d++)
+                    smean[i * k + d] += succ[order[p] * k + d];
+            }
+        }
+        for (int64_t j = 0; j < slots * k; j++) {
+            wmean[j] /= wc[j / k] < 1.0 ? 1.0 : wc[j / k];
+            smean[j] /= sc[j / k] < 1.0 ? 1.0 : sc[j / k];
+        }
+        for (int64_t c = 0; c < occupied; c++) {
+            int32_t slot = kind[c];
+            if (slot > 0)
+                for (int64_t d = 0; d < k; d++) {
+                    double t = mean[c * k + d] - wmean[slot * k + d];
+                    wq[slot * k + d] += t * t * total[c];
+                }
+            else if (slot < 0)
+                for (int64_t p = start[c]; p < start[c + 1]; p++) {
+                    int32_t i = slot_of(point_square(cols, m, k, p, y), cuts, levels, -1 - slot);
+                    for (int64_t d = 0; d < k; d++) {
+                        double t = succ[order[p] * k + d] - smean[i * k + d];
+                        sq[i * k + d] += t * t;
+                    }
+                }
+        }
+        for (int64_t j = 0; j < slots; j++)
+            for (int64_t d = 0; d < k; d++) {
+                wm2[j] += wq[j * k + d];
+                sm2[j] += sq[j * k + d];
+            }
+    }
 }

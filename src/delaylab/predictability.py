@@ -17,15 +17,23 @@ exactly when its squared distance s = (x - y)^2 + ... is below the level's
 exact cut T = _square_cut(eps), the smallest float with sqrt(T) >= eps, so
 exactly when sqrt(s) < eps, with no sqrt taken:
 
-- BruteEngine (k >= 2) makes one pass per reference, _kernels.ball_shells,
-  compiled (numpy passes without gcc).  The nested balls cut the top ball
-  into shells; the pass takes each shell's count, mean and centred M2, and
-  the balls are the shells merged from the innermost outward, one level at
-  a time over all references.
+- BruteEngine (k >= 2) sorts the series once into a uniform grid of about
+  n cells, each with its tight bounding box and its successors' count,
+  mean and centred M2 (_kernels._cell_grid).  The nested balls cut the top
+  ball into shells.  Per reference (_kernels._grid_shells, compiled; numpy
+  passes without gcc) a cell wholly inside one shell adds its cached
+  moments to it, and only a cell that a sphere cuts is scanned point by
+  point, so the cost follows the spheres, not the balls.  Counts stay
+  exact: rounded subtraction, squaring and addition are monotone, so a
+  point's s lies between the sums of the same form over its cell box's
+  nearest and farthest coordinates.  Each shell is its whole cells merged
+  with its scanned points, and the balls are the shells merged from the
+  innermost outward, one level at a time over all references; sigma's last
+  digits depend on that merge order, the same on both backends.
 - Sorted1DEngine (k = 1) bins the series once between the exact float
   edges of every ball, the floats where (x - y)^2 < T flips, with no sort,
   and merges each ball's bins from per-bin count, mean and centred M2
-  (_kernels._moments, which the numpy shell pass shares).  The binning is
+  (_kernels._moments, which the grid's cells and shells share).  The binning is
   _kernels.bin_right, a compiled lockstep binary search equal to
   searchsorted (searchsorted itself without gcc).
 
@@ -92,7 +100,8 @@ def default_ladder(series, levels=DEFAULT_LADDER_LEVELS, top=DEFAULT_LADDER_TOP)
     if len(pred) == 0:
         raise ValueError(f"delay series of k = {series.k} has {len(pred)} pairs: "
                          f"it needs at least k + 1 = {series.k + 1} measurements")
-    diam = float(np.linalg.norm(pred.max(axis=0) - pred.min(axis=0)))
+    lo, hi = _extent(pred)
+    diam = float(np.linalg.norm(hi - lo))
     if diam <= 0.0:
         diam = 1.0
     return [top * diam * 0.5**j for j in range(levels)]
@@ -159,27 +168,74 @@ def _profile(self, y, ladder, min_count=DEFAULT_MIN_COUNT, threshold=DEFAULT_THR
 
 
 class BruteEngine:
-    """Exact ball statistics via one distance pass per reference.
+    """Exact ball statistics from a cell grid with cached moments (Moore,
+    NIPS 1999), for any k; predictability_report uses it for k >= 2.
 
-    Each point of the top ball falls in one shell, the points of ball j
-    outside ball j + 1.  The pass (_kernels.ball_shells) takes every shell's
-    count, mean and centred M2; the balls are the shells merged from the
-    innermost outward, one level at a time over all references.
+    The name is older than the grid.  It stays because the benchmark's
+    tracer wraps BruteEngine by name, until ROADMAP item 1b lets the
+    benchmark follow a rename.
+
+    The series is sorted once into the cells of _grid_shape.  Per reference
+    a cell is skipped when even its nearest box corner is outside the top
+    ball, adds its cached moments to a shell when its nearest and farthest
+    corners lie in that shell, and is scanned point by point otherwise
+    (_kernels._grid_shells).  The corners bound every point's squared
+    distance because rounded arithmetic is monotone, so the counts are the
+    point-by-point counts exactly.  Each shell is its whole cells merged
+    with its scanned points, and the balls are the shells merged from the
+    innermost outward, one level at a time over all references; sigma's
+    last digits depend on that merge order, the same on both backends.
     """
 
     __init__ = _init
     profile = _profile
 
     def _balls(self, series, ys):
-        cols = np.ascontiguousarray(series.predecessors.T, dtype=float)
-        succ = np.ascontiguousarray(series.successors, dtype=float)
-        cuts = _square_cut(self.ladder)
-        n, mean, m2 = map(np.stack, zip(*[_k.ball_shells(cols, succ, y, cuts) for y in ys]))
+        pred = series.predecessors
+        grid = _k._cell_grid(pred, series.successors, *_grid_shape(pred))
+        whole, scanned = _k._grid_shells(grid, ys, _square_cut(self.ladder))
+        n, mean, m2 = _merge(whole, scanned)
         ball = (np.zeros(len(ys)), np.zeros((len(ys), self.k)), np.zeros(len(ys)))
         for j in reversed(range(len(self.ladder))):  # shell j's moments become ball j's
             ball = _merge(ball, (n[:, j], mean[:, j], m2[:, j]))
             n[:, j], mean[:, j], m2[:, j] = ball
         return n.astype(np.int64), mean, np.sqrt(m2 / np.maximum(n, 1.0))
+
+
+def _extent(pred):
+    """Per-coordinate (min, max) of the (n, k) block, one column at a time
+    (an axis-0 reduction of a row-major block with short rows takes an
+    order of magnitude longer); (inf, -inf) for a block with no row."""
+    return (np.array([c.min(initial=np.inf) for c in pred.T]),
+            np.array([c.max(initial=-np.inf) for c in pred.T]))
+
+
+def _grid_shape(pred):
+    """(lo, scale, side) of BruteEngine's grid over the (n, k) predecessors:
+    about n cubic cells over the bounding box of the finite rows.
+
+    The cell side h is (V / n)^(1/k'), V the product of the k' box widths
+    at least h; a narrower axis, constant ones included, gets one cell.
+    Along a wide axis the side[d] = ceil(width / h) cells each span width /
+    side[d], so the dense grid has at most 2^k n cells and the counting
+    sort stays O(n) in time and memory.  The ladder does not enter: the
+    cost per reference is the cells looped over plus the points scanned in
+    the cells the spheres cut, and n cells balance the two on E5's series.
+    """
+    lo, hi = _extent(pred)
+    if not np.isfinite([lo, hi]).all():  # a row that is not finite, or none
+        lo, hi = _extent(pred[np.isfinite(pred).all(axis=1)])
+    with np.errstate(over="ignore"):
+        width = hi - lo
+    wide = (width > 0) & np.isfinite(width)
+    h = 1.0
+    while wide.any():  # the side of n cubes filling the wide axes; drop the axes narrower than it
+        h = np.exp((np.log(width[wide]).sum() - np.log(len(pred))) / wide.sum())
+        if (width[wide] >= h).all():
+            break
+        wide &= width >= h
+    side = np.where(wide, np.ceil(width / h), 1.0)
+    return lo, np.where(wide, side / np.where(wide, width, 1.0), 0.0), side.astype(np.int64)
 
 
 def _square_cut(eps):

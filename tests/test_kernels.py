@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from delaylab import _kernels as _k, dynamics
+from delaylab import _kernels as _k, dynamics, predictability
 from delaylab.dynamics import (DivergenceError, GOLDEN_ROTATION, HENON_A, HENON_B, SystemConfig,
                                _iterate, step_state, trajectory)
-from delaylab.embedding import delay_series
+from delaylab.embedding import delay_series, PairedVectors
 from delaylab.experiments import ExperimentConfig, run_experiment
-from delaylab.predictability import _square_cut, BruteEngine, Sorted1DEngine
+from delaylab.predictability import _grid_shape, _merge, _square_cut, BruteEngine, Sorted1DEngine
 
 HAVE_GCC = shutil.which("gcc") is not None
 needs_c = pytest.mark.skipif(not HAVE_GCC, reason="no C compiler on PATH")
@@ -327,7 +327,7 @@ def test_bin_right_every_tail_length(backend):
             assert got.dtype == np.int64 and np.array_equal(got, c.searchsorted(x, side="right"))
 
 
-# -- the k >= 2 shell moments are bincounts over sqrt distances ------------------
+# -- the k >= 2 cell grid: its shells are bincounts over sqrt distances ----------
 
 
 def bincount_shells(pred, succ, y, ladder):
@@ -360,7 +360,7 @@ SHELL_CASES = ["normal", "duplicated rows", "non-finite", "empty top ball", "inn
 
 def shell_case(case, k):
     rng = np.random.default_rng([k, SHELL_CASES.index(case)])
-    n = 0 if case == "no points" else 1_000 + 37 * k  # several blocks of the C loop and a partial one
+    n = 0 if case == "no points" else 1_000 + 37 * k
     pred, succ = 1e3 + rng.normal(size=(n, k)), rng.normal(size=(n, k))
     y, ladder = pred[0] if n else np.full(k, 1e3), [2.0, 1.0, 0.5, 0.25, 0.125, 0.0625]
     if case == "duplicated rows":
@@ -379,22 +379,167 @@ def shell_case(case, k):
     return pred, succ, y, ladder
 
 
+def grid_shells_merged(pred, succ, ys, ladder):
+    """Per-shell (count, mean, M2) of the references ys: the grid's whole and
+    scanned parts of each shell, merged as BruteEngine merges them."""
+    grid = _k._cell_grid(pred, succ, *_grid_shape(pred))
+    return _merge(*_k._grid_shells(grid, np.reshape(ys, (-1, pred.shape[1])), _square_cut(ladder)))
+
+
+def on_both_backends(backend, monkeypatch, compute):
+    """The arrays compute() returns on the fixture's backend; on "c", checked
+    byte for byte against those of the numpy passes."""
+    got = compute()
+    if backend == "c":
+        with monkeypatch.context() as m:
+            m.setattr(_k, "_lib", None)
+            m.setattr(_k, "BACKEND", "python")
+            assert all(same_bytes(a, b) for a, b in zip(got, compute()))
+    return got
+
+
 @pytest.mark.parametrize("case", SHELL_CASES)
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_ball_shells_equal_bincount(backend, case, k):
-    # both backends match the sqrt-distance passes byte for byte, so they match each other
+def test_ball_shells_equal_bincount(backend, monkeypatch, case, k):
+    # the grid's shells against the sqrt-distance passes: counts exact, moments
+    # to rounding, and the two backends' shells bit for bit
     pred, succ, y, ladder = shell_case(case, k)
-    got = _k.ball_shells(pred.T, succ, y, [_square_cut(eps) for eps in ladder])
+    count, mean, m2 = on_both_backends(
+        backend, monkeypatch, lambda: grid_shells_merged(pred, succ, y, ladder))
     want = bincount_shells(pred, succ, y, ladder)
-    for g, w in zip(got, want):
-        assert same_bytes(g, w)
-    count = got[0]
+    assert np.array_equal(count[0], want[0])
+    assert np.allclose(mean[0], want[1], rtol=0.0, atol=1e-12 * np.abs(succ).max(initial=1.0))
+    assert np.allclose(m2[0], want[2], rtol=1e-12, atol=0.0)
     if case == "empty top ball" or case == "no points":
         assert count.sum() == 0
     elif case == "innermost shell":
-        assert count[-1] == len(pred)
+        assert count[0, -1] == len(pred)
     elif case == "300 levels":
-        assert count[256:].sum() > 0  # shell indices past a uint8
+        assert count[0, 256:].sum() > 0  # shell indices past a uint8
+
+
+# -- the cell engine against enumeration ---------------------------------------
+
+
+def enumerated_table(pred, succ, ys, ladder):
+    """count (m, L), chi (m, L, k) and sigma (m, L) by enumeration: a point is
+    in the ball of (y, eps) when its squared distance, summed column by
+    column, is below _square_cut(eps); chi and sigma by math.fsum."""
+    count, chi = np.zeros((len(ys), len(ladder))), np.zeros((len(ys), len(ladder), pred.shape[1]))
+    sigma = np.zeros((len(ys), len(ladder)))
+    for r, y in enumerate(ys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = np.square(pred[:, 0] - y[0])
+            for c in range(1, pred.shape[1]):
+                s += np.square(pred[:, c] - y[c])
+        for j, eps in enumerate(ladder):
+            cloud = succ[s < _square_cut(eps)]
+            if len(cloud):
+                count[r, j] = len(cloud)
+                chi[r, j] = [math.fsum(col) / len(cloud) for col in cloud.T]
+                sigma[r, j] = math.sqrt(math.fsum(((cloud - chi[r, j]) ** 2).ravel()) / len(cloud))
+    return count, chi, sigma
+
+
+def point_at(s, k):
+    """A point x with ((x0^2 + x1^2) + ...) == s exactly, near the axis of x0."""
+    for x1 in np.linspace(0.0, 1e-3, 200):
+        x0 = math.sqrt(s - x1 * x1)
+        for step in range(-4, 5):
+            x = np.zeros(k)
+            x[0], x[1] = x0 + step * math.ulp(x0), x1
+            got = np.square(x[0]) + np.square(x[1])
+            if got == s:
+                return x
+    raise AssertionError(f"no point at squared distance {s!r}")
+
+
+GRID_CASES = ["cell faces", "on a sphere", "duplicate rows", "one cell", "reference outside",
+              "random", "300 levels", "one pair", "widths past the float range"]
+
+
+def grid_case(case, k):
+    """(pred, succ, ys, ladder, shape): a series and its references, a ladder,
+    and the grid (lo, scale, side) _grid_shape is to return, None for its own."""
+    rng = np.random.default_rng([k, GRID_CASES.index(case)])
+    unit = (np.zeros(k), np.ones(k), np.full(k, 3, dtype=np.int64))  # cells floor(x), up to 2
+    if case == "cell faces":  # every coordinate on a face of the unit cells
+        pred = rng.integers(0, 4, (300, k)).astype(float)
+        ys, ladder, shape = pred[:20], [3.0, 2.0, 1.5, 1.0, 0.5], unit
+    elif case == "on a sphere":
+        # from y = 0: a and b share a cell whose far corner is b, at s == cut[0];
+        # c, at the float below the cut, is the near corner of a cell whose e is outside
+        cut = _square_cut(1.5)
+        b = point_at(cut, k)
+        c = point_at(np.nextafter(cut, 0.0), k)[::-1].copy()
+        a = np.zeros(k)
+        a[0] = 1.1
+        e = c + 0.2
+        pred = np.array([a, b, c, e, np.full(k, 2.5)])
+        ys, ladder, shape = np.zeros((1, k)), [1.5, 1.0], unit
+        assert tuple(np.floor(a)) == tuple(np.floor(b)) and tuple(np.floor(c)) == tuple(np.floor(e))
+    elif case == "duplicate rows":  # half the rows one point, alone in its cell
+        pred = rng.uniform(0.0, 3.0, (400, k))
+        pred[::2] = pred[1]
+        ys, ladder, shape = np.concatenate([pred[:3], pred[1:2] + 0.05]), [2.0, 1.0, 0.1, 0.01], \
+            None
+    elif case == "one cell":
+        pred = rng.normal(size=(300, k))
+        ys, ladder = pred[:10], [3.0, 1.0, 0.5, 0.25]
+        shape = (np.zeros(k), np.zeros(k), np.ones(k, dtype=np.int64))
+    elif case == "reference outside":
+        pred = rng.uniform(0.0, 1.0, (500, k))
+        ys, ladder, shape = np.array([np.full(k, 1.5), np.full(k, -0.7), np.full(k, 40.0)]), \
+            [3.0, 1.2, 0.8, 0.6], None
+    elif case == "random":
+        pred = rng.normal(size=(2_000, k))
+        ys, ladder, shape = pred[:25], [2.0, 1.0, 0.5, 0.25, 0.125], None
+    elif case == "300 levels":  # levels down to 1e-10, cells of side 0.04 (k = 2) to 0.2 (k = 4)
+        pred = rng.uniform(0.0, 1.0, (600, k))
+        pred[:50] = pred[0]
+        pred[50:60] = pred[0] + np.logspace(-2, -8, 10)[:, None]
+        ys, ladder, shape = pred[:3], np.geomspace(1.0, 1e-10, 300).tolist(), None
+    elif case == "one pair":
+        pred = rng.normal(size=(1, k))
+        ys, ladder, shape = np.concatenate([pred, pred + 0.1]), [1.0, 0.1, 0.01], None
+    else:  # box widths that overflow to inf, squares too: the axes get one cell
+        pred = rng.normal(size=(300, k))
+        pred[:2, 0], pred[2:4, -1] = [1.5e308, -1.5e308], [1e300, -1e300]
+        ys, ladder, shape = pred[4:10], [math.inf, 1e300, 1.0, 0.5], None
+    return pred, rng.normal(size=pred.shape), ys, ladder, shape
+
+
+@pytest.mark.parametrize("case", GRID_CASES)
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_cell_engine_equals_enumeration(backend, monkeypatch, case, k):
+    """BruteEngine's (m, L) table on a cell grid: counts as enumerated, chi and
+    sigma within 1e-12, and the C's table equal to the numpy passes' bit for bit."""
+    pred, succ, ys, ladder, shape = grid_case(case, k)
+    if shape is not None:
+        monkeypatch.setattr(predictability, "_grid_shape", lambda p: shape)
+    count, chi, sigma = on_both_backends(
+        backend, monkeypatch, lambda: BruteEngine(PairedVectors(k, pred, succ), ys, ladder)._table)
+    want_count, want_chi, want_sigma = enumerated_table(pred, succ, ys, ladder)
+    assert np.array_equal(count, want_count)
+    assert np.all(np.abs(chi - want_chi) <= 1e-12) and np.all(np.abs(sigma - want_sigma) <= 1e-12)
+    if case == "on a sphere":  # a, and c at the float below the cut; not b at the cut
+        assert count.tolist() == [[2, 0]]
+    elif case == "300 levels":
+        assert count[0, -1] >= 50
+
+
+def test_ball_shells_reject_bad_shapes(backend):
+    pred, succ, bounds = np.zeros((5, 2)), np.zeros((5, 2)), (np.zeros(2), np.ones(2), [1, 1])
+    for args in [(pred, succ[:, :1], *bounds), (pred[:, :0], succ[:, :0], [], [], []),
+                 (pred, succ, np.zeros(3), np.ones(2), [1, 1]), (pred, succ, *bounds[:2], [1, 0]),
+                 (pred[0], succ[0], *bounds)]:
+        with pytest.raises(ValueError, match="need"):
+            _k._cell_grid(*args)
+    grid = _k._cell_grid(pred, succ, *bounds)
+    for ys, cuts in [([0.0, 0.0], [1.0]), ([[0.0]], [1.0]), ([[0.0, 0.0]], []),
+                     ([[0.0, 0.0]], [[1.0]])]:
+        with pytest.raises(ValueError, match="need"):
+            _k._grid_shells(grid, ys, cuts)
 
 
 @pytest.mark.parametrize("engine,k", [(Sorted1DEngine, 1), (BruteEngine, 1), (BruteEngine, 2)])
@@ -404,14 +549,6 @@ def test_engine_build_leaves_series_unchanged(backend, engine, k):
     before = s.predecessors.tobytes(), s.successors.tobytes()
     engine(s, s.predecessors[:200:7], [1.0, 0.5, 0.1])
     assert (s.predecessors.tobytes(), s.successors.tobytes()) == before
-
-
-def test_ball_shells_reject_bad_shapes(backend):
-    cols, succ = np.zeros((2, 5)), np.zeros((5, 2))
-    for args in [(cols, cols, [0.0, 0.0], [1.0]), (cols, succ, [0.0], [1.0]),
-                 (cols, succ, [0.0, 0.0], []), (cols[:0], succ[:, :0], [], [1.0])]:
-        with pytest.raises(ValueError, match="need"):
-            _k.ball_shells(*args)
 
 
 # -- start states just below zero wrap to zero, not to the period ---------------

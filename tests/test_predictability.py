@@ -352,6 +352,20 @@ def test_report_without_references_is_empty():
         assert predictability_report(delay_series(np.arange(10.0), k), []) == ()
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_default_ladder_equals_row_major_diameter(k):
+    """The diameter from one column at a time equals the norm of the row-major
+    block's extent bit for bit, and a constant series gets diameter 1."""
+    rng = np.random.default_rng(60 + k)
+    for m in (1e3 + 3.7 * rng.normal(size=5_000), np.cumsum(rng.normal(size=999)),
+              np.full(50, 2.5)):
+        pred = delay_series(m, k).predecessors
+        diam = float(np.linalg.norm(pred.max(axis=0) - pred.min(axis=0)))
+        want = [0.2 * (diam if diam > 0.0 else 1.0) * 0.5**j for j in range(8)]
+        assert default_ladder(delay_series(m, k), 8, 0.2) == want
+    assert default_ladder(delay_series(np.full(50, 2.5), k), 3, 0.2) == [0.2, 0.1, 0.05]
+
+
 def test_default_ladder_rejects_series_without_pairs():
     for k in (1, 2):
         s = delay_series(np.arange(float(k)), k)
