@@ -11,12 +11,11 @@ A third loop, ``bin_right``, bins the k = 1 engine's series at its sorted
 ball edges, running 16 binary searches in lockstep over whole sets of 16
 values; searchsorted bins the last n % 16.  ``_cell_grid`` sorts the k >= 2
 engine's series into a uniform grid by a stable O(n) counting sort and
-caches each cell's tight bounding box and successor moments;
-``_grid_shells`` takes per reference each shell's moments from the cells
-wholly inside it and from the points of the cells a sphere cuts.  Counts
-are exact: rounded subtraction, squaring and addition are monotone, so a
-point's squared distance lies between the sums of the same form over its
-cell box's nearest and farthest coordinates.
+caches each cell's successor moments, while numpy takes the grid's shape
+and each cell's tight box and size; ``_grid_shells`` takes per reference
+each shell's moments from the cells wholly inside it and from the points
+of the cells a sphere cuts.  Why its counts are exact is in the
+predictability module docstring.
 
 The first call to any of them compiles ``_orbits.c`` with gcc into
 ``__pycache__`` beside this file (the file name carries the sha256 of the
@@ -24,9 +23,7 @@ source and flags; builds of other sources are deleted) and loads it with
 ctypes; later processes load the cached library.  The C computes every
 double as CPython does, so its blocks are bitwise equal to step_state
 iterated, its bins are numpy's, and its cell and shell moments add in the
-order of the np.bincount passes of _moments; sigma's last digits depend on
-that order and on the merges the engine then makes in numpy, the same on
-both backends.  The orbit loops only iterate, from a start that
+order of the np.bincount passes of _moments.  The orbit loops only iterate, from a start that
 dynamics.trajectory has checked and reduced.  ``skew_orbit`` and
 ``henon_orbit`` return None only when the C is unavailable: gcc is missing,
 or the build or load failed.  dynamics.trajectory then iterates step_state
@@ -130,7 +127,7 @@ _SIGNATURES = {  # name: (restype, argtypes); the last argument is the output ar
     "henon_orbit": (_I64, (_D, _D, _D, _D, _I64, _I64, _P)),
     "bin_right": (_I64, (_P, _I64, _P, _I64, _P)),
     "grid_count": (_I64, (_P, _I64, _I64, _P, _P, _P, _I64, _P, _P)),
-    "grid_fill": (None, (_P, _P, _I64, _I64, _P, _P, _P, _I64, _P, _I64, _I64) + (_P,) * 7),
+    "grid_fill": (None, (_P, _P, _I64, _I64, _P, _P, _P, _I64, _P, _I64, _I64) + (_P,) * 5),
     "grid_shells": (None, (_P, _P, _P, _I64, _I64, _P, _P, _P, _P, _P, _I64, _P, _I64, _P, _I64,
                            _P, _P)),
 }
@@ -251,6 +248,46 @@ def _moments(labels, values, groups, weights=None, m2=None):
     return count, mean, out
 
 
+def _extent(pred):
+    """Per-coordinate (min, max) of the (n, k) block, one column at a time
+    (an axis-0 reduction of a row-major block with short rows takes an
+    order of magnitude longer); (inf, -inf) for a block with no row."""
+    return (np.array([c.min(initial=np.inf) for c in pred.T]),
+            np.array([c.max(initial=-np.inf) for c in pred.T]))
+
+
+def _grid_shape(pred):
+    """(lo, scale, side) of the cell grid over the (n, k) predecessors:
+    about n cubic cells over the bounding box of the finite rows.
+
+    The cell side h is (V / n)^(1/k'), V the product of the k' box widths
+    at least h; a narrower axis, constant ones included, gets one cell.
+    Along a wide axis the side[d] = ceil(width / h) cells each span width /
+    side[d].  Rounding up can reach 2^k n dense cells, so when the sides'
+    product passes 2n each is floor(width / h) instead, at most n cells:
+    the counting sort stays O(n) in time and memory for every k.  The
+    ladder does not enter: the cost per reference is the cells looped over
+    plus the points scanned in the cells the spheres cut, and n cells
+    balance the two on E5's series.
+    """
+    lo, hi = _extent(pred)
+    if not np.isfinite([lo, hi]).all():  # a row that is not finite, or none
+        lo, hi = _extent(pred[np.isfinite(pred).all(axis=1)])
+    with np.errstate(over="ignore"):
+        width = hi - lo
+    wide = (width > 0) & np.isfinite(width)
+    h = 1.0
+    while wide.any():  # the side of n cubes filling the wide axes; drop the axes narrower than it
+        h = np.exp((np.log(width[wide]).sum() - np.log(len(pred))) / wide.sum())
+        if (width[wide] >= h).all():
+            break
+        wide &= width >= h
+    side = np.where(wide, np.ceil(width / h), 1.0)
+    if side.prod() > 2 * len(pred):
+        side = np.where(wide, np.floor(width / h), 1.0)
+    return lo, np.where(wide, side / np.where(wide, width, 1.0), 0.0), side.astype(np.int64)
+
+
 class Grid(NamedTuple):
     """A cell grid over the finite rows of an (n, k) predecessor block: its m
     points sorted into their occupied cells in dense order, index order
@@ -259,9 +296,10 @@ class Grid(NamedTuple):
     cols is the (k, m) block of their coordinates and order their row
     indices; cell c holds run start[c]:start[c + 1].  box is the (2, k,
     cells) block of each cell's tight bounds, the min and the max of its
-    own points' coordinates; total, mean and m2 are the (count, mean, M2) of
-    its points' successors, the rows of the (n, k) block succ, added in run
-    order as _moments adds.
+    own points' coordinates, and total its size, both taken by numpy from
+    cols and start; mean and m2 are the mean and M2 of its points'
+    successors, the rows of the (n, k) block succ, added in run order as
+    _moments adds.
     """
 
     cols: np.ndarray
@@ -274,23 +312,21 @@ class Grid(NamedTuple):
     succ: np.ndarray
 
 
-def _cell_grid(pred, succ, lo, scale, side):
+def _cell_grid(pred, succ):
     """The Grid of the (n, k) predecessors pred, n < 2^31, whose successors
-    are the rows of succ.  Along an axis d with side[d] > 1 a point lies in
-    cell (x_d - lo[d]) * scale[d], cut to side[d] - 1 and truncated (lo[d]
-    at most every finite x_d), along any other axis in cell 0; a row with a
+    are the rows of succ, on the cells of _grid_shape(pred): along an axis d
+    with side[d] > 1 a point lies in cell (x_d - lo[d]) * scale[d], cut to
+    side[d] - 1 and truncated, along any other axis in cell 0; a row with a
     coordinate that is not finite is in no cell.  The C sorts the points by
-    a stable O(n) counting sort over the prod(side) dense cells, numpy by a
-    stable argsort."""
+    a stable O(n) counting sort and sums each cell's moments, numpy by a
+    stable argsort and _moments; one numpy step then takes every cell's
+    tight box and size from the sorted columns on both backends."""
     pred, succ = np.ascontiguousarray(pred, dtype=float), np.ascontiguousarray(succ, dtype=float)
-    lo, scale = np.ascontiguousarray(lo, dtype=float), np.ascontiguousarray(scale, dtype=float)
-    side = np.ascontiguousarray(side, dtype=np.int64)
-    if (pred.ndim != 2 or not pred.shape[1] or succ.shape != pred.shape or len(pred) >= 2**31
-            or not lo.shape == scale.shape == side.shape == pred.shape[1:] or (side < 1).any()):
-        raise ValueError(f"need (n, k) predecessors with n < 2^31 and k >= 1, (n, k) successors "
-                         f"and k bounds, scales and sides >= 1, not {pred.shape}, {succ.shape}, "
-                         f"{lo.shape}, {scale.shape} and {side.tolist()}")
+    if pred.ndim != 2 or not pred.shape[1] or succ.shape != pred.shape or len(pred) >= 2**31:
+        raise ValueError(f"need (n, k) predecessors with n < 2^31 and k >= 1 and (n, k) "
+                         f"successors, not {pred.shape} and {succ.shape}")
     (n, k), lib = pred.shape, _library()
+    lo, scale, side = _grid_shape(pred)
     if lib is None:
         order = np.flatnonzero(np.isfinite(pred).all(axis=1))
         dense = np.zeros(len(order), dtype=np.int64)
@@ -299,25 +335,22 @@ def _cell_grid(pred, succ, lo, scale, side):
             dense = dense * side[d] + np.where(t < last, t, last).astype(np.int64)
         rank = np.argsort(dense, kind="stable")
         order, dense = order.take(rank), dense.take(rank)
-        first = np.flatnonzero(np.diff(dense, prepend=-1))  # each cell's first point
-        start = np.append(first, len(order))
+        start = np.append(np.flatnonzero(np.diff(dense, prepend=-1)), len(order))
         cols = np.ascontiguousarray(pred.take(order, axis=0).T)
-        box = np.stack([f.reduceat(cols, first, axis=1) if len(first) else cols[:, :0]
-                        for f in (np.minimum, np.maximum)])
-        label = np.repeat(np.arange(len(first)), np.diff(start))
-        return Grid(cols, order, start, box, *_moments(label, succ.take(order, axis=0), len(first)),
-                    succ)
-    count, points = np.empty(int(np.prod(side)), dtype=np.int32), np.empty(1, dtype=np.int64)
-    cells = lib.grid_count(pred.ctypes.data, n, k, lo.ctypes.data, scale.ctypes.data,
-                           side.ctypes.data, len(count), count.ctypes.data, points.ctypes.data)
-    m = int(points[0])
-    grid = Grid(np.empty((k, m)), np.empty(m, dtype=np.int32), np.empty(cells + 1, dtype=np.int64),
-                np.empty((2, k, cells)), np.empty(cells), np.empty((cells, k)), np.empty(cells),
-                succ)
-    lib.grid_fill(pred.ctypes.data, succ.ctypes.data, n, k, lo.ctypes.data, scale.ctypes.data,
-                  side.ctypes.data, len(count), count.ctypes.data, cells, m,
-                  *(a.ctypes.data for a in grid[:-1]))
-    return grid
+        label = np.repeat(np.arange(len(start) - 1), np.diff(start))
+        _, mean, m2 = _moments(label, succ.take(order, axis=0), len(start) - 1)
+    else:
+        count, points = np.empty(int(side.prod()), dtype=np.int32), np.empty(1, dtype=np.int64)
+        cells = lib.grid_count(pred.ctypes.data, n, k, lo.ctypes.data, scale.ctypes.data,
+                               side.ctypes.data, len(count), count.ctypes.data, points.ctypes.data)
+        m = int(points[0])
+        cols, order = np.empty((k, m)), np.empty(m, dtype=np.int32)
+        start, mean, m2 = np.empty(cells + 1, dtype=np.int64), np.empty((cells, k)), np.empty(cells)
+        lib.grid_fill(pred.ctypes.data, succ.ctypes.data, n, k, lo.ctypes.data, scale.ctypes.data,
+                      side.ctypes.data, len(count), count.ctypes.data, cells, m,
+                      *(a.ctypes.data for a in (cols, order, start, mean, m2)))
+    box = np.stack([f.reduceat(cols, start[:-1], axis=1) for f in (np.minimum, np.maximum)])
+    return Grid(cols, order, start, box, np.diff(start).astype(float), mean, m2, succ)
 
 
 def _grid_shells(grid, ys, cuts):
@@ -329,8 +362,8 @@ def _grid_shells(grid, ys, cuts):
     A point of squared distance s = ((x0 - y0)^2 + (x1 - y1)^2) + ... lies
     in shell j, the deepest level whose cut s is below.  A cell's tight box
     bounds s by dmin and dmax, the same sums over its nearest and farthest
-    coordinates, since rounded subtraction, squaring and addition are
-    monotone.  A cell with dmin >= cuts[0] is skipped, a cell with dmin and
+    coordinates (exactly: see the predictability module docstring).  A
+    cell with dmin >= cuts[0] is skipped, a cell with dmin and
     dmax in one shell adds its cached moments to that shell (_moments with
     weights, in cell order), and every other cell is scanned point by point
     (_moments of its points below cuts[0], in run order).  The C loop adds in

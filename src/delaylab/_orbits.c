@@ -1,22 +1,20 @@
 /* The map cores of _kernels.py in C, statement for statement; one orbit
  * loop per map, which iterates them as dynamics.step_state does; the bin
  * search of the k = 1 engine over whole sets of 16 values, which returns
- * numpy's searchsorted indices; and the cell grid of the k >= 2 engine,
- * whose cell and shell moments add in the order of _kernels._moments'
- * np.bincount passes.
+ * numpy's searchsorted indices; and the cell grid of the k >= 2 engine:
+ * its counting sort, gather and cell moments (numpy takes its shape and
+ * each cell's box and size) and its shell moments, which add in the order
+ * of _kernels._moments' np.bincount passes.
  *
  * Built with -O2 -ffp-contract=off -fno-fast-math, so every double operation
  * is rounded as in CPython and no multiply-add is fused; sin and exp are the
  * libm functions CPython's math module calls.  The loops are therefore
  * bitwise equal to step_state iterated, and the grid's moments equal the
- * numpy passes' bit for bit; sigma's last digits depend on that order of
- * addition and on the merges the engine makes after it.  The grid's counts
- * are exact: rounded subtraction, squaring and addition are monotone, so a
- * point's squared distance lies between the sums of the same form over its
- * cell's tight box.  The orbit loops only iterate: dynamics.trajectory
- * checks the start and reduces its angles, and from a skew-product start it
- * accepts no step divides by zero, overflows an exp or takes the sine of an
- * infinity.
+ * numpy passes' bit for bit.  Why the grid's counts are exact is in the
+ * docstring of predictability.py.  The orbit loops only iterate:
+ * dynamics.trajectory checks the start and reduces its angles, and from a
+ * skew-product start it accepts no step divides by zero, overflows an exp
+ * or takes the sine of an infinity.
  */
 
 #include <math.h>
@@ -219,16 +217,15 @@ int64_t grid_count(const double *pred, int64_t n, int64_t k, const double *lo,
  * order, by a stable counting sort over grid_count's count (overwritten):
  * cols gets the C-ordered (k, m) block of their coordinates in run order,
  * index order within a cell, order their indices, and start (occupied + 1)
- * the offset of each cell's run.  box gets the (2, k, occupied) block of
- * each cell's tight bounds, the min and the max of each coordinate over
- * its own points.  Per cell, adding in run order as np.bincount does:
- * total the count, mean the sums of the successors, the rows of the
- * C-ordered (n, k) block succ, over total, and m2 = 0 + q_0 + q_1 + ...,
- * q_d the sum of (succ_d - mean_d)^2. */
+ * the offset of each cell's run.  Per cell, adding in run order as
+ * np.bincount does: mean the sums of the successors, the rows of the
+ * C-ordered (n, k) block succ, over the cell's size, and m2 = 0 + q_0 +
+ * q_1 + ..., q_d the sum of (succ_d - mean_d)^2.  _kernels._cell_grid
+ * takes each cell's tight box and size from cols and start. */
 void grid_fill(const double *pred, const double *succ, int64_t n, int64_t k, const double *lo,
                const double *scale, const int64_t *side, int64_t cells, int32_t *count,
                int64_t occupied, int64_t m, double *cols, int32_t *order, int64_t *start,
-               double *box, double *total, double *mean, double *m2)
+               double *mean, double *m2)
 {
     int64_t end = 0, j = 0;
     for (int64_t c = 0; c < cells; c++)
@@ -249,23 +246,13 @@ void grid_fill(const double *pred, const double *succ, int64_t n, int64_t k, con
     for (j = 0; j < occupied; j++) {
         int64_t a = start[j], b = start[j + 1];
         double *mu = mean + j * k, q[k];
-        for (int64_t d = 0; d < k; d++) {
-            const double *x = cols + d * m;
-            double least = x[a], most = x[a];
-            for (int64_t p = a; p < b; p++) {
-                least = x[p] < least ? x[p] : least;
-                most = x[p] > most ? x[p] : most;
-            }
-            box[d * occupied + j] = least;
-            box[(k + d) * occupied + j] = most;
+        for (int64_t d = 0; d < k; d++)
             mu[d] = q[d] = 0.0;
-        }
         for (int64_t p = a; p < b; p++)
             for (int64_t d = 0; d < k; d++)
                 mu[d] += succ[order[p] * k + d];
-        total[j] = (double)(b - a);
         for (int64_t d = 0; d < k; d++)
-            mu[d] /= total[j];
+            mu[d] /= (double)(b - a);
         for (int64_t p = a; p < b; p++)
             for (int64_t d = 0; d < k; d++) {
                 double t = succ[order[p] * k + d] - mu[d];
@@ -278,7 +265,7 @@ void grid_fill(const double *pred, const double *succ, int64_t n, int64_t k, con
 }
 
 /* The squared distance ((x_0 - y_0)^2 + (x_1 - y_1)^2) + ... from y of
- * point p of a grid_fill grid's (k, m) block cols. */
+ * point p of a grid's (k, m) block cols. */
 static double point_square(const double *cols, int64_t m, int64_t k, int64_t p, const double *y)
 {
     double t = cols[p] - y[0], s = t * t;
@@ -301,17 +288,16 @@ static int32_t slot_of(double s, const double *cuts, int64_t levels, int32_t slo
 }
 
 /* Per-shell moments of the successors near each of the refs references in
- * ys (C-ordered (refs, k)), over a grid_fill grid of occupied cells and m
- * points, against levels non-increasing cuts.
+ * ys (C-ordered (refs, k)), over a _kernels._cell_grid grid of occupied
+ * cells and m points, against levels non-increasing cuts.
  *
- * A point's squared distance is s, as point_square sums it.  Every point
- * of a cell lies in the cell's tight box, and rounded subtraction,
- * squaring and addition are monotone, so s lies between dmin and dmax, the
- * sums of the same form over the box's nearest and farthest coordinates.
- * A cell with dmin >= cuts[0] is skipped; a cell whose dmin and dmax lie in
- * one shell is whole, and its cached moments join that shell; every other
- * cell is scanned point by point.  Per reference, out
- * gets two parts, the whole cells' and the scanned points', each of count
+ * A point's squared distance is s, as point_square sums it; s lies between
+ * dmin and dmax, the sums of the same form over the nearest and farthest
+ * coordinates of its cell's tight box (predictability.py's docstring says
+ * why).  A cell with dmin >= cuts[0] is skipped; a cell whose dmin and
+ * dmax lie in one shell is whole, and its cached moments join that shell;
+ * every other cell is scanned point by point.  Per reference, out gets two
+ * parts, the whole cells' and the scanned points', each of count
  * (levels + 1), m2 (levels + 1), mean (levels + 1, k) and q (levels + 1, k)
  * indexed by slot_of, so that slot 0 gathers the scanned points outside
  * the top ball and is discarded.  Each part adds in cell order, a cell's

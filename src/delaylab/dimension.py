@@ -9,12 +9,11 @@ constant prefactors cancel.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ambient_of_states, sample_model_states, SystemConfig
+from .dynamics import _integer, ambient_of_states, sample_model_states, SystemConfig
 
 
 @dataclass(frozen=True)
@@ -60,11 +59,15 @@ def _check_ladder(ladder):
     """The ladder as floats, non-empty, strictly decreasing and positive.
 
     Written as comparisons that must hold, so a NaN level, which compares
-    false, is rejected. Used by the dimension estimators and predictability.
+    false, is rejected; the error names the first level that breaks the
+    rule. Used by the dimension estimators and predictability.
     """
     ladder = [float(e) for e in ladder]
-    if not (ladder and all(b < a for a, b in zip(ladder, ladder[1:])) and ladder[-1] > 0.0):
-        raise ValueError(f"ladder must be strictly decreasing and positive, got {ladder}")
+    bad = [j for j, e in enumerate(ladder) if not (e > 0.0 and (j == 0 or e < ladder[j - 1]))]
+    if not ladder or bad:
+        at = f", level {bad[0]} = {ladder[bad[0]]!r}" if bad else ""
+        raise ValueError(f"ladder must be strictly decreasing and positive, got {len(ladder)} "
+                         f"levels{at}")
     return ladder
 
 
@@ -100,8 +103,7 @@ def ball_mass_dimension(points, ladder, n_centers, seed):
     """
     points = _check_points(points)
     ladder = _check_ladder(ladder)
-    if isinstance(n_centers, bool) or not isinstance(n_centers, numbers.Integral) or n_centers < 1:
-        raise ValueError(f"n_centers must be an integer >= 1, not {n_centers!r}")
+    n_centers = _integer("n_centers", n_centers, 1)
     n = len(points)
     rng = np.random.default_rng(seed)
     # an explicit uniform p: p=None draws another stream

@@ -155,6 +155,14 @@ def ambient_of_states(cfg, states):
 # -- trajectories --------------------------------------------------------------
 
 
+def _integer(name, val, least):
+    """val as an int; ValueError naming it unless it is a Python or numpy
+    integer (not a bool, not a float such as 5.0) of at least least."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < least:
+        raise ValueError(f"{name} must be an integer >= {least}, not {val!r}")
+    return int(val)
+
+
 def trajectory(cfg, x0, n, burn_in=0):
     """n states of the configured system after discarding burn_in iterates.
 
@@ -170,10 +178,7 @@ def trajectory(cfg, x0, n, burn_in=0):
     arithmetic; DivergenceError with the failing absolute iterate index if a
     Henon state leaves the finite range.  The other systems cannot diverge.
     """
-    for name, val, least in (("n", n, 1), ("burn_in", burn_in, 0)):
-        if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < least:
-            raise ValueError(f"{name} must be an integer >= {least}, not {val!r}")
-    n, burn_in = int(n), int(burn_in)
+    n, burn_in = _integer("n", n, 1), _integer("burn_in", burn_in, 0)
     sid = cfg.system_id
     if len(x0) != _STATE_DIM[sid]:
         raise ValueError(f"start state {tuple(x0)!r} of {sid} has {len(x0)} coordinates, "

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ambient_of_states, step_state
+from .dynamics import _integer, ambient_of_states, step_state
 from .observables import evaluate
 
 
@@ -22,7 +22,9 @@ class PairedVectors:
     delay images of a state x_i and of its one-step iterate.
 
     delay_series pairs consecutive windows of one orbit; the two-piece model,
-    which no single orbit samples, pairs iid draws with their images.
+    which no single orbit samples, pairs iid draws with their images.  k is
+    an integer >= 1 (not a bool), the blocks are matching (n, k) arrays and
+    every value is finite; a ValueError names the first row that is not.
     """
 
     k: int
@@ -30,10 +32,15 @@ class PairedVectors:
     successors: np.ndarray
 
     def __post_init__(self):
+        _integer("k", self.k, 1)
         if self.predecessors.shape != self.successors.shape or self.predecessors.ndim != 2:
             raise ValueError("predecessors and successors must be matching (n, k) blocks")
         if self.predecessors.shape[1] != self.k:
             raise ValueError("vector width inconsistent with k")
+        for name, block in (("predecessors", self.predecessors), ("successors", self.successors)):
+            if not (np.isfinite(block.min(initial=0.0)) and np.isfinite(block.max(initial=0.0))):
+                row = np.flatnonzero(~np.isfinite(block).all(axis=1))[0]
+                raise ValueError(f"{name} row {row} = {block[row].tolist()} is not finite")
 
     def __len__(self):
         return len(self.predecessors)
@@ -45,9 +52,7 @@ def delay_series(measurements, k):
     The len(m) - k + 1 windows overlap in k - 1 entries, so the pairs are two
     views of one (len(m) - k + 1, k) block.
     """
-    m = np.asarray(measurements, dtype=float)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k, m = _integer("k", k, 1), np.asarray(measurements, dtype=float)
     if m.ndim != 1:
         raise ValueError("measurements must be one-dimensional")
     if len(m) < k:
@@ -59,10 +64,8 @@ def delay_series(measurements, k):
 
 def delay_map(h, k, cfg, x):
     """Delay vector (h(x), h(Tx), ..., h(T^{k-1} x)) at a tuple-encoded state."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     states = [tuple(x)]
-    for _ in range(k - 1):
+    for _ in range(_integer("k", k, 1) - 1):
         states.append(step_state(cfg, states[-1]))
     coords = ambient_of_states(cfg, np.asarray(states, dtype=float))
     return evaluate(h, coords)

@@ -18,18 +18,19 @@ exact cut T = _square_cut(eps), the smallest float with sqrt(T) >= eps, so
 exactly when sqrt(s) < eps, with no sqrt taken:
 
 - BruteEngine (k >= 2) sorts the series once into a uniform grid of about
-  n cells, each with its tight bounding box and its successors' count,
-  mean and centred M2 (_kernels._cell_grid).  The nested balls cut the top
-  ball into shells.  Per reference (_kernels._grid_shells, compiled; numpy
-  passes without gcc) a cell wholly inside one shell adds its cached
-  moments to it, and only a cell that a sphere cuts is scanned point by
-  point, so the cost follows the spheres, not the balls.  Counts stay
-  exact: rounded subtraction, squaring and addition are monotone, so a
-  point's s lies between the sums of the same form over its cell box's
-  nearest and farthest coordinates.  Each shell is its whole cells merged
-  with its scanned points, and the balls are the shells merged from the
-  innermost outward, one level at a time over all references; sigma's last
-  digits depend on that merge order, the same on both backends.
+  n cells (at most 2n), each with its tight bounding box and its
+  successors' count, mean and centred M2 (_kernels._cell_grid).  The
+  nested balls cut the top ball into shells.  Per reference
+  (_kernels._grid_shells, compiled; numpy passes without gcc) a cell
+  wholly inside one shell adds its cached moments to it, and only a cell
+  that a sphere cuts is scanned point by point, so the cost follows the
+  spheres, not the balls.  Counts stay exact: rounded subtraction,
+  squaring and addition are monotone, so a point's s lies between the sums
+  of the same form over its cell box's nearest and farthest coordinates.
+  Each shell is its whole cells merged with its scanned points, and the
+  balls are the shells merged from the innermost outward, one level at a
+  time over all references; sigma's last digits depend on that merge
+  order, the same on both backends.
 - Sorted1DEngine (k = 1) bins the series once between the exact float
   edges of every ball, the floats where (x - y)^2 < T flips, with no sort,
   and merges each ball's bins from per-bin count, mean and centred M2
@@ -42,12 +43,15 @@ Both merge moments with the pairwise formulas of Chan, Golub and LeVeque
 (_estimate).
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels as _k
 from .dimension import _check_ladder
+from .dynamics import _integer
 
 DEFAULT_MIN_COUNT = 20
 DEFAULT_THRESHOLD = 1e-3
@@ -100,7 +104,7 @@ def default_ladder(series, levels=DEFAULT_LADDER_LEVELS, top=DEFAULT_LADDER_TOP)
     if len(pred) == 0:
         raise ValueError(f"delay series of k = {series.k} has {len(pred)} pairs: "
                          f"it needs at least k + 1 = {series.k + 1} measurements")
-    lo, hi = _extent(pred)
+    lo, hi = _k._extent(pred)
     diam = float(np.linalg.norm(hi - lo))
     if diam <= 0.0:
         diam = 1.0
@@ -159,8 +163,7 @@ def _init(self, series, ys, ladder):
 
 def _profile(self, y, ladder, min_count=DEFAULT_MIN_COUNT, threshold=DEFAULT_THRESHOLD):
     """SigmaEstimate of y, one of the engine's references, on the engine's ladder."""
-    if min_count < 2:
-        raise ValueError("min_count must be >= 2")
+    _integer("min_count", min_count, 2)
     row = self._rows.get(tuple(np.asarray(y, dtype=float).reshape(-1).tolist()))
     if row is None or list(ladder) != self.ladder:
         raise ValueError(f"reference {y} on ladder {list(ladder)} is not in the engine's table")
@@ -175,24 +178,17 @@ class BruteEngine:
     tracer wraps BruteEngine by name, until ROADMAP item 1b lets the
     benchmark follow a rename.
 
-    The series is sorted once into the cells of _grid_shape.  Per reference
-    a cell is skipped when even its nearest box corner is outside the top
-    ball, adds its cached moments to a shell when its nearest and farthest
-    corners lie in that shell, and is scanned point by point otherwise
-    (_kernels._grid_shells).  The corners bound every point's squared
-    distance because rounded arithmetic is monotone, so the counts are the
-    point-by-point counts exactly.  Each shell is its whole cells merged
-    with its scanned points, and the balls are the shells merged from the
-    innermost outward, one level at a time over all references; sigma's
-    last digits depend on that merge order, the same on both backends.
+    The series is sorted once into the cells of _kernels._cell_grid, each
+    reference's shells are read from them by _kernels._grid_shells and
+    merged into balls; the module docstring says how, and why the counts
+    are exact.
     """
 
     __init__ = _init
     profile = _profile
 
     def _balls(self, series, ys):
-        pred = series.predecessors
-        grid = _k._cell_grid(pred, series.successors, *_grid_shape(pred))
+        grid = _k._cell_grid(series.predecessors, series.successors)
         whole, scanned = _k._grid_shells(grid, ys, _square_cut(self.ladder))
         n, mean, m2 = _merge(whole, scanned)
         ball = (np.zeros(len(ys)), np.zeros((len(ys), self.k)), np.zeros(len(ys)))
@@ -200,42 +196,6 @@ class BruteEngine:
             ball = _merge(ball, (n[:, j], mean[:, j], m2[:, j]))
             n[:, j], mean[:, j], m2[:, j] = ball
         return n.astype(np.int64), mean, np.sqrt(m2 / np.maximum(n, 1.0))
-
-
-def _extent(pred):
-    """Per-coordinate (min, max) of the (n, k) block, one column at a time
-    (an axis-0 reduction of a row-major block with short rows takes an
-    order of magnitude longer); (inf, -inf) for a block with no row."""
-    return (np.array([c.min(initial=np.inf) for c in pred.T]),
-            np.array([c.max(initial=-np.inf) for c in pred.T]))
-
-
-def _grid_shape(pred):
-    """(lo, scale, side) of BruteEngine's grid over the (n, k) predecessors:
-    about n cubic cells over the bounding box of the finite rows.
-
-    The cell side h is (V / n)^(1/k'), V the product of the k' box widths
-    at least h; a narrower axis, constant ones included, gets one cell.
-    Along a wide axis the side[d] = ceil(width / h) cells each span width /
-    side[d], so the dense grid has at most 2^k n cells and the counting
-    sort stays O(n) in time and memory.  The ladder does not enter: the
-    cost per reference is the cells looped over plus the points scanned in
-    the cells the spheres cut, and n cells balance the two on E5's series.
-    """
-    lo, hi = _extent(pred)
-    if not np.isfinite([lo, hi]).all():  # a row that is not finite, or none
-        lo, hi = _extent(pred[np.isfinite(pred).all(axis=1)])
-    with np.errstate(over="ignore"):
-        width = hi - lo
-    wide = (width > 0) & np.isfinite(width)
-    h = 1.0
-    while wide.any():  # the side of n cubes filling the wide axes; drop the axes narrower than it
-        h = np.exp((np.log(width[wide]).sum() - np.log(len(pred))) / wide.sum())
-        if (width[wide] >= h).all():
-            break
-        wide &= width >= h
-    side = np.where(wide, np.ceil(width / h), 1.0)
-    return lo, np.where(wide, side / np.where(wide, width, 1.0), 0.0), side.astype(np.int64)
 
 
 def _square_cut(eps):
@@ -360,7 +320,14 @@ def predictability_report(series, ys, levels=DEFAULT_LADDER_LEVELS, top=DEFAULT_
 
     series is a PairedVectors.  The engine, Sorted1DEngine for k = 1 and
     BruteEngine otherwise, builds its table over all references at once.
+    A ValueError names levels or min_count unless it is an integer (not a
+    bool) >= 1 or >= 2, and top or threshold unless it is a finite number
+    > 0 (not a bool).
     """
+    levels, min_count = _integer("levels", levels, 1), _integer("min_count", min_count, 2)
+    for name, val in (("top", top), ("threshold", threshold)):
+        if isinstance(val, bool) or not isinstance(val, numbers.Real) or not 0.0 < val < math.inf:
+            raise ValueError(f"{name} must be a finite number > 0, not {val!r}")
     ladder = default_ladder(series, levels, top)
     if not len(ys):
         return ()

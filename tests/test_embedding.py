@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -88,3 +90,12 @@ def test_delay_series_invariant_violation_detected():
         delay_series([1.0, 2.0, 3.0], 0)  # k >= 1
     with pytest.raises(ValueError):
         delay_series(np.zeros((3, 2)), 1)  # one scalar series
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, 0, "2"])
+def test_k_must_be_an_integer(bad):
+    for call in (lambda: delay_series(np.arange(5.0), bad),
+                 lambda: PairedVectors(bad, np.zeros((4, 2)), np.zeros((4, 2)))):
+        with pytest.raises(ValueError, match=f"^k must be an integer >= 1, not {re.escape(repr(bad))}$"):
+            call()
+    assert delay_series(np.arange(5.0), np.int64(2)).k == 2

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from delaylab import _kernels as _k, dynamics, predictability
+from delaylab import _kernels as _k, dynamics
 from delaylab.dynamics import (DivergenceError, GOLDEN_ROTATION, HENON_A, HENON_B, SystemConfig,
                                _iterate, step_state, trajectory)
 from delaylab.embedding import delay_series, PairedVectors
 from delaylab.experiments import ExperimentConfig, run_experiment
-from delaylab.predictability import _grid_shape, _merge, _square_cut, BruteEngine, Sorted1DEngine
+from delaylab.predictability import _merge, _square_cut, BruteEngine, Sorted1DEngine
 
 HAVE_GCC = shutil.which("gcc") is not None
 needs_c = pytest.mark.skipif(not HAVE_GCC, reason="no C compiler on PATH")
@@ -382,7 +382,7 @@ def shell_case(case, k):
 def grid_shells_merged(pred, succ, ys, ladder):
     """Per-shell (count, mean, M2) of the references ys: the grid's whole and
     scanned parts of each shell, merged as BruteEngine merges them."""
-    grid = _k._cell_grid(pred, succ, *_grid_shape(pred))
+    grid = _k._cell_grid(pred, succ)
     return _merge(*_k._grid_shells(grid, np.reshape(ys, (-1, pred.shape[1])), _square_cut(ladder)))
 
 
@@ -460,7 +460,7 @@ GRID_CASES = ["cell faces", "on a sphere", "duplicate rows", "one cell", "refere
 
 def grid_case(case, k):
     """(pred, succ, ys, ladder, shape): a series and its references, a ladder,
-    and the grid (lo, scale, side) _grid_shape is to return, None for its own."""
+    and the grid (lo, scale, side) _k._grid_shape is to return, None for its own."""
     rng = np.random.default_rng([k, GRID_CASES.index(case)])
     unit = (np.zeros(k), np.ones(k), np.full(k, 3, dtype=np.int64))  # cells floor(x), up to 2
     if case == "cell faces":  # every coordinate on a face of the unit cells
@@ -509,14 +509,14 @@ def grid_case(case, k):
     return pred, rng.normal(size=pred.shape), ys, ladder, shape
 
 
-@pytest.mark.parametrize("case", GRID_CASES)
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k,case", [(k, case) for k in (2, 3, 4) for case in GRID_CASES]
+                         + [(8, "random")])  # sides rounded down: 256 cells, not 3^8
 def test_cell_engine_equals_enumeration(backend, monkeypatch, case, k):
     """BruteEngine's (m, L) table on a cell grid: counts as enumerated, chi and
     sigma within 1e-12, and the C's table equal to the numpy passes' bit for bit."""
     pred, succ, ys, ladder, shape = grid_case(case, k)
     if shape is not None:
-        monkeypatch.setattr(predictability, "_grid_shape", lambda p: shape)
+        monkeypatch.setattr(_k, "_grid_shape", lambda p: shape)
     count, chi, sigma = on_both_backends(
         backend, monkeypatch, lambda: BruteEngine(PairedVectors(k, pred, succ), ys, ladder)._table)
     want_count, want_chi, want_sigma = enumerated_table(pred, succ, ys, ladder)
@@ -528,14 +528,21 @@ def test_cell_engine_equals_enumeration(backend, monkeypatch, case, k):
         assert count[0, -1] >= 50
 
 
+@pytest.mark.parametrize("n,k", [(10**5, k) for k in range(1, 21)] + [(10**6, 19)])
+def test_grid_shape_at_most_2n_cells(n, k):
+    # on these series the sides rounded up make 48 n cells at k = 14 and
+    # 1,162 n at k = 19, n = 10^6: a 4.3 GiB count array
+    x = np.random.default_rng(k).normal(size=n + k - 1)
+    lo, scale, side = _k._grid_shape(np.lib.stride_tricks.sliding_window_view(x, k))
+    assert side.dtype == np.int64 and side.min() >= 1 and np.prod(side.astype(float)) <= 2 * n
+
+
 def test_ball_shells_reject_bad_shapes(backend):
-    pred, succ, bounds = np.zeros((5, 2)), np.zeros((5, 2)), (np.zeros(2), np.ones(2), [1, 1])
-    for args in [(pred, succ[:, :1], *bounds), (pred[:, :0], succ[:, :0], [], [], []),
-                 (pred, succ, np.zeros(3), np.ones(2), [1, 1]), (pred, succ, *bounds[:2], [1, 0]),
-                 (pred[0], succ[0], *bounds)]:
+    pred, succ = np.zeros((5, 2)), np.zeros((5, 2))
+    for args in [(pred, succ[:, :1]), (pred[:, :0], succ[:, :0]), (pred[0], succ[0])]:
         with pytest.raises(ValueError, match="need"):
             _k._cell_grid(*args)
-    grid = _k._cell_grid(pred, succ, *bounds)
+    grid = _k._cell_grid(pred, succ)
     for ys, cuts in [([0.0, 0.0], [1.0]), ([[0.0]], [1.0]), ([[0.0, 0.0]], []),
                      ([[0.0, 0.0]], [[1.0]])]:
         with pytest.raises(ValueError, match="need"):

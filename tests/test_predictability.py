@@ -1,11 +1,12 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from delaylab.dimension import ball_mass_dimension, box_counting_idim
+from delaylab.dimension import _check_ladder, ball_mass_dimension, box_counting_idim
 from delaylab.dynamics import ambient_of_states, GOLDEN_ROTATION, SystemConfig, trajectory
 from delaylab.embedding import delay_series, PairedVectors
 from delaylab.experiments import _draw, ExperimentConfig, run_experiment
@@ -161,6 +162,59 @@ def test_nan_ladder_level_rejected(ladder):
                  lambda: box_counting_idim(points, ladder)):
         with pytest.raises(ValueError, match="ladder"):
             call()
+
+
+def test_ladder_error_names_first_bad_level():
+    # 2000 halvings underflow to 0 near level 1,075: name that level, not all 2000
+    s = delay_series(np.arange(10.0), 1)
+    with pytest.raises(ValueError, match=r"got 2000 levels, level 10\d\d = 0\.0$") as err:
+        predictability_report(s, [[1.0]], levels=2000)
+    assert len(str(err.value)) < 100
+    for ladder, at in (([1.0, 0.5, 0.5], "got 3 levels, level 2 = 0.5"),
+                       ([1.0, -0.5], "got 2 levels, level 1 = -0.5"), ([], "got 0 levels")):
+        with pytest.raises(ValueError, match=f"{re.escape(at)}$"):
+            _check_ladder(ladder)
+
+
+@pytest.mark.parametrize("name,val", [
+    ("levels", True), ("levels", 2.5), ("levels", 0), ("levels", "8"),
+    ("min_count", 2.5), ("min_count", 1), ("min_count", True),
+    ("top", -1), ("top", 0.0), ("top", math.nan), ("top", math.inf), ("top", True),
+    ("threshold", math.nan), ("threshold", math.inf), ("threshold", 0.0), ("threshold", "1e-3"),
+])
+def test_report_rejects_bad_knobs(name, val):
+    s = delay_series(np.arange(30.0), 2)
+    with pytest.raises(ValueError, match=f"^{name} must be .*, not {re.escape(repr(val))}$"):
+        predictability_report(s, s.predecessors[:2], **{name: val})
+
+
+def test_report_accepts_numpy_knobs():
+    s = delay_series(np.sin(np.arange(300.0)), 2)
+    ys = s.predecessors[:5]
+    got, want = (predictability_report(s, ys, *knobs) for knobs in
+                 ((np.int64(6), np.float64(0.3), np.int32(3), np.float64(0.01)), (6, 0.3, 3, 0.01)))
+    assert [(e.sigma_hat, e.sigma_hat_count, e.predictable) for e in got] == \
+        [(e.sigma_hat, e.sigma_hat_count, e.predictable) for e in want]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k", [1, 2])
+def test_non_finite_pairs_rejected(bad, k):
+    # no engine sees a non-finite value: at the first measurement it is in
+    # predecessor row 0 alone, at the last in the last successor row alone
+    for at, where in ((0, "predecessors row 0 = "), (-1, f"successors row {19 - k} = ")):
+        x = np.arange(20.0)
+        x[at] = bad
+        for call in (lambda: delay_series(x, k),
+                     lambda: chi_sigma(delay_series(x, k), np.ones(k), 1.0),
+                     lambda: predictability_report(delay_series(x, k), np.ones((1, k)))):
+            with pytest.raises(ValueError, match=f"^{where}.* is not finite$"):
+                call()
+    for block, where in ((0, "predecessors row 3 = "), (1, "successors row 3 = ")):
+        pair = [np.ones((5, k)), np.ones((5, k))]
+        pair[block][3, k - 1] = bad
+        with pytest.raises(ValueError, match=f"^{where}"):
+            PairedVectors(k, *pair)
 
 
 def test_linear_system_sigma_rate():
