@@ -1,5 +1,5 @@
 """Scalar map cores and the compiled loops: the long orbits, the k = 1 bin
-search and the k >= 2 cell grid.
+search, the k >= 2 cell grid and E6's ball counts.
 
 dynamics.step_state calls the cores one step at a time; it is the one Python
 definition of each map.  ``_orbits.c`` repeats the cores and iterates them
@@ -14,7 +14,9 @@ engine's series into a uniform grid by a stable O(n) counting sort and
 caches each cell's successor moments, while numpy takes the grid's shape
 and each cell's tight box and size; ``_grid_shells`` takes per reference
 each shell's moments from the cells wholly inside it and from the points
-of the cells a sphere cuts.  Why its counts are exact is in the
+of the cells a sphere cuts.  ``_ball_counts`` builds one k-d tree over a
+point set and counts every closed ball of a centre in one walk, whole nodes
+by their size.  Why the grid's and the tree's counts are exact is in the
 predictability module docstring.
 
 The first call to any of them compiles ``_orbits.c`` with gcc into
@@ -27,8 +29,9 @@ order of the np.bincount passes of _moments.  The orbit loops only iterate, from
 dynamics.trajectory has checked and reduced.  ``skew_orbit`` and
 ``henon_orbit`` return None only when the C is unavailable: gcc is missing,
 or the build or load failed.  dynamics.trajectory then iterates step_state
-instead; ``bin_right`` falls back to ``searchsorted``, and ``_cell_grid`` and
-``_grid_shells`` to numpy passes over the same cells in the same order.
+instead; ``bin_right`` falls back to ``searchsorted``, ``_cell_grid`` and
+``_grid_shells`` to numpy passes over the same cells in the same order, and
+``_ball_counts`` to numpy enumeration with the same sums and the same test.
 BACKEND names the code in use, "c" or "python", once any of them has been
 called.
 """
@@ -130,9 +133,10 @@ _SIGNATURES = {  # name: (restype, argtypes); the last argument is the output ar
     "grid_fill": (None, (_P, _P, _I64, _I64, _P, _P, _P, _I64, _P, _I64, _I64) + (_P,) * 5),
     "grid_shells": (None, (_P, _P, _P, _I64, _I64, _P, _P, _P, _P, _P, _I64, _P, _I64, _P, _I64,
                            _P, _P)),
+    "ball_counts": (_I64, (_P, _I64, _I64, _P, _I64, _P, _I64, _P)),
 }
 
-BACKEND = None  # "c" or "python" once an orbit, a binning or a grid has been asked for
+BACKEND = None  # "c" or "python" once an orbit, a binning, a grid or a ball count is asked for
 _lib = None
 _load_lock = threading.Lock()
 
@@ -173,9 +177,10 @@ def _library():
                     _lib = lib
                 except (OSError, subprocess.SubprocessError, AttributeError) as exc:
                     detail = getattr(exc, "stderr", None) or exc
-                    warnings.warn(f"orbit loops run interpreted, k = 1 bins by searchsorted and "
-                                  f"the k >= 2 grid by numpy passes: {_SOURCE.name} did not build "
-                                  f"or load: {detail}", RuntimeWarning, stacklevel=3)
+                    warnings.warn(f"orbit loops run interpreted, k = 1 bins by searchsorted, "
+                                  f"the k >= 2 grid and the ball counts by numpy passes: "
+                                  f"{_SOURCE.name} did not build or load: {detail}",
+                                  RuntimeWarning, stacklevel=3)
             BACKEND = "python" if _lib is None else "c"
     return _lib
 
@@ -263,12 +268,14 @@ def _grid_shape(pred):
     The cell side h is (V / n)^(1/k'), V the product of the k' box widths
     at least h; a narrower axis, constant ones included, gets one cell.
     Along a wide axis the side[d] = ceil(width / h) cells each span width /
-    side[d].  Rounding up can reach 2^k n dense cells, so when the sides'
-    product passes 2n each is floor(width / h) instead, at most n cells:
-    the counting sort stays O(n) in time and memory for every k.  The
-    ladder does not enter: the cost per reference is the cells looped over
-    plus the points scanned in the cells the spheres cut, and n cells
-    balance the two on E5's series.
+    side[d].  Rounding up can reach 2^k n dense cells, so while the sides'
+    product passes 2n the wide axis with the most cells left is rounded
+    down to floor(width / h) instead: each such step keeps at least half
+    the cells, and all of them rounded down make at most n, so the grid
+    ends with n to 2n cells and the counting sort stays O(n) in time and
+    memory for every k.  The ladder does not enter: the cost per reference
+    is the cells looped over plus the points scanned in the cells the
+    spheres cut, and n cells balance the two on E5's series.
     """
     lo, hi = _extent(pred)
     if not np.isfinite([lo, hi]).all():  # a row that is not finite, or none
@@ -283,8 +290,10 @@ def _grid_shape(pred):
             break
         wide &= width >= h
     side = np.where(wide, np.ceil(width / h), 1.0)
-    if side.prod() > 2 * len(pred):
-        side = np.where(wide, np.floor(width / h), 1.0)
+    for d in sorted(np.flatnonzero(wide), key=lambda d: -side[d]):  # the most cells first
+        if side.prod() <= 2 * len(pred):
+            break
+        side[d] = np.floor(width[d] / h)
     return lo, np.where(wide, side / np.where(wide, width, 1.0), 0.0), side.astype(np.int64)
 
 
@@ -410,3 +419,43 @@ def _grid_parts(grid, y, cuts):
     return (_moments(shell[whole], grid.mean[whole], len(cuts), grid.total[whole], grid.m2[whole]),
             _moments((s[:, None] < cuts[1:]).sum(axis=1), grid.succ.take(grid.order[pos], axis=0),
                      len(cuts)))
+
+
+def _ball_counts(points, centers, ladder):
+    """(m, L) int64 counts of the rows of the (n, d) finite points, n >= 1,
+    in the closed balls around the m finite centres, the rows of an (m, d)
+    block, with the L non-increasing radii of ladder.
+
+    A point x is in the ball of (y, eps) when s <= eps * eps, s = ((x0 -
+    y0)^2 + (x1 - y1)^2) + ..., summed over the coordinates in index order.
+    The C builds one k-d tree over a copy of the points and walks it once
+    per centre for the whole ladder: a node whose tight box lies in one
+    shell between the spheres adds its size (the bound is exact, see the
+    predictability module docstring), and only the leaves a sphere cuts are
+    scanned.  Without it numpy takes every point's s, one centre at a time,
+    and counts the same test.
+    """
+    points = np.asarray(points, dtype=float)
+    centers, ladder = np.asarray(centers, dtype=float), np.asarray(ladder, dtype=float)
+    if (points.ndim != 2 or not points.size or centers.ndim != 2
+            or centers.shape[1] != points.shape[1] or ladder.ndim != 1 or not len(ladder)
+            or not (ladder[1:] <= ladder[:-1]).all() or not np.isfinite(points).all()
+            or not np.isfinite(centers).all()):
+        raise ValueError(f"need (n >= 1, d >= 1) finite points, (m, d) finite centres and a "
+                         f"non-empty, non-increasing 1-D ladder, not {points.shape}, "
+                         f"{centers.shape} and {ladder.shape}")
+    (n, d), m, lib = points.shape, len(centers), _library()
+    cuts, out = ladder * ladder, np.empty((m, len(ladder)), dtype=np.int64)
+    if lib is None:
+        with np.errstate(over="ignore"):
+            for y, row in zip(centers, out):
+                s = np.square(points[:, 0] - y[0])
+                for c in range(1, d):
+                    s += np.square(points[:, c] - y[c])
+                row[:] = [np.count_nonzero(s <= cut) for cut in cuts]
+        return out
+    pts, centers = np.array(points, order="C"), np.ascontiguousarray(centers)  # the C permutes pts
+    if lib.ball_counts(pts.ctypes.data, n, d, centers.ctypes.data, m, cuts.ctypes.data,
+                       len(cuts), out.ctypes.data):
+        raise MemoryError(f"no memory for the k-d tree of {n} points")
+    return out

@@ -4,21 +4,23 @@
  * numpy's searchsorted indices; and the cell grid of the k >= 2 engine:
  * its counting sort, gather and cell moments (numpy takes its shape and
  * each cell's box and size) and its shell moments, which add in the order
- * of _kernels._moments' np.bincount passes.
+ * of _kernels._moments' np.bincount passes; and the k-d tree that counts
+ * E6's closed balls.
  *
  * Built with -O2 -ffp-contract=off -fno-fast-math, so every double operation
  * is rounded as in CPython and no multiply-add is fused; sin and exp are the
  * libm functions CPython's math module calls.  The loops are therefore
  * bitwise equal to step_state iterated, and the grid's moments equal the
- * numpy passes' bit for bit.  Why the grid's counts are exact is in the
- * docstring of predictability.py.  The orbit loops only iterate:
- * dynamics.trajectory checks the start and reduces its angles, and from a
- * skew-product start it accepts no step divides by zero, overflows an exp
- * or takes the sine of an infinity.
+ * numpy passes' bit for bit.  Why the grid's and the tree's counts are
+ * exact is in the docstring of predictability.py.  The orbit loops only
+ * iterate: dynamics.trajectory checks the start and reduces its angles,
+ * and from a skew-product start it accepts no step divides by zero,
+ * overflows an exp or takes the sine of an infinity.
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 static const double PI = 3.141592653589793;
 static const double TWO_PI = 2.0 * 3.141592653589793;
@@ -264,8 +266,29 @@ void grid_fill(const double *pred, const double *succ, int64_t n, int64_t k, con
     }
 }
 
+/* *dmin and *dmax, the squared distances ((b_0 - y_0)^2 + (b_1 - y_1)^2) + ...
+ * from y to the nearest and to the farthest coordinates b of the box whose
+ * bounds along axis d are lo[d * stride] and hi[d * stride]: every point
+ * of the box has its squared distance between them (predictability.py's
+ * docstring says why). */
+static void box_squares(const double *lo, const double *hi, int64_t stride, int64_t k,
+                        const double *y, double *dmin, double *dmax)
+{
+    double smin = 0.0, smax = 0.0;
+    for (int64_t d = 0; d < k; d++) {
+        double a = lo[d * stride] - y[d], b = hi[d * stride] - y[d];
+        double near = a > -b ? a : -b, far = -a > b ? -a : b;
+        near = near > 0.0 ? near : 0.0;
+        smin += near * near;  /* 0.0 + x is x: the sums start at their first term */
+        smax += far * far;
+    }
+    *dmin = smin;
+    *dmax = smax;
+}
+
 /* The squared distance ((x_0 - y_0)^2 + (x_1 - y_1)^2) + ... from y of
- * point p of a grid's (k, m) block cols. */
+ * point p of a (k, m) block cols: a grid's, or with m = 1 and p = 0 the
+ * row at cols of a C-ordered (n, k) block. */
 static double point_square(const double *cols, int64_t m, int64_t k, int64_t p, const double *y)
 {
     double t = cols[p] - y[0], s = t * t;
@@ -292,11 +315,10 @@ static int32_t slot_of(double s, const double *cuts, int64_t levels, int32_t slo
  * cells and m points, against levels non-increasing cuts.
  *
  * A point's squared distance is s, as point_square sums it; s lies between
- * dmin and dmax, the sums of the same form over the nearest and farthest
- * coordinates of its cell's tight box (predictability.py's docstring says
- * why).  A cell with dmin >= cuts[0] is skipped; a cell whose dmin and
- * dmax lie in one shell is whole, and its cached moments join that shell;
- * every other cell is scanned point by point.  Per reference, out gets two
+ * the box_squares dmin and dmax of its cell's tight box.  A cell with
+ * dmin >= cuts[0] is skipped; a cell whose dmin and dmax lie in one shell
+ * is whole, and its cached moments join that shell; every other cell is
+ * scanned point by point.  Per reference, out gets two
  * parts, the whole cells' and the scanned points', each of count
  * (levels + 1), m2 (levels + 1), mean (levels + 1, k) and q (levels + 1, k)
  * indexed by slot_of, so that slot 0 gathers the scanned points outside
@@ -325,19 +347,8 @@ void grid_shells(const double *cols, const int32_t *order, const double *succ, i
         for (int64_t j = 0; j < size; j++)
             wc[j] = 0.0;
         for (int64_t c = 0; c < occupied; c++) {
-            double a = lo[c] - y[0], b = hi[c] - y[0];
-            double near = a > -b ? a : -b, far = -a > b ? -a : b;
-            near = near > 0.0 ? near : 0.0;
-            double dmin = near * near, dmax = far * far;
-            for (int64_t d = 1; d < k; d++) {
-                a = lo[d * occupied + c] - y[d];
-                b = hi[d * occupied + c] - y[d];
-                near = a > -b ? a : -b;
-                near = near > 0.0 ? near : 0.0;
-                far = -a > b ? -a : b;
-                dmin += near * near;
-                dmax += far * far;
-            }
+            double dmin, dmax;
+            box_squares(lo + c, hi + c, occupied, k, y, &dmin, &dmax);
             int32_t slot = slot_of(dmin, cuts, levels, 0);
             kind[c] = slot;
             if (!slot)
@@ -384,4 +395,151 @@ void grid_shells(const double *cols, const int32_t *order, const double *succ, i
                 sm2[j] += sq[j * k + d];
             }
     }
+}
+
+/* The k-d tree of ball_counts (Bentley, CACM 18, 1975) over the C-ordered
+ * (n, k) block pts, whose rows its build permutes so that each node's rows
+ * are one run: node j holds rows begin[j] to end[j] - 1 and has the tight
+ * box box[2jk .. 2jk + k - 1] (the min of each coordinate) and box[2jk + k
+ * .. 2jk + 2k - 1] (the max).  It is a leaf when right[j] == 0, else its
+ * children are j + 1 and right[j]. */
+#define LEAF 32
+
+typedef struct {
+    double *pts, *box;
+    int64_t k, nodes, *begin, *end, *right;
+} Tree;
+
+static void swap_rows(double *pts, int64_t k, int64_t i, int64_t j)
+{
+    for (int64_t d = 0; d < k; d++) {
+        double t = pts[i * k + d];
+        pts[i * k + d] = pts[j * k + d];
+        pts[j * k + d] = t;
+    }
+}
+
+/* Permutes rows a to b - 1 so that no row before mid has a larger and no
+ * row from mid on a smaller coordinate ax (Hoare's FIND): the pointers stop
+ * on values equal to the pivot, so equal values split evenly too. */
+static void select_rows(double *pts, int64_t k, int64_t ax, int64_t a, int64_t b, int64_t mid)
+{
+    for (b--; a < b;) {
+        double pivot = pts[(a + (b - a) / 2) * k + ax];
+        int64_t i = a, j = b;
+        while (i <= j) {
+            while (pts[i * k + ax] < pivot)
+                i++;
+            while (pts[j * k + ax] > pivot)
+                j--;
+            if (i <= j)
+                swap_rows(pts, k, i++, j--);
+        }
+        if (mid <= j)
+            b = j;
+        else if (mid >= i)
+            a = i;
+        else
+            return;
+    }
+}
+
+/* Adds the node of rows a to b - 1 and its subtree; returns its index.  A
+ * node of more than LEAF rows is split at the median of the widest axis of
+ * its tight box, unless that box is one point (an atom). */
+static int64_t build(Tree *t, int64_t a, int64_t b)
+{
+    int64_t j = t->nodes++, k = t->k, ax = 0;
+    double *lo = t->box + 2 * k * j, *hi = lo + k, widest = 0.0;
+    for (int64_t d = 0; d < k; d++)
+        lo[d] = hi[d] = t->pts[a * k + d];
+    for (int64_t p = a + 1; p < b; p++)
+        for (int64_t d = 0; d < k; d++) {
+            double x = t->pts[p * k + d];
+            lo[d] = x < lo[d] ? x : lo[d];
+            hi[d] = x > hi[d] ? x : hi[d];
+        }
+    for (int64_t d = 0; d < k; d++)
+        if (hi[d] - lo[d] > widest) {
+            widest = hi[d] - lo[d];
+            ax = d;
+        }
+    t->begin[j] = a;
+    t->end[j] = b;
+    t->right[j] = 0;
+    if (b - a > LEAF && widest > 0.0) {
+        int64_t mid = a + (b - a) / 2;
+        select_rows(t->pts, k, ax, a, b, mid);
+        build(t, a, mid);
+        t->right[j] = build(t, mid, b);
+    }
+    return j;
+}
+
+/* The number of the levels non-increasing cuts that s is at most, counted
+ * from slot, a number that s is known to be at most: 0 outside the top
+ * closed ball, else one more than the deepest level whose ball holds it. */
+static int64_t closed_slot(double s, const double *cuts, int64_t levels, int64_t slot)
+{
+    while (slot < levels && s <= cuts[slot])
+        slot++;
+    return slot;
+}
+
+/* Adds to shell[slot] the points of node j's subtree in that closed_slot
+ * from y: a node whose box is beyond the top sphere is skipped, one whose
+ * dmin and dmax have one slot adds its size, and a leaf that a sphere cuts
+ * is scanned point by point. */
+static void walk(const Tree *t, int64_t j, const double *y, const double *cuts, int64_t levels,
+                 int64_t *shell)
+{
+    int64_t k = t->k;
+    double dmin, dmax;
+    box_squares(t->box + 2 * k * j, t->box + 2 * k * j + k, 1, k, y, &dmin, &dmax);
+    int64_t top = closed_slot(dmin, cuts, levels, 0);
+    if (!top)
+        return;
+    int64_t low = closed_slot(dmax, cuts, levels, 0);
+    if (low == top)
+        shell[top] += t->end[j] - t->begin[j];
+    else if (t->right[j]) {
+        walk(t, j + 1, y, cuts, levels, shell);
+        walk(t, t->right[j], y, cuts, levels, shell);
+    } else
+        for (int64_t p = t->begin[j]; p < t->end[j]; p++)
+            shell[closed_slot(point_square(t->pts + p * k, 1, k, 0, y), cuts, levels, low)]++;
+}
+
+/* Counts the points of the C-ordered (n, k) block pts, n >= 1, that lie
+ * in each closed ball of each of the m centres, the rows of the C-ordered
+ * (m, k) block centers, every value finite: x is in ball j of y when
+ * s <= cuts[j], for levels non-increasing cuts and s = ((x_0 - y_0)^2 +
+ * (x_1 - y_1)^2) + ...  One k-d tree is built over pts, permuting its rows, and each centre
+ * walks it once for all levels, counting the shells between the spheres;
+ * out gets the C-ordered (m, levels) ball counts, the shells summed from
+ * the innermost outward.  Returns 0, or -1 when the tree's memory cannot
+ * be had. */
+int64_t ball_counts(double *pts, int64_t n, int64_t k, const double *centers, int64_t m,
+                    const double *cuts, int64_t levels, int64_t *out)
+{
+    int64_t cap = 4 * n / LEAF + 1;  /* a split leaves >= LEAF / 2 rows a side */
+    Tree t = {pts, malloc(sizeof(double) * 2 * k * cap), k, 0, malloc(sizeof(int64_t) * cap),
+              malloc(sizeof(int64_t) * cap), malloc(sizeof(int64_t) * cap)};
+    int64_t status = -1, shell[levels + 1];
+    if (t.box && t.begin && t.end && t.right) {
+        build(&t, 0, n);
+        for (int64_t c = 0; c < m; c++) {
+            for (int64_t j = 0; j <= levels; j++)
+                shell[j] = 0;
+            walk(&t, 0, centers + c * k, cuts, levels, shell);
+            for (int64_t j = levels - 1, total = 0; j >= 0; j--)
+                out[c * levels + j] = total += shell[j + 1];
+        }
+        status = 0;
+    }
+    free(t.box);
+    free(t.begin);
+    free(t.end);
+    free(t.right);
+    return status;
 }

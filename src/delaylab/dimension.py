@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _ball_counts
 from .dynamics import _integer, ambient_of_states, sample_model_states, SystemConfig
 
 
@@ -99,7 +100,11 @@ def ball_mass_dimension(points, ladder, n_centers, seed):
     Centers are drawn from the points themselves; per level the recorded
     value is the center average of log mu(B(x, eps)) / log eps (the
     pointwise-dimension form), while the returned estimate is the slope of
-    the averaged log-mass against log eps over the ladder.  Balls are closed.
+    the averaged log-mass against log eps over the ladder.  Balls are
+    closed: a point x is in B(y, eps) when s <= eps * eps, s the squared
+    distance ((x0 - y0)^2 + (x1 - y1)^2) + ... summed in coordinate order
+    (_kernels._ball_counts, which counts every level from one k-d tree walk
+    per center).
     """
     points = _check_points(points)
     ladder = _check_ladder(ladder)
@@ -108,18 +113,12 @@ def ball_mass_dimension(points, ladder, n_centers, seed):
     rng = np.random.default_rng(seed)
     # an explicit uniform p: p=None draws another stream
     idx = rng.choice(n, size=n_centers, replace=True, p=np.full(n, 1.0 / n))
-    # atoms repeat centers: each distinct one is queried once, its mass indexed back
-    centers, inverse = np.unique(points[idx], axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    from scipy.spatial import cKDTree  # most of the time of `import delaylab`: imported on use
-
-    tree = cKDTree(points)
+    counts = _ball_counts(points, points[idx], ladder)
     values = []
     log_eps, log_mass = [], []
-    for eps in ladder:
-        counts = tree.query_ball_point(centers, eps, return_length=True)
+    for eps, count in zip(ladder, counts.T):
         # mass > 0: each center lies in its own closed ball
-        logm = np.log(counts[inverse] / n)
+        logm = np.log(count / n)
         values.append((eps, float(np.mean(logm / math.log(eps)))))
         log_eps.append(math.log(eps))
         log_mass.append(float(logm.mean()))

@@ -26,7 +26,9 @@ exactly when sqrt(s) < eps, with no sqrt taken:
   that a sphere cuts is scanned point by point, so the cost follows the
   spheres, not the balls.  Counts stay exact: rounded subtraction,
   squaring and addition are monotone, so a point's s lies between the sums
-  of the same form over its cell box's nearest and farthest coordinates.
+  of the same form over the nearest and farthest coordinates of any box
+  that holds it, here its cell's (and a k-d tree node's in
+  _kernels._ball_counts, which counts E6's balls the same way).
   Each shell is its whole cells merged with its scanned points, and the
   balls are the shells merged from the innermost outward, one level at a
   time over all references; sigma's last digits depend on that merge

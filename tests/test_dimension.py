@@ -1,10 +1,17 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+import delaylab
+from delaylab import _kernels as _k
+from delaylab.dynamics import ambient_of_states, SystemConfig, trajectory
 from delaylab.dimension import (
     _cell_entropy,
     ball_mass_dimension,
@@ -167,7 +174,7 @@ def test_estimate_r_squared_in_range():
 
 
 def test_ball_mass_repeated_centers_equal_per_center_queries():
-    """Each distinct center is queried once; every level equals one query per drawn center."""
+    """Centers on the atom repeat; every level equals one cKDTree query per drawn center."""
     points = sample_model_measure(2_000, 31)
     n, n_centers, seed = len(points), 400, 33
     est, pointwise = ball_mass_dimension(points, LADDER, np.int64(n_centers), seed)
@@ -182,6 +189,40 @@ def test_ball_mass_repeated_centers_equal_per_center_queries():
         assert value == float(np.mean(want))
     assert pointwise.tobytes() == want.tobytes()  # the finest level
     assert est.levels_used == (n_centers,) * len(LADDER)
+
+
+def skew_orbit_measure(n, stride):
+    skew = SystemConfig("skew_T")
+    return ambient_of_states(skew, trajectory(skew, (0.5, 1.0, 0.3), n)[::stride])
+
+
+@pytest.mark.parametrize("name,points", [
+    ("model", sample_model_measure(4_000, 51)), ("segment", uniform_segment_measure(4_000, 52)),
+    ("point", point_mass_measure(300)), ("skew", skew_orbit_measure(40_000, 10)),
+])
+def test_ball_counts_equal_ckdtree(name, points):
+    """E6's four kinds of measure: the k-d tree walk counts what cKDTree's
+    closed-ball queries count, on every (center, level)."""
+    centers = points[np.random.default_rng(53).integers(0, len(points), 300)]
+    tree = cKDTree(points)
+    want = np.stack([tree.query_ball_point(centers, eps, return_length=True) for eps in LADDER], 1)
+    assert np.array_equal(_k._ball_counts(points, centers, LADDER), want)
+
+
+def test_e6_loads_no_scipy(tmp_path):
+    """scipy is a test dependency only: E6 runs without importing it."""
+    code = ("import sys\n"
+            "from delaylab.experiments import ExperimentConfig, run_experiment\n"
+            "overrides = dict(n_samples=2_000, n_centers=50, point_n=100, skew_orbit_n=3_000,\n"
+            "                 skew_stride=1)\n"
+            f"run_experiment(ExperimentConfig('E6_idim', 7, overrides), {str(tmp_path)!r})\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    src = str(Path(delaylab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "idim.csv").exists()
 
 
 def test_cell_entropy_sums_one_over_n_per_point():

@@ -510,7 +510,7 @@ def grid_case(case, k):
 
 
 @pytest.mark.parametrize("k,case", [(k, case) for k in (2, 3, 4) for case in GRID_CASES]
-                         + [(8, "random")])  # sides rounded down: 256 cells, not 3^8
+                         + [(8, "random")])  # two sides rounded down: 2,916 cells, not 3^8
 def test_cell_engine_equals_enumeration(backend, monkeypatch, case, k):
     """BruteEngine's (m, L) table on a cell grid: counts as enumerated, chi and
     sigma within 1e-12, and the C's table equal to the numpy passes' bit for bit."""
@@ -531,10 +531,12 @@ def test_cell_engine_equals_enumeration(backend, monkeypatch, case, k):
 @pytest.mark.parametrize("n,k", [(10**5, k) for k in range(1, 21)] + [(10**6, 19)])
 def test_grid_shape_at_most_2n_cells(n, k):
     # on these series the sides rounded up make 48 n cells at k = 14 and
-    # 1,162 n at k = 19, n = 10^6: a 4.3 GiB count array
+    # 1,162 n at k = 19, n = 10^6: a 4.3 GiB count array; every side rounded
+    # down made one cell from k = 18 on
     x = np.random.default_rng(k).normal(size=n + k - 1)
     lo, scale, side = _k._grid_shape(np.lib.stride_tricks.sliding_window_view(x, k))
-    assert side.dtype == np.int64 and side.min() >= 1 and np.prod(side.astype(float)) <= 2 * n
+    assert side.dtype == np.int64 and side.min() >= 1
+    assert n / 2 <= np.prod(side.astype(float)) <= 2 * n
 
 
 def test_ball_shells_reject_bad_shapes(backend):
@@ -547,6 +549,94 @@ def test_ball_shells_reject_bad_shapes(backend):
                      ([[0.0, 0.0]], [[1.0]])]:
         with pytest.raises(ValueError, match="need"):
             _k._grid_shells(grid, ys, cuts)
+
+
+# -- E6's closed-ball counts: a k-d tree walk per centre against enumeration -----
+
+
+def enumerated_counts(points, centers, ladder):
+    """(m, L) ball counts in Python floats: x is in the ball of (y, eps) when
+    ((x0 - y0)^2 + (x1 - y1)^2) + ... <= eps * eps."""
+    out = np.zeros((len(centers), len(ladder)), dtype=np.int64)
+    for r, y in enumerate(centers.tolist()):
+        for x in points.tolist():
+            s = 0.0
+            for a, b in zip(x, y):
+                s += (a - b) * (a - b)
+            out[r] += [s <= eps * eps for eps in ladder]
+    return out
+
+
+BALL_CASES = ["pure atom", "atom and circle", "on the spheres", "centres outside", "below one leaf",
+              "one point", "random"]
+
+
+def ball_case(case, d):
+    """(points, centers, ladder) of an (n, d) measure."""
+    rng = np.random.default_rng([d, BALL_CASES.index(case)])
+    ladder = [1.0, 0.5, 0.1, 0.01, 0.001]
+    if case == "pure atom":
+        points = np.tile(rng.normal(size=d), (700, 1))
+        centers = np.concatenate([points[:2], points[:1] + 0.05 * np.eye(d)[0]])
+    elif case == "atom and circle":  # half the rows on p, the others on the circle through -p
+        angle = rng.uniform(0.0, 2.0 * math.pi, 600)
+        points = np.zeros((1_200, d))
+        points[:600, 0] = 1.0
+        points[600:, 0] = np.cos(angle)
+        points[600:, 1 % d] = np.sin(angle) if d > 1 else -1.0
+        centers = points[rng.integers(0, len(points), 30)]
+    elif case == "on the spheres":  # from y = 0: rows at s == eps * eps on each axis, and beside it
+        rows = []
+        for eps in ladder:
+            for axis in range(d):
+                for x in (eps, -eps, np.nextafter(eps, 2.0), np.nextafter(eps, 0.0)):
+                    rows.append(np.eye(d)[axis] * x)
+            if d > 1:
+                rows += [point_at(np.nextafter(eps * eps, 2.0), d), point_at(eps * eps, d)]
+        points = np.concatenate([np.array(rows), rng.normal(scale=0.3, size=(300, d))])
+        centers = np.zeros((1, d))
+        assert np.count_nonzero(np.square(points).sum(axis=1) == ladder[0] ** 2) >= 2 * d
+    elif case == "centres outside":
+        points = rng.uniform(0.0, 1.0, (500, d))
+        centers = np.array([np.full(d, 1.5), np.full(d, -0.7), np.full(d, 40.0)])
+        ladder = [3.0, 1.2, 0.8, 0.6]
+    elif case == "below one leaf":
+        points = rng.normal(size=(5, d))
+        centers = np.concatenate([points, points[:1] + 0.3])
+    elif case == "one point":
+        points = rng.normal(size=(1, d))
+        centers = np.concatenate([points, points + 0.3, points + 1e-3])
+    else:
+        points = rng.normal(size=(1_500, d))
+        points[::3] = points[1]
+        centers = points[rng.integers(0, len(points), 25)]
+        ladder = [4.0, 2.0, 1.0, 0.5, 0.25, 0.125]
+    return points, centers, ladder
+
+
+@pytest.mark.parametrize("case", BALL_CASES)
+@pytest.mark.parametrize("d", [1, 2, 5, 9])
+def test_ball_counts_equal_enumeration(backend, case, d):
+    points, centers, ladder = ball_case(case, d)
+    before = points.tobytes()
+    got = _k._ball_counts(points, centers, ladder)
+    assert got.dtype == np.int64 and np.array_equal(got, enumerated_counts(points, centers, ladder))
+    assert points.tobytes() == before  # the tree permutes a copy
+    if case == "pure atom":
+        assert got.tolist()[:2] == [[700] * 5] * 2 and got[2].tolist() == [700, 700, 700, 0, 0]
+    elif case == "one point":
+        assert got[0].tolist() == [1] * 5
+
+
+def test_ball_counts_reject_bad_input(backend):
+    points, centers = np.zeros((5, 2)), np.zeros((3, 2))
+    for args in [(points[0], centers, [1.0]), (points[:0], centers, [1.0]),
+                 (points[:, :0], centers[:, :0], [1.0]), (points, centers[:, :1], [1.0]),
+                 (points, centers[0], [1.0]), (points, centers, []), (points, centers, [[1.0]]),
+                 (points, centers, [0.5, 1.0]), (points, centers, [1.0, math.nan]),
+                 (np.full((5, 2), math.inf), centers, [1.0]), (points, centers + math.nan, [1.0])]:
+        with pytest.raises(ValueError, match="need"):
+            _k._ball_counts(*args)
 
 
 @pytest.mark.parametrize("engine,k", [(Sorted1DEngine, 1), (BruteEngine, 1), (BruteEngine, 2)])
