@@ -1,5 +1,5 @@
 """Scalar map cores and the compiled loops: the long orbits, the k = 1 bin
-search, the k >= 2 cell grid and E6's ball counts.
+search, and the k-d tree of the k >= 2 engine and of E6's ball counts.
 
 dynamics.step_state calls the cores one step at a time; it is the one Python
 definition of each map.  ``_orbits.c`` repeats the cores and iterates them
@@ -9,31 +9,28 @@ alone, and the Henon map.  Each loop fills a (state_dim, n) block, so the
 (n, state_dim) view that dynamics.trajectory returns has contiguous columns.
 A third loop, ``bin_right``, bins the k = 1 engine's series at its sorted
 ball edges, running 16 binary searches in lockstep over whole sets of 16
-values; searchsorted bins the last n % 16.  ``_cell_grid`` sorts the k >= 2
-engine's series into a uniform grid by a stable O(n) counting sort and
-caches each cell's successor moments, while numpy takes the grid's shape
-and each cell's tight box and size; ``_grid_shells`` takes per reference
-each shell's moments from the cells wholly inside it and from the points
-of the cells a sphere cuts.  ``_ball_counts`` builds one k-d tree over a
-point set and counts every closed ball of a centre in one walk, whole nodes
-by their size.  Why the grid's and the tree's counts are exact is in the
-predictability module docstring.
+values; searchsorted bins the last n % 16.  ``_tree`` builds one k-d tree
+over a point set, each node with its tight box and its successors' cached
+moments; ``_tree_shells`` walks it once per reference, taking each shell's
+moments from the nodes wholly inside it and from the points of the leaves
+a sphere cuts.  ``_ball_counts`` is the same build and walk for counts
+alone.  Why the tree's counts are exact is in the predictability module
+docstring.
 
 The first call to any of them compiles ``_orbits.c`` with gcc into
 ``__pycache__`` beside this file (the file name carries the sha256 of the
 source and flags; builds of other sources are deleted) and loads it with
 ctypes; later processes load the cached library.  The C computes every
 double as CPython does, so its blocks are bitwise equal to step_state
-iterated, its bins are numpy's, and its cell and shell moments add in the
-order of the np.bincount passes of _moments.  The orbit loops only iterate, from a start that
-dynamics.trajectory has checked and reduced.  ``skew_orbit`` and
-``henon_orbit`` return None only when the C is unavailable: gcc is missing,
-or the build or load failed.  dynamics.trajectory then iterates step_state
-instead; ``bin_right`` falls back to ``searchsorted``, ``_cell_grid`` and
-``_grid_shells`` to numpy passes over the same cells in the same order, and
-``_ball_counts`` to numpy enumeration with the same sums and the same test.
-BACKEND names the code in use, "c" or "python", once any of them has been
-called.
+iterated, its bins are numpy's, and its leaf and shell moments add in the
+order of the np.bincount passes of _moments.  The orbit loops only
+iterate, from a start that dynamics.trajectory has checked and reduced.
+``skew_orbit`` and ``henon_orbit`` return None only when the C is
+unavailable: gcc is missing, or the build or load failed.
+dynamics.trajectory then iterates step_state instead; ``bin_right`` falls
+back to ``searchsorted``, and ``_tree`` and ``_tree_shells`` to numpy
+passes that build the same tree and add in the same order.  BACKEND names
+the code in use, "c" or "python", once any of them has been called.
 """
 
 import ctypes
@@ -129,14 +126,11 @@ _SIGNATURES = {  # name: (restype, argtypes); the last argument is the output ar
     "skew_orbit": (None, (_D, _D, _D, _D, _D, _D, _I64, _I64, _P)),
     "henon_orbit": (_I64, (_D, _D, _D, _D, _I64, _I64, _P)),
     "bin_right": (_I64, (_P, _I64, _P, _I64, _P)),
-    "grid_count": (_I64, (_P, _I64, _I64, _P, _P, _P, _I64, _P, _P)),
-    "grid_fill": (None, (_P, _P, _I64, _I64, _P, _P, _P, _I64, _P, _I64, _I64) + (_P,) * 5),
-    "grid_shells": (None, (_P, _P, _P, _I64, _I64, _P, _P, _P, _P, _P, _I64, _P, _I64, _P, _I64,
-                           _P, _P)),
-    "ball_counts": (_I64, (_P, _I64, _I64, _P, _I64, _P, _I64, _P)),
+    "tree_build": (_I64, (_P, _P, _I64, _I64, _I64, _I64) + (_P,) * 9),
+    "tree_shells": (_I64, (_P, _P, _P, _I64, _I64) + (_P,) * 7 + (_I64, _P, _I64, _P, _I64, _P)),
 }
 
-BACKEND = None  # "c" or "python" once an orbit, a binning, a grid or a ball count is asked for
+BACKEND = None  # "c" or "python" once an orbit, a binning or a tree is asked for
 _lib = None
 _load_lock = threading.Lock()
 
@@ -178,7 +172,7 @@ def _library():
                 except (OSError, subprocess.SubprocessError, AttributeError) as exc:
                     detail = getattr(exc, "stderr", None) or exc
                     warnings.warn(f"orbit loops run interpreted, k = 1 bins by searchsorted, "
-                                  f"the k >= 2 grid and the ball counts by numpy passes: "
+                                  f"the k-d tree by numpy passes: "
                                   f"{_SOURCE.name} did not build or load: {detail}",
                                   RuntimeWarning, stacklevel=3)
             BACKEND = "python" if _lib is None else "c"
@@ -231,7 +225,7 @@ def _moments(labels, values, groups, weights=None, m2=None):
     centred on each group's mean and summed over the k coordinates.
 
     With weights and m2, row i stands for weights[i] points of mean
-    values[i] and centred M2 m2[i], a grid cell's cached moments: the count
+    values[i] and centred M2 m2[i], a tree node's cached moments: the count
     adds the weights, the mean weighs each row, and M2 adds the rows' m2,
     then each coordinate's squared deviations times the weights.
     """
@@ -253,188 +247,208 @@ def _moments(labels, values, groups, weights=None, m2=None):
     return count, mean, out
 
 
-def _extent(pred):
-    """Per-coordinate (min, max) of the (n, k) block, one column at a time
-    (an axis-0 reduction of a row-major block with short rows takes an
-    order of magnitude longer); (inf, -inf) for a block with no row."""
-    return (np.array([c.min(initial=np.inf) for c in pred.T]),
-            np.array([c.max(initial=-np.inf) for c in pred.T]))
+def _merge(a, b):
+    """Pairwise update of (count, mean, M2) moments (Chan, Golub & LeVeque,
+    Am. Stat. 37, 1983); an empty side returns the other side unchanged.
 
-
-def _grid_shape(pred):
-    """(lo, scale, side) of the cell grid over the (n, k) predecessors:
-    about n cubic cells over the bounding box of the finite rows.
-
-    The cell side h is (V / n)^(1/k'), V the product of the k' box widths
-    at least h; a narrower axis, constant ones included, gets one cell.
-    Along a wide axis the side[d] = ceil(width / h) cells each span width /
-    side[d].  Rounding up can reach 2^k n dense cells, so while the sides'
-    product passes 2n the wide axis with the most cells left is rounded
-    down to floor(width / h) instead: each such step keeps at least half
-    the cells, and all of them rounded down make at most n, so the grid
-    ends with n to 2n cells and the counting sort stays O(n) in time and
-    memory for every k.  The ladder does not enter: the cost per reference
-    is the cells looped over plus the points scanned in the cells the
-    spheres cut, and n cells balance the two on E5's series.
+    The means are k-vectors, with one more trailing axis than the counts,
+    and M2 is summed over the k coordinates.
     """
-    lo, hi = _extent(pred)
-    if not np.isfinite([lo, hi]).all():  # a row that is not finite, or none
-        lo, hi = _extent(pred[np.isfinite(pred).all(axis=1)])
-    with np.errstate(over="ignore"):
-        width = hi - lo
-    wide = (width > 0) & np.isfinite(width)
-    h = 1.0
-    while wide.any():  # the side of n cubes filling the wide axes; drop the axes narrower than it
-        h = np.exp((np.log(width[wide]).sum() - np.log(len(pred))) / wide.sum())
-        if (width[wide] >= h).all():
-            break
-        wide &= width >= h
-    side = np.where(wide, np.ceil(width / h), 1.0)
-    for d in sorted(np.flatnonzero(wide), key=lambda d: -side[d]):  # the most cells first
-        if side.prod() <= 2 * len(pred):
-            break
-        side[d] = np.floor(width[d] / h)
-    return lo, np.where(wide, side / np.where(wide, width, 1.0), 0.0), side.astype(np.int64)
+    na, ma, qa = a
+    nb, mb, qb = b
+    n = na + nb
+    w = nb / np.maximum(n, 1.0)
+    d = mb - ma
+    return n, ma + d * w[..., None], qa + qb + np.square(d).sum(axis=-1) * na * w
 
 
-class Grid(NamedTuple):
-    """A cell grid over the finite rows of an (n, k) predecessor block: its m
-    points sorted into their occupied cells in dense order, index order
-    within a cell (run order).
+LEAF = 32  # the most points a node holds unsplit, unless its box is one point
 
-    cols is the (k, m) block of their coordinates and order their row
-    indices; cell c holds run start[c]:start[c + 1].  box is the (2, k,
-    cells) block of each cell's tight bounds, the min and the max of its
-    own points' coordinates, and total its size, both taken by numpy from
-    cols and start; mean and m2 are the mean and M2 of its points'
-    successors, the rows of the (n, k) block succ, added in run order as
-    _moments adds.
+
+class Tree(NamedTuple):
+    """The k-d tree of _tree over n points, the rows of an (n, k) block,
+    whose successors are the rows of the (n, ks) block succ.
+
+    Its nodes are numbered depth first: node j holds the run start[j]:stop[j]
+    of order, the points' row indices, and of pts, their rows in that
+    order; it is a leaf when right[j] == 0, else its children are j + 1
+    and right[j].  box is the (nodes, 2, k) block of each node's tight
+    bounds, the min and the max of its points' coordinates; count, mean
+    (nodes, ks) and m2 are the moments of its points' successors.
     """
 
-    cols: np.ndarray
+    pts: np.ndarray
     order: np.ndarray
     start: np.ndarray
+    stop: np.ndarray
+    right: np.ndarray
     box: np.ndarray
-    total: np.ndarray
+    count: np.ndarray
     mean: np.ndarray
     m2: np.ndarray
     succ: np.ndarray
 
 
-def _cell_grid(pred, succ):
-    """The Grid of the (n, k) predecessors pred, n < 2^31, whose successors
-    are the rows of succ, on the cells of _grid_shape(pred): along an axis d
-    with side[d] > 1 a point lies in cell (x_d - lo[d]) * scale[d], cut to
-    side[d] - 1 and truncated, along any other axis in cell 0; a row with a
-    coordinate that is not finite is in no cell.  The C sorts the points by
-    a stable O(n) counting sort and sums each cell's moments, numpy by a
-    stable argsort and _moments; one numpy step then takes every cell's
-    tight box and size from the sorted columns on both backends."""
-    pred, succ = np.ascontiguousarray(pred, dtype=float), np.ascontiguousarray(succ, dtype=float)
-    if pred.ndim != 2 or not pred.shape[1] or succ.shape != pred.shape or len(pred) >= 2**31:
-        raise ValueError(f"need (n, k) predecessors with n < 2^31 and k >= 1 and (n, k) "
-                         f"successors, not {pred.shape} and {succ.shape}")
-    (n, k), lib = pred.shape, _library()
-    lo, scale, side = _grid_shape(pred)
+def _tree(points, succ):
+    """The Tree of the (n, k) finite points with the (n, ks) successors succ
+    (ks = 0 for counts alone), split as tree_build in _orbits.c says.  The C
+    or, without it, numpy passes (_split, then _moments of the leaves) build
+    the same arrays; one numpy step _merges the internal nodes' moments on
+    both backends, so the two trees are equal byte for byte."""
+    points, succ = np.ascontiguousarray(points, dtype=float), np.ascontiguousarray(succ, dtype=float)
+    if (points.ndim != 2 or not points.shape[1] or succ.ndim != 2 or len(succ) != len(points)
+            or len(points) >= 2**31 or not np.isfinite(points).all()):
+        raise ValueError(f"need (n < 2^31, k >= 1) finite points and (n, ks) successors, not "
+                         f"{points.shape} and {succ.shape}")
+    (n, k), ks, lib = points.shape, succ.shape[1], _library()
     if lib is None:
-        order = np.flatnonzero(np.isfinite(pred).all(axis=1))
-        dense = np.zeros(len(order), dtype=np.int64)
-        for d in np.flatnonzero(side > 1):
-            t, last = (pred[order, d] - lo[d]) * scale[d], float(side[d] - 1)
-            dense = dense * side[d] + np.where(t < last, t, last).astype(np.int64)
-        rank = np.argsort(dense, kind="stable")
-        order, dense = order.take(rank), dense.take(rank)
-        start = np.append(np.flatnonzero(np.diff(dense, prepend=-1)), len(order))
-        cols = np.ascontiguousarray(pred.take(order, axis=0).T)
-        label = np.repeat(np.arange(len(start) - 1), np.diff(start))
-        _, mean, m2 = _moments(label, succ.take(order, axis=0), len(start) - 1)
+        pts, order, start, stop, right, box = _split(points)
+        leaf = np.flatnonzero(right == 0)
+        count, mean, m2 = _moments(np.repeat(leaf, stop[leaf] - start[leaf]),
+                                   succ.take(order, axis=0), len(start))
     else:
-        count, points = np.empty(int(side.prod()), dtype=np.int32), np.empty(1, dtype=np.int64)
-        cells = lib.grid_count(pred.ctypes.data, n, k, lo.ctypes.data, scale.ctypes.data,
-                               side.ctypes.data, len(count), count.ctypes.data, points.ctypes.data)
-        m = int(points[0])
-        cols, order = np.empty((k, m)), np.empty(m, dtype=np.int32)
-        start, mean, m2 = np.empty(cells + 1, dtype=np.int64), np.empty((cells, k)), np.empty(cells)
-        lib.grid_fill(pred.ctypes.data, succ.ctypes.data, n, k, lo.ctypes.data, scale.ctypes.data,
-                      side.ctypes.data, len(count), count.ctypes.data, cells, m,
-                      *(a.ctypes.data for a in (cols, order, start, mean, m2)))
-    box = np.stack([f.reduceat(cols, start[:-1], axis=1) for f in (np.minimum, np.maximum)])
-    return Grid(cols, order, start, box, np.diff(start).astype(float), mean, m2, succ)
+        pts, order = np.empty((n, k)), np.empty(n, dtype=np.int32)
+        for cap in (n // 8 + 64, 2 * n):  # E5's and E6's trees have at most n / 10 nodes
+            start, stop, right = (np.empty(cap, dtype=np.int64) for _ in range(3))
+            box, count, mean, m2 = np.empty((cap, 2, k)), np.empty(cap), np.empty((cap, ks)), \
+                np.empty(cap)
+            nodes = lib.tree_build(points.ctypes.data, succ.ctypes.data, n, k, ks, cap,
+                                   *(a.ctypes.data for a in (pts, order, start, stop, right, box,
+                                                             count, mean, m2)))
+            if nodes != -2:
+                break
+        if nodes < 0:
+            raise MemoryError(f"no memory for the k-d tree of {n} points")
+        start, stop, right, box, count, mean, m2 = (a[:nodes] for a in (start, stop, right, box,
+                                                                         count, mean, m2))
+    depths, todo = [], np.zeros(min(n, 1), dtype=np.int64)
+    while len(todo):  # the internal nodes one depth at a time, then merged from the deepest up
+        todo = todo[right[todo] > 0]
+        depths.append(todo)
+        todo = np.concatenate([todo + 1, right[todo]])
+    for inner in reversed(depths):
+        kids = [(count[c], mean[c], m2[c]) for c in (inner + 1, right[inner])]
+        count[inner], mean[inner], m2[inner] = _merge(*kids)
+    return Tree(pts, order, start, stop, right, box, count, mean, m2, succ)
 
 
-def _grid_shells(grid, ys, cuts):
-    """Per-shell moments of the successors near each reference in ys, from
-    the Grid of their series: two parts, the whole cells' and the scanned
-    points', each a (count (m, L), mean (m, L, k), M2 (m, L)) triple for the
-    m references and the L non-increasing cuts.
+def _split(points):
+    """(pts, order, start, stop, right, box) of _tree's nodes, by numpy
+    passes over all nodes of one depth at once; the nodes are then
+    numbered depth first, which is ascending (run start, depth)."""
+    n, k = points.shape
+    order, cols = np.arange(n, dtype=np.int32), points.T.copy()
+    a, b, parent = (np.full(min(n, 1), v, dtype=np.int64) for v in (0, n, -1))
+    nodes = [] if n else [(a, b, np.empty((0, 2, k)), parent)]
+    while len(a):  # nodes: per depth its runs [a, b), their boxes and each right child's parent
+        ends = np.union1d(a, b[b < n])  # every run is one segment between consecutive ends
+        lo, hi = (f.reduceat(cols, ends, axis=1)[:, ends.searchsorted(a)].T
+                  for f in (np.minimum, np.maximum))
+        with np.errstate(over="ignore"):
+            width = hi - lo
+        ax = width.argmax(axis=1)
+        split = np.flatnonzero((b - a > LEAF) & (width[np.arange(len(a)), ax] > 0.0))
+        base = sum(len(d[0]) for d in nodes)
+        nodes.append((a, b, np.stack([lo, hi], axis=1), parent))
+        a, b, ax, lo, hi = a[split], b[split], ax[split], lo[split, ax[split]], hi[split, ax[split]]
+        m = 0.5 * lo + 0.5 * hi
+        owner = np.repeat(np.arange(len(a)), b - a)
+        pos = np.arange(len(owner)) + np.repeat(a - np.cumsum(b - a) + b - a, b - a)
+        left = cols[ax[owner], pos] <= np.where(m < hi, m, lo)[owner]
+        moved = pos[np.argsort(2 * owner + ~left, kind="stable")]  # each run: left, then right
+        order[pos], cols[:, pos] = order[moved], cols[:, moved]
+        mid = a + np.bincount(owner, left, len(a)).astype(np.int64)
+        a, b = np.stack([a, mid], axis=1).ravel(), np.stack([mid, b], axis=1).ravel()
+        parent = np.stack([np.full(len(split), -1), base + split], axis=1).ravel()
+    start, stop, box, parent = (np.concatenate(c) for c in zip(*nodes))
+    depth = np.repeat(np.arange(len(nodes)), [len(d[0]) for d in nodes])
+    first = np.lexsort((depth, start))
+    rank = np.empty(len(start), dtype=np.int64)
+    rank[first] = np.arange(len(start))
+    right = np.zeros(len(start), dtype=np.int64)
+    right[rank[parent[parent >= 0]]] = rank[parent >= 0]
+    return points.take(order, axis=0), order, start[first], stop[first], right, box[first]
 
-    A point of squared distance s = ((x0 - y0)^2 + (x1 - y1)^2) + ... lies
-    in shell j, the deepest level whose cut s is below.  A cell's tight box
-    bounds s by dmin and dmax, the same sums over its nearest and farthest
-    coordinates (exactly: see the predictability module docstring).  A
-    cell with dmin >= cuts[0] is skipped, a cell with dmin and
-    dmax in one shell adds its cached moments to that shell (_moments with
-    weights, in cell order), and every other cell is scanned point by point
-    (_moments of its points below cuts[0], in run order).  The C loop adds in
-    the same order as the numpy passes without it, so the two agree bit for
-    bit.
-    """
+
+def _tree_shells(tree, ys, cuts):
+    """Per-shell moments of the successors near each reference in ys, walked
+    and added as tree_shells in _orbits.c says: two parts, the whole nodes'
+    and the scanned points', each a (count (m, L), mean (m, L, ks), M2 (m,
+    L)) triple for the m references and the L non-increasing cuts.  numpy
+    sorts what its walk gathers into the C's order: both agree bit for bit."""
     ys, cuts = np.ascontiguousarray(ys, dtype=float), np.ascontiguousarray(cuts, dtype=float)
-    (k, m), cells, levels, lib = grid.cols.shape, len(grid.total), len(cuts), _library()
+    (n, k), ks, levels, lib = tree.pts.shape, tree.succ.shape[1], len(cuts), _library()
     if ys.ndim != 2 or ys.shape[1] != k or cuts.ndim != 1 or not levels:
         raise ValueError(f"need (m, {k}) references and non-empty 1-D cuts, not {ys.shape} and "
                          f"{cuts.shape}")
     if lib is None:
-        parts = [_grid_parts(grid, y, cuts) for y in ys]
-        return [tuple(np.stack(t) for t in zip(*(p[i] for p in parts))) for i in (0, 1)]
-    out = np.empty((len(ys), 2, 2 + 2 * k, levels + 1))
-    kind = np.empty(cells, dtype=np.int32)  # per cell: whole, skipped or scanned
-    lib.grid_shells(grid.cols.ctypes.data, grid.order.ctypes.data, grid.succ.ctypes.data, m, k,
-                    grid.start.ctypes.data, grid.box.ctypes.data, grid.total.ctypes.data,
-                    grid.mean.ctypes.data, grid.m2.ctypes.data, cells, ys.ctypes.data, len(ys),
-                    cuts.ctypes.data, levels, kind.ctypes.data, out.ctypes.data)
-    return [(part[:, 0, 1:], part[:, 2:2 + k].reshape(len(ys), levels + 1, k)[:, 1:],
+        parts = [_walk(tree, ys[i:i + WALK_REFS], cuts)
+                 for i in range(0, max(len(ys), 1), WALK_REFS)]
+        return [tuple(np.concatenate(t) for t in zip(*(p[i] for p in parts))) for i in (0, 1)]
+    out = np.empty((len(ys), 2, 2 + 2 * ks, levels + 1))
+    if lib.tree_shells(tree.pts.ctypes.data, tree.order.ctypes.data, tree.succ.ctypes.data, k, ks,
+                       tree.start.ctypes.data, tree.stop.ctypes.data, tree.right.ctypes.data,
+                       tree.box.ctypes.data, tree.count.ctypes.data, tree.mean.ctypes.data,
+                       tree.m2.ctypes.data, len(tree.start), ys.ctypes.data, len(ys),
+                       cuts.ctypes.data, levels, out.ctypes.data):
+        raise MemoryError(f"no memory for the walks of {len(tree.start)} nodes")
+    return [(part[:, 0, 1:], part[:, 2:2 + ks].reshape(len(ys), levels + 1, ks)[:, 1:],
              part[:, 1, 1:]) for part in (out[:, 0], out[:, 1])]
 
 
-def _grid_parts(grid, y, cuts):
-    """_grid_shells' two parts for one reference y, by numpy passes.  As in
-    the C loop, squares that overflow to inf pass silently."""
+WALK_REFS = 64  # references per numpy walk: its scanned points stay a few leaves per reference
+
+
+def _walk(tree, ys, cuts):
+    """_tree_shells' two parts for the references ys, by numpy passes over
+    every (reference, node) pair of one depth at a time.  As in the C loop,
+    squares that overflow to inf pass silently."""
+    m, levels, nodes, ks = len(ys), len(cuts), len(tree.start), tree.succ.shape[1]
+    rising, slots = cuts[::-1], levels + 1
+
+    def slot(s):  # the number of cuts s is below
+        return levels - rising.searchsorted(s, side="right")
+
+    ref, node = np.arange(m if nodes else 0), np.zeros(m if nodes else 0, dtype=np.int64)
+    seen = [(ref[:0], node[:0], node[:0])]  # (ref, node, slot) as in tree_shells' seen
     with np.errstate(over="ignore"):
-        lo, hi = grid.box - y[:, None]
-        near, far = np.maximum(np.maximum(lo, -hi), 0.0), np.maximum(-lo, hi)
-        dmin, dmax = np.square(near[0]), np.square(far[0])
-        for d in range(1, len(y)):
-            dmin += np.square(near[d])
-            dmax += np.square(far[d])
-        shell = (dmin[:, None] < cuts[1:]).sum(axis=1)
-        inside, one = dmin < cuts[0], dmax < cuts[shell]
-        whole, scan = np.flatnonzero(inside & one), np.flatnonzero(inside & ~one)
-        runs = grid.start[scan + 1] - grid.start[scan]
-        pos = np.arange(runs.sum()) + np.repeat(grid.start[scan] - np.cumsum(runs) + runs, runs)
-        s = np.square(grid.cols[0, pos] - y[0])
-        for d in range(1, len(y)):
-            s += np.square(grid.cols[d, pos] - y[d])
-    pos, s = pos[s < cuts[0]], s[s < cuts[0]]
-    return (_moments(shell[whole], grid.mean[whole], len(cuts), grid.total[whole], grid.m2[whole]),
-            _moments((s[:, None] < cuts[1:]).sum(axis=1), grid.succ.take(grid.order[pos], axis=0),
-                     len(cuts)))
+        while len(ref):
+            lo, hi = tree.box[node, 0] - ys[ref], tree.box[node, 1] - ys[ref]
+            near, far = np.maximum(np.maximum(lo, -hi), 0.0), np.maximum(-lo, hi)
+            dmin, dmax = np.square(near[:, 0]), np.square(far[:, 0])
+            for d in range(1, ys.shape[1]):
+                dmin += np.square(near[:, d])
+                dmax += np.square(far[:, d])
+            top, low = slot(dmin), slot(dmax)
+            done = (tree.right[node] == 0) | (low == top)
+            keep, inner = (top > 0) & done, (top > 0) & ~done
+            seen.append((ref[keep], node[keep], np.where(low == top, top, -1 - low)[keep]))
+            ref, node = np.tile(ref[inner], 2), np.concatenate([node[inner] + 1,
+                                                                tree.right[node[inner]]])
+        ref, node, tag = (np.concatenate(c) for c in zip(*seen))
+        rank = np.argsort(ref * nodes + node)  # depth-first order is ascending run start
+        ref, node, tag = ref[rank], node[rank], tag[rank]
+        one = tag > 0
+        w = _moments(ref[one] * slots + tag[one], tree.mean[node[one]], m * slots,
+                     tree.count[node[one]], tree.m2[node[one]])
+        ref, node = ref[~one], node[~one]
+        size = tree.stop[node] - tree.start[node]
+        pos = np.arange(size.sum()) + np.repeat(tree.start[node] - np.cumsum(size) + size, size)
+        ref = np.repeat(ref, size)
+        s = np.square(tree.pts[pos, 0] - ys[ref, 0])
+        for d in range(1, ys.shape[1]):
+            s += np.square(tree.pts[pos, d] - ys[ref, d])
+    p = _moments(ref * slots + slot(s), tree.succ.take(tree.order[pos], axis=0), m * slots)
+    return [(c.reshape(m, slots)[:, 1:], mu.reshape(m, slots, ks)[:, 1:],
+             q.reshape(m, slots)[:, 1:]) for c, mu, q in (w, p)]
 
 
 def _ball_counts(points, centers, ladder):
     """(m, L) int64 counts of the rows of the (n, d) finite points, n >= 1,
     in the closed balls around the m finite centres, the rows of an (m, d)
-    block, with the L non-increasing radii of ladder.
-
-    A point x is in the ball of (y, eps) when s <= eps * eps, s = ((x0 -
-    y0)^2 + (x1 - y1)^2) + ..., summed over the coordinates in index order.
-    The C builds one k-d tree over a copy of the points and walks it once
-    per centre for the whole ladder: a node whose tight box lies in one
-    shell between the spheres adds its size (the bound is exact, see the
-    predictability module docstring), and only the leaves a sphere cuts are
-    scanned.  Without it numpy takes every point's s, one centre at a time,
-    and counts the same test.
-    """
+    block, with the L non-increasing radii of ladder: s <= eps * eps, s =
+    ((x0 - y0)^2 + (x1 - y1)^2) + ..., is s below nextafter(eps * eps, inf)
+    in _tree_shells, or, when eps * eps overflows to inf, always true."""
     points = np.asarray(points, dtype=float)
     centers, ladder = np.asarray(centers, dtype=float), np.asarray(ladder, dtype=float)
     if (points.ndim != 2 or not points.size or centers.ndim != 2
@@ -444,18 +458,13 @@ def _ball_counts(points, centers, ladder):
         raise ValueError(f"need (n >= 1, d >= 1) finite points, (m, d) finite centres and a "
                          f"non-empty, non-increasing 1-D ladder, not {points.shape}, "
                          f"{centers.shape} and {ladder.shape}")
-    (n, d), m, lib = points.shape, len(centers), _library()
-    cuts, out = ladder * ladder, np.empty((m, len(ladder)), dtype=np.int64)
-    if lib is None:
-        with np.errstate(over="ignore"):
-            for y, row in zip(centers, out):
-                s = np.square(points[:, 0] - y[0])
-                for c in range(1, d):
-                    s += np.square(points[:, c] - y[c])
-                row[:] = [np.count_nonzero(s <= cut) for cut in cuts]
-        return out
-    pts, centers = np.array(points, order="C"), np.ascontiguousarray(centers)  # the C permutes pts
-    if lib.ball_counts(pts.ctypes.data, n, d, centers.ctypes.data, m, cuts.ctypes.data,
-                       len(cuts), out.ctypes.data):
-        raise MemoryError(f"no memory for the k-d tree of {n} points")
+    with np.errstate(over="ignore"):
+        square = ladder * ladder
+    full = np.count_nonzero(square == np.inf)
+    out = np.full((len(centers), len(ladder)), len(points), dtype=np.int64)
+    if full < len(ladder):
+        tree = _tree(points, np.empty((len(points), 0)))
+        whole, scanned = _tree_shells(tree, centers, np.nextafter(square[full:], np.inf))
+        shells = (whole[0] + scanned[0])[:, ::-1]
+        out[:, full:] = np.cumsum(shells, axis=1)[:, ::-1]
     return out

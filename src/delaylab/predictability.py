@@ -17,27 +17,24 @@ exactly when its squared distance s = (x - y)^2 + ... is below the level's
 exact cut T = _square_cut(eps), the smallest float with sqrt(T) >= eps, so
 exactly when sqrt(s) < eps, with no sqrt taken:
 
-- BruteEngine (k >= 2) sorts the series once into a uniform grid of about
-  n cells (at most 2n), each with its tight bounding box and its
-  successors' count, mean and centred M2 (_kernels._cell_grid).  The
-  nested balls cut the top ball into shells.  Per reference
-  (_kernels._grid_shells, compiled; numpy passes without gcc) a cell
-  wholly inside one shell adds its cached moments to it, and only a cell
-  that a sphere cuts is scanned point by point, so the cost follows the
-  spheres, not the balls.  Counts stay exact: rounded subtraction,
-  squaring and addition are monotone, so a point's s lies between the sums
-  of the same form over the nearest and farthest coordinates of any box
-  that holds it, here its cell's (and a k-d tree node's in
-  _kernels._ball_counts, which counts E6's balls the same way).
-  Each shell is its whole cells merged with its scanned points, and the
-  balls are the shells merged from the innermost outward, one level at a
-  time over all references; sigma's last digits depend on that merge
-  order, the same on both backends.
+- BruteEngine (k >= 2) builds one k-d tree over the series
+  (_kernels._tree), each node with its tight bounding box and its
+  successors' count, mean and centred M2.  The nested balls cut the top
+  ball into shells.  Per reference (_kernels._tree_shells) the walk skips
+  a node beyond the top sphere, adds a node inside one shell through its
+  cached moments, and scans only the leaves a sphere cuts, so the cost
+  follows the spheres, not the balls.  Counts stay exact: rounded
+  subtraction, squaring and addition are monotone, so a point's s lies
+  between the sums of the same form over the nearest and farthest
+  coordinates of any box that holds it.  Each shell is its whole nodes
+  merged with its scanned points, and the balls are the shells merged from
+  the innermost outward, one level at a time over all references; sigma's
+  last digits depend on that merge order, the same on both backends.
 - Sorted1DEngine (k = 1) bins the series once between the exact float
   edges of every ball, the floats where (x - y)^2 < T flips, with no sort,
   and merges each ball's bins from per-bin count, mean and centred M2
-  (_kernels._moments, which the grid's cells and shells share).  The binning is
-  _kernels.bin_right, a compiled lockstep binary search equal to
+  (_kernels._moments, which the tree's leaves and shells share).  The
+  binning is _kernels.bin_right, a compiled lockstep binary search equal to
   searchsorted (searchsorted itself without gcc).
 
 Both merge moments with the pairwise formulas of Chan, Golub and LeVeque
@@ -52,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
+from ._kernels import _merge
 from .dimension import _check_ladder
 from .dynamics import _integer
 
@@ -106,8 +104,13 @@ def default_ladder(series, levels=DEFAULT_LADDER_LEVELS, top=DEFAULT_LADDER_TOP)
     if len(pred) == 0:
         raise ValueError(f"delay series of k = {series.k} has {len(pred)} pairs: "
                          f"it needs at least k + 1 = {series.k + 1} measurements")
-    lo, hi = _k._extent(pred)
-    diam = float(np.linalg.norm(hi - lo))
+    lo, hi = (np.array([f(c) for c in pred.T]) for f in (np.min, np.max))  # by column: faster
+    with np.errstate(over="ignore"):
+        diam = float(np.linalg.norm(hi - lo))
+    if math.isinf(diam):  # a square or a width overflowed: scale the half-widths, which cannot
+        half = hi * 0.5 - lo * 0.5
+        return [top * (half.max() * float(np.linalg.norm(half / half.max()))) * 0.5 ** (j - 1)
+                for j in range(levels)]
     if diam <= 0.0:
         diam = 1.0
     return [top * diam * 0.5**j for j in range(levels)]
@@ -128,21 +131,6 @@ def _estimate(ladder, count, chi, sigma, min_count, threshold):
         return SigmaEstimate(entries, None, None, 0, None)
     j = held[-1]
     return SigmaEstimate(entries, sigmas[j], ladder[j], counts[j], bool(sigmas[j] < threshold))
-
-
-def _merge(a, b):
-    """Pairwise update of (count, mean, M2) moments (Chan, Golub & LeVeque,
-    Am. Stat. 37, 1983); an empty side returns the other side unchanged.
-
-    The means are k-vectors, with one more trailing axis than the counts,
-    and M2 is summed over the k coordinates.
-    """
-    na, ma, qa = a
-    nb, mb, qb = b
-    n = na + nb
-    w = nb / np.maximum(n, 1.0)
-    d = mb - ma
-    return n, ma + d * w[..., None], qa + qb + np.square(d).sum(axis=-1) * na * w
 
 
 def _init(self, series, ys, ladder):
@@ -173,25 +161,24 @@ def _profile(self, y, ladder, min_count=DEFAULT_MIN_COUNT, threshold=DEFAULT_THR
 
 
 class BruteEngine:
-    """Exact ball statistics from a cell grid with cached moments (Moore,
+    """Exact ball statistics from a k-d tree with cached moments (Moore,
     NIPS 1999), for any k; predictability_report uses it for k >= 2.
 
-    The name is older than the grid.  It stays because the benchmark's
+    The name is older than the tree.  It stays because the benchmark's
     tracer wraps BruteEngine by name, until ROADMAP item 1b lets the
     benchmark follow a rename.
 
-    The series is sorted once into the cells of _kernels._cell_grid, each
-    reference's shells are read from them by _kernels._grid_shells and
-    merged into balls; the module docstring says how, and why the counts
-    are exact.
+    The series is built once into _kernels._tree, each reference's shells
+    are read from it by _kernels._tree_shells and merged into balls; the
+    module docstring says how, and why the counts are exact.
     """
 
     __init__ = _init
     profile = _profile
 
     def _balls(self, series, ys):
-        grid = _k._cell_grid(series.predecessors, series.successors)
-        whole, scanned = _k._grid_shells(grid, ys, _square_cut(self.ladder))
+        tree = _k._tree(series.predecessors, series.successors)
+        whole, scanned = _k._tree_shells(tree, ys, _square_cut(self.ladder))
         n, mean, m2 = _merge(whole, scanned)
         ball = (np.zeros(len(ys)), np.zeros((len(ys), self.k)), np.zeros(len(ys)))
         for j in reversed(range(len(self.ladder))):  # shell j's moments become ball j's

@@ -327,7 +327,7 @@ def test_bin_right_every_tail_length(backend):
             assert got.dtype == np.int64 and np.array_equal(got, c.searchsorted(x, side="right"))
 
 
-# -- the k >= 2 cell grid: its shells are bincounts over sqrt distances ----------
+# -- the k-d tree: its shells are bincounts over sqrt distances -----------------
 
 
 def bincount_shells(pred, succ, y, ladder):
@@ -367,9 +367,8 @@ def shell_case(case, k):
         pred[rng.integers(0, n, n // 2)] = pred[0]  # at distance 0, in the innermost shell
         dist = np.unique(np.linalg.norm(pred - y, axis=1))  # levels at exactly a point's distance
         ladder = [float(dist[-1]), float(dist[len(dist) // 2]), float(dist[1])]
-    elif case == "non-finite":
+    elif case == "non-finite":  # _tree rejects it; PairedVectors is finite by construction
         pred[rng.integers(0, n, 40), rng.integers(0, k, 40)] = [math.nan, math.inf, -math.inf, 1e200] * 10
-        ladder = [math.inf, 1e300, 1.0, 0.5]
     elif case == "empty top ball":
         y = y + 100.0
     elif case == "innermost shell":
@@ -379,11 +378,11 @@ def shell_case(case, k):
     return pred, succ, y, ladder
 
 
-def grid_shells_merged(pred, succ, ys, ladder):
-    """Per-shell (count, mean, M2) of the references ys: the grid's whole and
+def tree_shells_merged(pred, succ, ys, ladder):
+    """Per-shell (count, mean, M2) of the references ys: the tree's whole and
     scanned parts of each shell, merged as BruteEngine merges them."""
-    grid = _k._cell_grid(pred, succ)
-    return _merge(*_k._grid_shells(grid, np.reshape(ys, (-1, pred.shape[1])), _square_cut(ladder)))
+    tree = _k._tree(pred, succ)
+    return _merge(*_k._tree_shells(tree, np.reshape(ys, (-1, pred.shape[1])), _square_cut(ladder)))
 
 
 def on_both_backends(backend, monkeypatch, compute):
@@ -401,11 +400,15 @@ def on_both_backends(backend, monkeypatch, compute):
 @pytest.mark.parametrize("case", SHELL_CASES)
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_ball_shells_equal_bincount(backend, monkeypatch, case, k):
-    # the grid's shells against the sqrt-distance passes: counts exact, moments
+    # the tree's shells against the sqrt-distance passes: counts exact, moments
     # to rounding, and the two backends' shells bit for bit
     pred, succ, y, ladder = shell_case(case, k)
+    if case == "non-finite":
+        with pytest.raises(ValueError, match="finite points"):
+            _k._tree(pred, succ)
+        return
     count, mean, m2 = on_both_backends(
-        backend, monkeypatch, lambda: grid_shells_merged(pred, succ, y, ladder))
+        backend, monkeypatch, lambda: tree_shells_merged(pred, succ, y, ladder))
     want = bincount_shells(pred, succ, y, ladder)
     assert np.array_equal(count[0], want[0])
     assert np.allclose(mean[0], want[1], rtol=0.0, atol=1e-12 * np.abs(succ).max(initial=1.0))
@@ -418,7 +421,7 @@ def test_ball_shells_equal_bincount(backend, monkeypatch, case, k):
         assert count[0, 256:].sum() > 0  # shell indices past a uint8
 
 
-# -- the cell engine against enumeration ---------------------------------------
+# -- the tree engine against enumeration ---------------------------------------
 
 
 def enumerated_table(pred, succ, ys, ladder):
@@ -454,101 +457,134 @@ def point_at(s, k):
     raise AssertionError(f"no point at squared distance {s!r}")
 
 
-GRID_CASES = ["cell faces", "on a sphere", "duplicate rows", "one cell", "reference outside",
-              "random", "300 levels", "one pair", "widths past the float range"]
+ENGINE_CASES = ["cell faces", "on a sphere", "duplicate rows", "one cell", "reference outside",
+              "random", "300 levels", "one pair", "widths past the float range", "atom and circle"]
 
 
-def grid_case(case, k):
-    """(pred, succ, ys, ladder, shape): a series and its references, a ladder,
-    and the grid (lo, scale, side) _k._grid_shape is to return, None for its own."""
-    rng = np.random.default_rng([k, GRID_CASES.index(case)])
-    unit = (np.zeros(k), np.ones(k), np.full(k, 3, dtype=np.int64))  # cells floor(x), up to 2
-    if case == "cell faces":  # every coordinate on a face of the unit cells
+def engine_case(case, k):
+    """(pred, succ, ys, ladder): a series, its references and a ladder.  A node
+    of more than _k.LEAF equal rows is never split, so the "cell faces", "on a
+    sphere" and "one cell" cases put such a node's box, one point, exactly on a
+    sphere: its dmin and dmax both equal a cut."""
+    rng = np.random.default_rng([k, ENGINE_CASES.index(case)])
+    atom = _k.LEAF + 8
+    if case == "cell faces":  # every coordinate an integer; 40 rows at s == 4 from y = 0
         pred = rng.integers(0, 4, (300, k)).astype(float)
-        ys, ladder, shape = pred[:20], [3.0, 2.0, 1.5, 1.0, 0.5], unit
+        pred[:atom] = 2.0 * np.eye(k)[0]
+        ys, ladder = np.concatenate([np.zeros((1, k)), pred[atom:atom + 20]]), \
+            [3.0, 2.0, 1.5, 1.0, 0.5]
     elif case == "on a sphere":
-        # from y = 0: a and b share a cell whose far corner is b, at s == cut[0];
-        # c, at the float below the cut, is the near corner of a cell whose e is outside
+        # from y = 0: the rows at b, at s == cut[0], are outside; those at c, at
+        # the float below the cut, and a are inside the top ball
         cut = _square_cut(1.5)
         b = point_at(cut, k)
         c = point_at(np.nextafter(cut, 0.0), k)[::-1].copy()
         a = np.zeros(k)
         a[0] = 1.1
-        e = c + 0.2
-        pred = np.array([a, b, c, e, np.full(k, 2.5)])
-        ys, ladder, shape = np.zeros((1, k)), [1.5, 1.0], unit
-        assert tuple(np.floor(a)) == tuple(np.floor(b)) and tuple(np.floor(c)) == tuple(np.floor(e))
-    elif case == "duplicate rows":  # half the rows one point, alone in its cell
+        pred = np.array([a] + [b] * atom + [c] * atom + [c + 0.2, np.full(k, 2.5)])
+        ys, ladder = np.zeros((1, k)), [1.5, 1.0]
+    elif case == "duplicate rows":  # half the rows one point
         pred = rng.uniform(0.0, 3.0, (400, k))
         pred[::2] = pred[1]
-        ys, ladder, shape = np.concatenate([pred[:3], pred[1:2] + 0.05]), [2.0, 1.0, 0.1, 0.01], \
-            None
-    elif case == "one cell":
-        pred = rng.normal(size=(300, k))
-        ys, ladder = pred[:10], [3.0, 1.0, 0.5, 0.25]
-        shape = (np.zeros(k), np.zeros(k), np.ones(k, dtype=np.int64))
+        ys, ladder = np.concatenate([pred[:3], pred[1:2] + 0.05]), [2.0, 1.0, 0.1, 0.01]
+    elif case == "one cell":  # the series one node, at s == 1 and s == 0.25 from two references
+        b = np.full(k, 0.25)
+        pred = np.tile(b, (300, 1))
+        ys, ladder = b - np.array([[0.0], [1.0], [0.5], [0.375]]) * np.eye(k)[0], \
+            [3.0, 1.0, 0.5, 0.25]
     elif case == "reference outside":
         pred = rng.uniform(0.0, 1.0, (500, k))
-        ys, ladder, shape = np.array([np.full(k, 1.5), np.full(k, -0.7), np.full(k, 40.0)]), \
-            [3.0, 1.2, 0.8, 0.6], None
+        ys, ladder = np.array([np.full(k, 1.5), np.full(k, -0.7), np.full(k, 40.0)]), \
+            [3.0, 1.2, 0.8, 0.6]
     elif case == "random":
         pred = rng.normal(size=(2_000, k))
-        ys, ladder, shape = pred[:25], [2.0, 1.0, 0.5, 0.25, 0.125], None
-    elif case == "300 levels":  # levels down to 1e-10, cells of side 0.04 (k = 2) to 0.2 (k = 4)
+        ys, ladder = pred[:25], [2.0, 1.0, 0.5, 0.25, 0.125]
+    elif case == "300 levels":  # levels down to 1e-10
         pred = rng.uniform(0.0, 1.0, (600, k))
         pred[:50] = pred[0]
         pred[50:60] = pred[0] + np.logspace(-2, -8, 10)[:, None]
-        ys, ladder, shape = pred[:3], np.geomspace(1.0, 1e-10, 300).tolist(), None
+        ys, ladder = pred[:3], np.geomspace(1.0, 1e-10, 300).tolist()
     elif case == "one pair":
         pred = rng.normal(size=(1, k))
-        ys, ladder, shape = np.concatenate([pred, pred + 0.1]), [1.0, 0.1, 0.01], None
-    else:  # box widths that overflow to inf, squares too: the axes get one cell
+        ys, ladder = np.concatenate([pred, pred + 0.1]), [1.0, 0.1, 0.01]
+    elif case == "widths past the float range":  # box widths and squares that overflow to inf
         pred = rng.normal(size=(300, k))
         pred[:2, 0], pred[2:4, -1] = [1.5e308, -1.5e308], [1e300, -1e300]
-        ys, ladder, shape = pred[4:10], [math.inf, 1e300, 1.0, 0.5], None
-    return pred, rng.normal(size=pred.shape), ys, ladder, shape
+        ys, ladder = pred[4:10], [math.inf, 1e300, 1.0, 0.5]
+    else:  # E4's p side: 2,000 rows within 1e-9 of one point, the others on a circle
+        angle = rng.uniform(0.0, 2.0 * math.pi, 1_000)
+        circle = np.zeros((1_000, k))
+        circle[:, 0], circle[:, 1] = np.cos(angle), np.sin(angle)
+        pred = np.concatenate([np.eye(k)[0] + rng.uniform(-1e-9, 1e-9, (2_000, k)), circle])
+        ys, ladder = np.concatenate([pred[:10], pred[-5:]]), np.geomspace(0.5, 1e-10, 14).tolist()
+    return pred, rng.normal(size=pred.shape), ys, ladder
 
 
-@pytest.mark.parametrize("k,case", [(k, case) for k in (2, 3, 4) for case in GRID_CASES]
-                         + [(8, "random")])  # two sides rounded down: 2,916 cells, not 3^8
+@pytest.mark.parametrize("k,case", [(k, case) for k in (2, 3, 4) for case in ENGINE_CASES]
+                         + [(8, "random")])
 def test_cell_engine_equals_enumeration(backend, monkeypatch, case, k):
-    """BruteEngine's (m, L) table on a cell grid: counts as enumerated, chi and
+    """BruteEngine's (m, L) table on a k-d tree: counts as enumerated, chi and
     sigma within 1e-12, and the C's table equal to the numpy passes' bit for bit."""
-    pred, succ, ys, ladder, shape = grid_case(case, k)
-    if shape is not None:
-        monkeypatch.setattr(_k, "_grid_shape", lambda p: shape)
+    pred, succ, ys, ladder = engine_case(case, k)
     count, chi, sigma = on_both_backends(
         backend, monkeypatch, lambda: BruteEngine(PairedVectors(k, pred, succ), ys, ladder)._table)
     want_count, want_chi, want_sigma = enumerated_table(pred, succ, ys, ladder)
     assert np.array_equal(count, want_count)
     assert np.all(np.abs(chi - want_chi) <= 1e-12) and np.all(np.abs(sigma - want_sigma) <= 1e-12)
-    if case == "on a sphere":  # a, and c at the float below the cut; not b at the cut
-        assert count.tolist() == [[2, 0]]
+    if case == "cell faces":  # the 40 rows at s == 4 are in the top ball, not in the next
+        assert count[0, 0] - count[0, 1] >= 40
+    elif case == "on a sphere":  # a, and the rows at c at the float below the cut; not b
+        assert count.tolist() == [[1 + 40, 0]]
+    elif case == "one cell":
+        assert count.tolist() == [[300] * 4, [300, 0, 0, 0], [300, 300, 0, 0], [300, 300, 300, 0]]
     elif case == "300 levels":
         assert count[0, -1] >= 50
+    elif case == "atom and circle":
+        assert (count[:10, -1] >= 1).all() and (count[:10, 0] >= 2_000).all()
 
 
-@pytest.mark.parametrize("n,k", [(10**5, k) for k in range(1, 21)] + [(10**6, 19)])
-def test_grid_shape_at_most_2n_cells(n, k):
-    # on these series the sides rounded up make 48 n cells at k = 14 and
-    # 1,162 n at k = 19, n = 10^6: a 4.3 GiB count array; every side rounded
-    # down made one cell from k = 18 on
-    x = np.random.default_rng(k).normal(size=n + k - 1)
-    lo, scale, side = _k._grid_shape(np.lib.stride_tricks.sliding_window_view(x, k))
-    assert side.dtype == np.int64 and side.min() >= 1
-    assert n / 2 <= np.prod(side.astype(float)) <= 2 * n
+@pytest.mark.parametrize("n,k", [(10**5, k) for k in range(1, 21)])
+def test_tree_invariants(n, k):
+    """On random-normal sliding-window series: the C's tree equals the numpy
+    fallback's byte for byte, every internal node has two non-empty children,
+    every box is tight, every leaf's run ascends, and there are at most 2n - 1
+    nodes."""
+    x = np.random.default_rng(k).normal(size=n + k)
+    pred = np.lib.stride_tricks.sliding_window_view(x[:-1], k)
+    tree = _k._tree(pred, np.lib.stride_tricks.sliding_window_view(x[1:], k))
+    if HAVE_GCC:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_k, "_lib", None)
+            m.setattr(_k, "BACKEND", "python")
+            assert all(same_bytes(a, b) for a, b in zip(tree, _k._tree(pred, tree.succ)))
+    start, stop, right = tree.start, tree.stop, tree.right
+    inner = np.flatnonzero(right)
+    assert len(start) <= 2 * n - 1 and start[0] == 0 and stop[0] == n
+    assert (stop[inner] - start[inner] > _k.LEAF).all() and (right[inner] > inner + 1).all()
+    assert (start[inner + 1] == start[inner]).all() and (stop[right[inner]] == stop[inner]).all()
+    assert (stop[inner + 1] == start[right[inner]]).all()
+    assert (stop > start).all() and np.array_equal(np.sort(tree.order), np.arange(n))
+    assert same_bytes(tree.pts, pred.take(tree.order, axis=0))
+    leaf = right == 0  # a stable partition: each leaf's run ascends
+    falls = np.concatenate([[0], np.cumsum(np.diff(tree.order) < 0)])
+    assert np.array_equal(falls[stop[leaf] - 1], falls[start[leaf]])
+    ends = np.stack([start, stop], axis=1).ravel()
+    padded = np.concatenate([tree.pts, tree.pts[:1]])
+    tight = [f.reduceat(padded, ends, axis=0)[::2] for f in (np.minimum, np.maximum)]
+    assert same_bytes(tree.box, np.stack(tight, axis=1))
 
 
 def test_ball_shells_reject_bad_shapes(backend):
     pred, succ = np.zeros((5, 2)), np.zeros((5, 2))
-    for args in [(pred, succ[:, :1]), (pred[:, :0], succ[:, :0]), (pred[0], succ[0])]:
+    for args in [(pred, succ[:4]), (pred[:, :0], succ[:, :0]), (pred[0], succ[0]),
+                 (pred + math.nan, succ), (pred - math.inf, succ)]:
         with pytest.raises(ValueError, match="need"):
-            _k._cell_grid(*args)
-    grid = _k._cell_grid(pred, succ)
+            _k._tree(*args)
+    tree = _k._tree(pred, succ)
     for ys, cuts in [([0.0, 0.0], [1.0]), ([[0.0]], [1.0]), ([[0.0, 0.0]], []),
                      ([[0.0, 0.0]], [[1.0]])]:
         with pytest.raises(ValueError, match="need"):
-            _k._grid_shells(grid, ys, cuts)
+            _k._tree_shells(tree, ys, cuts)
 
 
 # -- E6's closed-ball counts: a k-d tree walk per centre against enumeration -----
@@ -568,7 +604,7 @@ def enumerated_counts(points, centers, ladder):
 
 
 BALL_CASES = ["pure atom", "atom and circle", "on the spheres", "centres outside", "below one leaf",
-              "one point", "random"]
+              "one point", "random", "squares past the float range"]
 
 
 def ball_case(case, d):
@@ -606,11 +642,15 @@ def ball_case(case, d):
     elif case == "one point":
         points = rng.normal(size=(1, d))
         centers = np.concatenate([points, points + 0.3, points + 1e-3])
-    else:
+    elif case == "random":
         points = rng.normal(size=(1_500, d))
         points[::3] = points[1]
         centers = points[rng.integers(0, len(points), 25)]
         ladder = [4.0, 2.0, 1.0, 0.5, 0.25, 0.125]
+    else:  # rows 1e160 apart: their squares overflow to inf, which is <= 1e200 * 1e200 == inf
+        points = 1e160 * rng.integers(-2, 3, (60, d)).astype(float)
+        centers = np.concatenate([points[:5], points[:1] + 1e150])
+        ladder = [1e200, 1e154, 1.0]
     return points, centers, ladder
 
 
@@ -626,6 +666,8 @@ def test_ball_counts_equal_enumeration(backend, case, d):
         assert got.tolist()[:2] == [[700] * 5] * 2 and got[2].tolist() == [700, 700, 700, 0, 0]
     elif case == "one point":
         assert got[0].tolist() == [1] * 5
+    elif case == "squares past the float range":
+        assert (got[:, 0] == 60).all() and (got[:, 1] < 60).all()
 
 
 def test_ball_counts_reject_bad_input(backend):
