@@ -126,7 +126,8 @@ _SIGNATURES = {  # name: (restype, argtypes); the last argument is the output ar
     "skew_orbit": (None, (_D, _D, _D, _D, _D, _D, _I64, _I64, _P)),
     "henon_orbit": (_I64, (_D, _D, _D, _D, _I64, _I64, _P)),
     "bin_right": (_I64, (_P, _I64, _P, _I64, _P)),
-    "tree_build": (_I64, (_P, _P, _I64, _I64, _I64, _I64) + (_P,) * 9),
+    "tree_build": (_I64, (_P, _P, _I64, _I64, _I64, _P, _P, _P)),
+    "tree_free": (None, (_P,)),
     "tree_shells": (_I64, (_P, _P, _P, _I64, _I64) + (_P,) * 7 + (_I64, _P, _I64, _P, _I64, _P)),
 }
 
@@ -306,21 +307,20 @@ def _tree(points, succ):
         leaf = np.flatnonzero(right == 0)
         count, mean, m2 = _moments(np.repeat(leaf, stop[leaf] - start[leaf]),
                                    succ.take(order, axis=0), len(start))
-    else:
-        pts, order = np.empty((n, k)), np.empty(n, dtype=np.int32)
-        for cap in (n // 8 + 64, 2 * n):  # E5's and E6's trees have at most n / 10 nodes
-            start, stop, right = (np.empty(cap, dtype=np.int64) for _ in range(3))
-            box, count, mean, m2 = np.empty((cap, 2, k)), np.empty(cap), np.empty((cap, ks)), \
-                np.empty(cap)
-            nodes = lib.tree_build(points.ctypes.data, succ.ctypes.data, n, k, ks, cap,
-                                   *(a.ctypes.data for a in (pts, order, start, stop, right, box,
-                                                             count, mean, m2)))
-            if nodes != -2:
-                break
-        if nodes < 0:
-            raise MemoryError(f"no memory for the k-d tree of {n} points")
-        start, stop, right, box, count, mean, m2 = (a[:nodes] for a in (start, stop, right, box,
-                                                                         count, mean, m2))
+    else:  # the C grows its seven node arrays by realloc; numpy copies them, then they are freed
+        pts, order, node = np.empty((n, k)), np.empty(n, dtype=np.int32), (_P * 7)()
+        try:
+            nodes = lib.tree_build(points.ctypes.data, succ.ctypes.data, n, k, ks,
+                                   pts.ctypes.data, order.ctypes.data, node)
+            if nodes < 0:
+                raise MemoryError(f"no memory for the k-d tree of {n} points")
+            shapes = [(nodes,)] * 3 + [(nodes, 2, k), (nodes,), (nodes, ks), (nodes,)]
+            start, stop, right, box, count, mean, m2 = (
+                np.frombuffer((ctypes.c_char * (8 * math.prod(shape))).from_address(at or 0),
+                              np.int64 if i < 3 else float).reshape(shape).copy()
+                for i, (at, shape) in enumerate(zip(node, shapes)))
+        finally:
+            lib.tree_free(node)
     depths, todo = [], np.zeros(min(n, 1), dtype=np.int64)
     while len(todo):  # the internal nodes one depth at a time, then merged from the deepest up
         todo = todo[right[todo] > 0]

@@ -191,20 +191,43 @@ int64_t bin_right(const double *cuts, int64_t m, const double *x, int64_t n, int
  * and m2 are those of its points' successors, added in run order as
  * _kernels._moments adds: mean the sums over the count, and m2 = 0 + q_0
  * + q_1 + ..., q_d the sum of (succ_d - mean_d)^2.  _kernels._tree merges
- * the internal nodes' from their children.  Returns the number of nodes,
- * at most 2n - 1, or -2 when they are more than cap, the length of the
- * node arrays, or -1 when the build's memory cannot be had. */
+ * the internal nodes' from their children.
+ *
+ * node[0] to node[6] get the arrays start, stop, right, box, count, mean
+ * (nodes, ks) and m2, malloc'd and grown by realloc as the tree grows;
+ * the caller passes them NULL and frees them with tree_free.  Returns the
+ * number of nodes, at most 2n - 1, or -1 when the build's memory cannot be
+ * had. */
 #define LEAF 32
 
+/* Grows the seven node arrays of tree_build to cap nodes; 0 when the memory
+ * cannot be had, the arrays then as they were. */
+static int grow_nodes(void **node, int64_t cap, int64_t k, int64_t ks)
+{
+    const int64_t bytes[7] = {8, 8, 8, 16 * k, 8, 8 * ks, 8};  /* per node */
+    for (int i = 0; i < 7; i++) {
+        void *t = realloc(node[i], bytes[i] * cap + 1);  /* + 1: never realloc to 0 bytes */
+        if (!t)
+            return 0;
+        node[i] = t;
+    }
+    return 1;
+}
+
+void tree_free(void **node)
+{
+    for (int i = 0; i < 7; i++)
+        free(node[i]);
+}
+
 int64_t tree_build(const double *pred, const double *succ, int64_t n, int64_t k, int64_t ks,
-                   int64_t cap, double *restrict pts, int32_t *restrict order, int64_t *start,
-                   int64_t *stop, int64_t *right, double *box, double *count, double *mean,
-                   double *m2)
+                   double *restrict pts, int32_t *restrict order, void **node)
 {
     int32_t *restrict spilled = malloc(sizeof(int32_t) * (n + 1));
     int64_t room = 64, *todo = malloc(sizeof(int64_t) * 3 * room);  /* (a, b, parent) of each */
     double *held = malloc(sizeof(double) * 2 * k * room);  /* node to add, and its box */
-    int64_t nodes = -1, pending = n > 0;
+    int64_t nodes = -1, pending = n > 0, cap = 0, *start = 0, *stop = 0, *right = 0;
+    double *box = 0, *count = 0, *mean = 0, *m2 = 0;
     if (spilled && todo && held) {
         for (int64_t d = 0; d < k; d++) {
             held[d] = INFINITY;
@@ -223,9 +246,14 @@ int64_t tree_build(const double *pred, const double *succ, int64_t n, int64_t k,
     } else
         pending = 0;
     while (pending) {
-        if (nodes == cap) {
-            nodes = -2;
-            break;
+        if (nodes == cap) {  /* the node arrays double as the tree grows */
+            if (!grow_nodes(node, 2 * cap + 64, k, ks)) {
+                nodes = -1;
+                break;
+            }
+            cap = 2 * cap + 64;
+            start = node[0], stop = node[1], right = node[2], box = node[3];
+            count = node[4], mean = node[5], m2 = node[6];
         }
         pending--;
         int64_t a = todo[3 * pending], b = todo[3 * pending + 1], parent = todo[3 * pending + 2];

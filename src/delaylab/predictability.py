@@ -99,7 +99,8 @@ def chi_sigma(series, y, eps):
 
 def default_ladder(series, levels=DEFAULT_LADDER_LEVELS, top=DEFAULT_LADDER_TOP):
     """Geometric ladder top * 2^-j scaled by the series diameter, the
-    bounding-box diagonal of the delay vectors (1 when that is 0)."""
+    bounding-box diagonal of the delay vectors (1 when that is 0); a top
+    level past the float range is the largest float."""
     pred = series.predecessors
     if len(pred) == 0:
         raise ValueError(f"delay series of k = {series.k} has {len(pred)} pairs: "
@@ -109,11 +110,10 @@ def default_ladder(series, levels=DEFAULT_LADDER_LEVELS, top=DEFAULT_LADDER_TOP)
         diam = float(np.linalg.norm(hi - lo))
     if math.isinf(diam):  # a square or a width overflowed: scale the half-widths, which cannot
         half = hi * 0.5 - lo * 0.5
-        return [top * (half.max() * float(np.linalg.norm(half / half.max()))) * 0.5 ** (j - 1)
-                for j in range(levels)]
-    if diam <= 0.0:
-        diam = 1.0
-    return [top * diam * 0.5**j for j in range(levels)]
+        widest = float(half.max())
+        peak = min(top * 2.0 * float(np.linalg.norm(half / widest)) * widest, np.finfo(float).max)
+        return [peak * 0.5**j for j in range(levels)]
+    return [top * (diam or 1.0) * 0.5**j for j in range(levels)]
 
 
 def _estimate(ladder, count, chi, sigma, min_count, threshold):

@@ -551,7 +551,31 @@ def test_tree_invariants(n, k):
     nodes."""
     x = np.random.default_rng(k).normal(size=n + k)
     pred = np.lib.stride_tricks.sliding_window_view(x[:-1], k)
-    tree = _k._tree(pred, np.lib.stride_tricks.sliding_window_view(x[1:], k))
+    _check_tree(pred, np.lib.stride_tricks.sliding_window_view(x[1:], k))
+
+
+def test_tree_peeling_one_point_per_split():
+    """Points 2^-i: each midpoint split peels off the largest point alone,
+    so the tree has 2 (n - LEAF) + 1 nodes, near the 2n - 1 bound, and is
+    n - LEAF deep.  The C grows its node arrays and its stack from 64 nodes
+    to hold them."""
+    n = 1_000
+    pred = 2.0 ** -np.arange(n, dtype=float)[:, None]
+    tree = _check_tree(pred, np.column_stack([pred[:, 0] ** 2, -pred[:, 0]]))
+    assert len(tree.start) == 2 * (n - _k.LEAF) + 1
+    peeled = tree.right[tree.right > 0]
+    assert (tree.stop[peeled] - tree.start[peeled] == 1).all()
+    ladder = [1.0, 2.0**-3, 2.0**-40, 2.0**-900, 0.0]
+    with np.errstate(under="ignore"):
+        want = [[np.count_nonzero(np.square(pred[:, 0] - y) <= eps * eps) for eps in ladder]
+                for y in pred[::97, 0]]
+    assert _k._ball_counts(pred, pred[::97], ladder).tolist() == want
+
+
+def _check_tree(pred, succ):
+    """The tree of pred and succ, checked: see test_tree_invariants."""
+    n = len(pred)
+    tree = _k._tree(pred, succ)
     if HAVE_GCC:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(_k, "_lib", None)
@@ -572,6 +596,7 @@ def test_tree_invariants(n, k):
     padded = np.concatenate([tree.pts, tree.pts[:1]])
     tight = [f.reduceat(padded, ends, axis=0)[::2] for f in (np.minimum, np.maximum)]
     assert same_bytes(tree.box, np.stack(tight, axis=1))
+    return tree
 
 
 def test_ball_shells_reject_bad_shapes(backend):

@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -420,25 +421,28 @@ def test_default_ladder_equals_row_major_diameter(k):
     assert default_ladder(delay_series(np.full(50, 2.5), k), 3, 0.2) == [0.2, 0.1, 0.05]
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 4])
 @pytest.mark.parametrize("size", [1e155, 1e308])
 def test_report_on_series_past_the_float_range(k, size):
     """At +-1e155 the squares of the diagonal overflow, at +-1e308 the width
-    itself: the ladder is the scaled diagonal's, finite and decreasing, and
-    the report's counts equal enumeration."""
+    itself, and at k = 4 the diagonal and, with top 10, the top level too:
+    the ladder is the scaled diagonal's, capped at the largest float, finite
+    and decreasing, and the report's counts equal enumeration."""
     m = size * np.random.default_rng(k).choice([-1.0, -0.5, 0.0, 0.25, 1.0], 300)
     series = delay_series(m, k)
-    ladder = default_ladder(series, 8, 0.2)
-    assert np.isfinite(ladder).all() and ladder[0] > size / 10.0
-    ys = series.predecessors[:40]
-    with np.errstate(over="ignore", invalid="ignore"):  # the successors' M2 overflows; counts do not
-        report = predictability_report(series, ys, 8, 0.2, 2, 1e-3)
-    pred = series.predecessors
-    for y, est in zip(ys, report):
-        with np.errstate(over="ignore"):
-            s = np.square(pred - y).sum(axis=1)
-        assert [e.count for e in est.ladder] == [np.count_nonzero(s < _square_cut(eps))
-                                                 for eps in ladder]
+    pred, ys = series.predecessors, series.predecessors[:40]
+    for top in (0.2, 10.0):
+        ladder = default_ladder(series, 8, top)
+        assert np.isfinite(ladder).all() and ladder[0] >= min(size * top, sys.float_info.max)
+        assert ladder == [ladder[0] * 0.5**j for j in range(8)]
+        assert (ladder[0] == sys.float_info.max) == (size * top * 2.0 * k**0.5 > sys.float_info.max)
+        with np.errstate(over="ignore", invalid="ignore"):  # the successors' M2 overflows
+            report = predictability_report(series, ys, 8, top, 2, 1e-3)
+        for y, est in zip(ys, report):
+            with np.errstate(over="ignore"):
+                s = np.square(pred - y).sum(axis=1)
+            assert [e.count for e in est.ladder] == [np.count_nonzero(s < _square_cut(eps))
+                                                     for eps in ladder]
 
 
 def test_default_ladder_rejects_series_without_pairs():
