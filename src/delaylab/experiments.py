@@ -225,21 +225,15 @@ def _logspaced_ints(lo, hi, n=200):
 def _report_table(cfg, series, ys):
     """predictability_report of the reference vectors ys, in order, on the config's ladder_levels,
     ladder_top, min_count and threshold, as arrays: the ladder (L,), count (m, L) as floats, sigma
-    (m, L), NaN in an empty ball, and hat (m,), the level sigma_hat was taken at, -1 if undefined."""
+    (m, L), NaN in an empty ball, and hat (m, 3), each reference's sigma_hat, sigma_hat_eps and
+    sigma_hat_count, NaN, NaN and 0 where sigma_hat is undefined."""
     estimates = predictability_report(series, ys, *map(cfg.param, ("ladder_levels", "ladder_top",
                                                                    "min_count", "threshold")))
-    ladder = [e.eps for e in estimates[0].ladder]
     entries = [e for est in estimates for e in est.ladder]  # reference-major
     count, sigma = (np.array(v, dtype=float).reshape(len(estimates), -1)  # a None sigma reads as NaN
                     for v in ([e.count for e in entries], [e.sigma for e in entries]))
-    hat = [-1 if est.sigma_hat_eps is None else ladder.index(est.sigma_hat_eps) for est in estimates]
-    return np.array(ladder), count, sigma, np.array(hat)
-
-
-def _at_hat(table, hat, undefined):
-    """Row i's entry at level hat[i] of an (m, L) table or the (L,) ladder; undefined where hat is -1."""
-    table = np.broadcast_to(table, (len(hat), np.shape(table)[-1]))
-    return np.where(hat >= 0, table[np.arange(len(hat)), hat], undefined)
+    hat = np.array([(e.sigma_hat, e.sigma_hat_eps, e.sigma_hat_count) for e in estimates], dtype=float)
+    return np.array([e.eps for e in estimates[0].ladder]), count, sigma, hat
 
 
 def _fraction(flags):
@@ -332,12 +326,10 @@ def _run_e2(cfg, out):
         cq = np.cumsum(in_q)
         for c in checkpoints:
             rows.append([r0, phi0, float(c), cp[c - 1] / c, cq[c - 1] / c])
-        frac_p = cp[-1] / m
-        frac_q = cq[-1] / m
-        metrics[f"occupation_p_start{s}"] = float(frac_p)
-        metrics[f"occupation_q_start{s}"] = float(frac_q)
-        flags[f"occupation_p_start{s}"] = abs(frac_p - 0.5) <= 0.05
-        flags[f"occupation_q_start{s}"] = abs(frac_q - 0.5) <= 0.05
+        for box, cum in (("p", cp), ("q", cq)):
+            key = f"occupation_{box}_start{s}"
+            metrics[key] = float(cum[-1] / m)
+            flags[key] = abs(metrics[key] - 0.5) <= 0.05  # a Python float, so a bool
     emit_csv(out / "occupation.csv", ["start_r", "start_phi", "m", "frac_p", "frac_q"], rows)
     return metrics, flags
 
@@ -345,48 +337,26 @@ def _run_e2(cfg, out):
 # -- E3: model system, k = 1 ----------------------------------------------------
 
 
-def _circle_restriction(h):
-    """Coefficients (c, a4, a5) of h on the fiber circle over q: c + a4 cos + a5 sin."""
-    c = 0.0
-    a4 = 0.0
-    a5 = 0.0
-    zero = (0,) * 5
-    x1 = (1, 0, 0, 0, 0)
-    x4 = (0, 0, 0, 1, 0)
-    x5 = (0, 0, 0, 0, 1)
-    for m, v in h.total_coeffs().items():
-        if m == zero:
-            c += v
-        elif m == x1:
-            c -= v  # x1 = -1 on the q circle
-        elif m == x4:
-            a4 += v
-        elif m == x5:
-            a5 += v
-        elif sum(m) > 0 and any(m[j] > 0 for j in (1, 2)):
-            continue  # x2 = x3 = 0 there
-        elif sum(m) > 1:
-            raise ValueError("circle restriction implemented for degree <= 1 only")
-    return c, a4, a5
-
-
-def _two_atom_sigma(restriction, t0, alpha):
-    """Exact eps -> 0 conditional deviation at the circle reference h(t0), for
-    restriction = _circle_restriction(h).
+def _two_atom_sigma(h, ts, alpha):
+    """Exact eps -> 0 conditional deviation at each circle reference h(t0), t0 in ts, for a
+    degree-1 observable h, which is c + a4 cos + a5 sin on the fiber circle over q (x1 = -1 and
+    x2 = x3 = 0 there).
 
     The level set of the cosine restriction through t0 is the reflected pair
     {t0, 2 t* - t0} with equal conditional weights; the deviation is half the
     gap between the two rotated images.
     """
-    c, a4, a5 = restriction
+    if h.degree_bound > 1:
+        raise ValueError("circle restriction implemented for degree <= 1 only")
+    coef = h.total_coeffs()
+    c = 0.0 + coef.get((0,) * 5, 0.0) - coef.get((1, 0, 0, 0, 0), 0.0)
+    a4, a5 = (0.0 + coef.get(m, 0.0) for m in ((0, 0, 0, 1, 0), (0, 0, 0, 0, 1)))
     tstar = math.atan2(a5, a4) / (2.0 * math.pi)
 
     def h_c(t):
         return c + a4 * math.cos(2 * math.pi * t) + a5 * math.sin(2 * math.pi * t)
 
-    t1 = t0
-    t2 = (2.0 * tstar - t0) % 1.0
-    return abs(h_c(t1 + alpha) - h_c(t2 + alpha)) / 2.0
+    return np.array([abs(h_c(t0 + alpha) - h_c((2.0 * tstar - t0) % 1.0 + alpha)) / 2.0 for t0 in ts])
 
 
 def _run_e3(cfg, out):
@@ -410,15 +380,14 @@ def _run_e3(cfg, out):
         h = _perturbed(cfg, "E3", f"obs{j}", base)
         pairs = PairedVectors(1, evaluate(h, pred_amb)[:, None], evaluate(h, succ_amb)[:, None])
         y_refs = evaluate(h, ref_amb)
-        _, count, sigma, hat = _report_table(cfg, pairs, y_refs)
-        restriction = _circle_restriction(h)
-        oracle = np.array([_two_atom_sigma(restriction, t0, alpha) for t0 in ref_t])
-        s_hat, defined = _at_hat(sigma, hat, np.nan), hat >= 0
+        hat = _report_table(cfg, pairs, y_refs)[3]
+        oracle = _two_atom_sigma(h, ref_t, alpha)
+        s_hat, defined = hat[:, 0], hat[:, 2] > 0
         matched = np.abs(s_hat - oracle) <= 0.1 * np.maximum(oracle, threshold)
         pred_fracs.append(_fraction(s_hat[defined] < threshold))
         match_fracs.append(_fraction(matched[defined]))
-        rows += np.column_stack([np.full(n_refs, float(j)), ref_t, y_refs, s_hat, _at_hat(count, hat, 0.0),
-                                 oracle, np.where(defined, matched, np.nan)]).tolist()
+        rows += np.column_stack([np.full(n_refs, float(j)), ref_t, y_refs, s_hat, hat[:, 2], oracle,
+                                 np.where(defined, matched, np.nan)]).tolist()
 
     metrics["predictable_fraction_max"] = float(np.max(pred_fracs))
     metrics["predictable_fraction_mean"] = float(np.mean(pred_fracs))
@@ -465,15 +434,14 @@ def _run_e4(cfg, out):
     base = Observable(5, "coord:0", degree_bound=1)
     refs = np.concatenate([refs_p, refs_q])  # one engine profiles both sides, p first
     on_p = np.arange(len(refs)) < len(refs_p)
-    defined, rows = [], []  # defined[j]: the p and the q sigma_hat defined for observable j
+    hats, rows = [], []  # hats[j]: observable j's (sigma_hat, eps, count) per reference
     for j in range(cfg.param("n_obs")):
         m = evaluate(_perturbed(cfg, "E4", f"obs{j}", base), amb)
-        ladder, count, sigma, hat = _report_table(cfg, delay_series(m, 1), m[refs])
-        s_hat = _at_hat(sigma, hat, np.nan)
-        defined.append((s_hat[(hat >= 0) & on_p], s_hat[(hat >= 0) & ~on_p]))
-        rows += [[float(j), "p" if p else "q", *cells] for p, cells in zip(on_p, np.column_stack([
-            refs, s_hat, _at_hat(ladder, hat, np.nan), _at_hat(count, hat, 0.0)]).tolist())]
-    p_arr, q_arr = map(np.concatenate, zip(*defined))
+        hats.append(_report_table(cfg, delay_series(m, 1), m[refs])[3])
+        rows += [[float(j), "p" if p else "q", *cells]
+                 for p, cells in zip(on_p, np.column_stack([refs, hats[-1]]).tolist())]
+    hats = np.array(hats)
+    p_arr, q_arr = (hats[:, side, 0][hats[:, side, 2] > 0] for side in (on_p, ~on_p))
     for arr, name, pool in ((p_arr, "marked-point", pool_p), (q_arr, "fiber", pool_q)):
         if not len(arr):
             raise ValueError(f"no {name} reference was defined: none reached min_count = "
@@ -533,7 +501,7 @@ def _run_e5(cfg, out):
                  np.tile(ladder, len(refs)), count.ravel(), sigma.ravel()]).tolist()]
         if case == "rotation_k2":
             metrics["rotation_k2_predictable_fraction"] = _fraction(
-                _at_hat(sigma, hat, np.nan)[hat >= 0] < cfg.param("threshold"))
+                hat[hat[:, 2] > 0, 0] < cfg.param("threshold"))
 
     flags["rotation_k2_trend"] = metrics["rotation_k2_monotone_fraction"] >= 0.9
     flags["henon_k3_trend"] = metrics["henon_k3_monotone_fraction"] >= 0.8

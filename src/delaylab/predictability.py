@@ -135,7 +135,9 @@ def _estimate(ladder, count, chi, sigma, min_count, threshold):
 
 def _init(self, series, ys, ladder):
     """Check the ladder and the references ys, each k finite coordinates, then
-    build the table: _balls gives count (m, L), chi (m, L, k) and sigma (m, L)."""
+    build the table: _balls gives count (m, L), chi (m, L, k) and sigma (m, L).
+    Successors near the float range's square root overflow the moments; a
+    ValueError names their magnitude then, rather than return inf or NaN."""
     self.pred, self.k = series.predecessors, series.k
     self.ladder = _check_ladder(ladder)
     if not len(ys):
@@ -148,7 +150,11 @@ def _init(self, series, ys, ladder):
     if len(bad):
         raise ValueError(f"reference {bad[0]} = {ys[bad[0]].tolist()} is not finite")
     self._rows = {y: i for i, y in enumerate(map(tuple, ys.tolist()))}
-    self._table = self._balls(series, ys)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, once for both engines
+        self._table = self._balls(series, ys)
+    if not all(np.isfinite(t).all() for t in self._table[1:]):
+        raise ValueError(f"successors of magnitude up to {np.abs(series.successors).max():.3g} "
+                         "overflow the ball moments: a chi or sigma is not finite")
 
 
 def _profile(self, y, ladder, min_count=DEFAULT_MIN_COUNT, threshold=DEFAULT_THRESHOLD):

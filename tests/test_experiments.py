@@ -5,6 +5,7 @@ import pytest
 
 from delaylab import embedding, experiments
 from delaylab.cli import main
+from delaylab.dynamics import ambient_of_states, GOLDEN_ROTATION, SystemConfig
 from delaylab.embedding import delay_series
 from delaylab.experiments import (
     emit_csv,
@@ -13,6 +14,7 @@ from delaylab.experiments import (
     rng_for,
     run_experiment,
 )
+from delaylab.observables import evaluate, Observable, perturb
 from delaylab.predictability import predictability_report
 
 
@@ -186,26 +188,45 @@ def test_report_table_equals_sigma_estimates(k):
     ladder, count, sigma, hat = experiments._report_table(cfg, series, ys)
     estimates = predictability_report(series, ys, 10, cfg.param("ladder_top"), 20, cfg.param("threshold"))
     assert ladder.shape == (10,) and count.shape == sigma.shape == (len(ys), 10)
-    assert hat.shape == (len(ys),) and count.dtype == float
+    assert hat.shape == (len(ys), 3) and count.dtype == hat.dtype == float
     for i, est in enumerate(estimates):
         assert ladder.tolist() == [e.eps for e in est.ladder]
         assert count[i].tolist() == [e.count for e in est.ladder]
         assert np.array_equal(np.isnan(sigma[i]), count[i] == 0)
         assert sigma[i][count[i] > 0].tolist() == [e.sigma for e in est.ladder if e.count]
-        assert (hat[i] == -1) == (est.sigma_hat is None)
-        if hat[i] >= 0:
-            assert ladder[hat[i]] == est.sigma_hat_eps
-            assert sigma[i, hat[i]] == est.sigma_hat and count[i, hat[i]] == est.sigma_hat_count
+        # hat holds sigma_hat, its eps and its count, NaN, NaN and 0 where sigma_hat is undefined
+        want = (np.nan, np.nan, 0) if est.sigma_hat is None else (
+            est.sigma_hat, est.sigma_hat_eps, est.sigma_hat_count)
+        assert np.array_equal(hat[i], want, equal_nan=True)
+        if est.defined:
+            assert ladder[count[i] >= 20][-1] == hat[i, 1]
+            assert sigma[i, ladder == hat[i, 1]] == hat[i, 0] and count[i, ladder == hat[i, 1]] == hat[i, 2]
     # the isolated reference holds only itself, the far one nothing, and the data ones sigma_hat
-    assert count[3].tolist() == [1.0] * 10 and hat[3] == -1
-    assert count[4].tolist() == [0.0] * 10 and hat[4] == -1
-    assert (hat[:3] >= 0).all() and (count[:3] < 20).any()
-    # _at_hat reads each reference's hat level, and the undefined value where hat is -1
-    assert np.array_equal(experiments._at_hat(sigma, hat, np.nan),
-                          [np.nan if e.sigma_hat is None else e.sigma_hat for e in estimates],
-                          equal_nan=True)
-    assert experiments._at_hat(ladder, hat, -1.0).tolist() == [
-        -1.0 if e.sigma_hat_eps is None else e.sigma_hat_eps for e in estimates]
+    assert count[3].tolist() == [1.0] * 10 and hat[3, 2] == 0 and np.isnan(hat[3, :2]).all()
+    assert count[4].tolist() == [0.0] * 10 and hat[4, 2] == 0 and np.isnan(hat[4, :2]).all()
+    assert (hat[:3, 2] >= 20).all() and (count[:3] < 20).any()
+
+
+def test_two_atom_sigma_equals_closed_form():
+    """The two-atom oracle against the closed form A |sin 2pi(t0 - t*)| |sin 2pi alpha| of
+    h = c + A cos 2pi(t - t*) on the fiber circle over q, on 200 random degree-1 perturbations
+    of E3's base observable, with a4 and a5 read from h's values on that circle, not from its
+    coefficients."""
+    alpha = GOLDEN_ROTATION
+    model = SystemConfig("model_T0", alpha=alpha)
+    base = Observable(5, "cosine_fiber", degree_bound=1)
+    rng = np.random.default_rng(27)
+    quarter = ambient_of_states(model, np.column_stack([np.ones(4), [0.0, 0.25, 0.5, 0.75]]))
+    for _ in range(200):
+        h = perturb(base, rng.uniform(-1.0, 1.0, 6))
+        h0, h1, h2, h3 = evaluate(h, quarter)
+        a4, a5 = (h0 - h2) / 2.0, (h1 - h3) / 2.0
+        amp, tstar = np.hypot(a4, a5), np.arctan2(a5, a4) / (2.0 * np.pi)
+        ts = rng.random(50)
+        want = amp * np.abs(np.sin(2.0 * np.pi * (ts - tstar)) * np.sin(2.0 * np.pi * alpha))
+        assert np.abs(experiments._two_atom_sigma(h, ts, alpha) - want).max() <= 1e-12 * amp
+    with pytest.raises(ValueError, match="degree <= 1"):
+        experiments._two_atom_sigma(Observable(5, "cosine_fiber", degree_bound=2), ts, alpha)
 
 
 def test_monotone_last4_on_a_hand_made_table():
@@ -332,6 +353,24 @@ def test_run_experiment_times_each_stage(experiment, overrides, stages, tmp_path
     summary = run_experiment(ExperimentConfig(experiment, 0, overrides), tmp_path)
     assert list(summary.timings) == [f"{stage}_seconds" for stage in stages]
     assert all(0.0 <= t <= summary.wall_time for t in summary.timings.values())
+
+
+@pytest.mark.parametrize("experiment,overrides", [
+    ("E1_parabolic", {"rho_n": 20_000, "visits_n": 50_000}),
+    ("E2_natural_measure", {"m_iterates": 20_000}),
+    ("E3_model_nonpredict", {"n_samples": 2_000, "n_obs": 1, "n_refs": 5}),
+    ("E4_counterexample", {"orbit_n": 5_000, "n_obs": 1, "n_refs": 5, "ladder_levels": 4,
+                           "p_ref_fiber_gate": 0.5}),
+    ("E5_ergodic_predict", {"rot_n": 3_000, "henon_n": 3_000, "n_refs": 5}),
+    ("E6_idim", {"n_samples": 2_000, "n_centers": 50, "point_n": 100, "skew_orbit_n": 3_000,
+                 "skew_stride": 1}),
+])
+def test_flags_are_bools_and_metrics_floats(experiment, overrides, tmp_path):
+    """Every pass flag is a Python bool, not a numpy bool, and every metric a Python float."""
+    summary = run_experiment(ExperimentConfig(experiment, 0, overrides), tmp_path)
+    assert summary.pass_flags and summary.metrics
+    assert [key for key, v in summary.pass_flags.items() if type(v) is not bool] == []
+    assert [key for key, v in summary.metrics.items() if type(v) is not float] == []
 
 
 def test_summary_lists_metrics_and_flags(e3_small):
