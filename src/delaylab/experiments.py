@@ -406,12 +406,10 @@ def _run_e3(cfg, out):
 def _reference_pools(cfg, sys_cfg, orbit):
     """Late predecessor indices in U_p with the fiber near 0, and in U_q."""
     n = len(orbit)
-    r, phi, t = orbit.T  # contiguous column views, no copy
+    r, phi, t = orbit[n // 2: n - 1].T  # predecessors only, late half: contiguous column views
     in_p, in_q = box_flags(r, phi, sys_cfg.delta)
-    late = np.zeros(n, dtype=bool)
-    late[n // 2: n - 1] = True  # predecessors only, late half
     fiber_near_zero = np.minimum(t, 1.0 - t) < cfg.param("p_ref_fiber_gate")
-    return np.flatnonzero(in_p & late & fiber_near_zero), np.flatnonzero(in_q & late)
+    return n // 2 + np.flatnonzero(in_p & fiber_near_zero), n // 2 + np.flatnonzero(in_q)
 
 
 def _run_e4(cfg, out):

@@ -113,8 +113,11 @@ def evaluate(h, x):
 
     The rows are read one coordinate column at a time, so the .T view of a
     (d, n) block (the layout of dynamics and manifold) reads contiguously,
-    _BLOCK_ROWS rows at a time.  Each power col ** e with e > 1 is taken
-    once per block and shared by the terms of that block.
+    _BLOCK_ROWS rows at a time.  A column's power col ** e is the product
+    ((col * col) * col) ... from the left, taken once per block and shared
+    by its terms; each term is its coefficient times its factors in column
+    order, added in basis order.  Being IEEE products and sums only, the
+    value does not depend on numpy's SIMD dispatch of np.power.
     """
     coords = np.asarray(x, dtype=float)
     scalar = coords.ndim == 1
@@ -126,15 +129,13 @@ def evaluate(h, x):
     for start in range(0, len(out), _BLOCK_ROWS):
         block, acc = rows[start:start + _BLOCK_ROWS], out[start:start + _BLOCK_ROWS]
         term = np.empty_like(acc)
-        powers = {}
+        powers = [[block[:, j]] for j in range(h.ambient_dim)]  # powers[j][e - 1]: col_j ** e
         for m, c in terms:
             term.fill(c)
             for j, e in enumerate(m):
-                if e == 1:
-                    term *= block[:, j]
-                elif e > 1:
-                    if (j, e) not in powers:
-                        powers[j, e] = block[:, j] ** e
-                    term *= powers[j, e]
+                for _ in range(len(powers[j]), e):
+                    powers[j].append(powers[j][-1] * block[:, j])
+                if e:
+                    term *= powers[j][e - 1]
             acc += term
     return float(out[0]) if scalar else out

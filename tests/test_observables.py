@@ -1,4 +1,9 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,12 +99,18 @@ def test_observable_validation():
         evaluate(Observable(5, "zero", degree_bound=1), np.zeros((3, 4)))
 
 
+def _random_observable(rng, dim, degree):
+    return perturb(Observable(dim, "coord:0", degree_bound=degree),
+                   rng.uniform(-1, 1, len(monomial_basis(dim, degree))))
+
+
 def test_evaluate_equals_per_term_powers():
     """Shared column powers and row blocks leave evaluate bitwise equal to
-    taking col ** e afresh in every term of a degree-5 observable, over all
-    rows at once: within one block, and over several ending in a partial one."""
+    taking each power afresh in every term of a degree-5 observable, as the
+    product ((col * col) * col) ... from the left, over all rows at once:
+    within one block, and over several ending in a partial one."""
     rng = np.random.default_rng(6)
-    h = perturb(Observable(2, "coord:0", degree_bound=5), rng.uniform(-1, 1, len(monomial_basis(2, 5))))
+    h = _random_observable(rng, 2, 5)
     for n in (1000, 3 * _BLOCK_ROWS + 17):
         rows = rng.uniform(-1.5, 1.5, (2, n)).T
         naive = np.zeros(n)
@@ -107,6 +118,68 @@ def test_evaluate_equals_per_term_powers():
             term = np.full(n, c)
             for j, e in enumerate(m):
                 if e:
-                    term *= rows[:, j] ** e
+                    power = rows[:, j].copy()
+                    for _ in range(e - 1):
+                        power *= rows[:, j]
+                    term *= power
             naive += term
         assert np.array_equal(evaluate(h, rows), naive)
+
+
+def _python_evaluate(h, row):
+    """The observable at one row in Python floats: each power a product from
+    the left, each term its coefficient times its factors in column order."""
+    acc = 0.0
+    for m, c in h.total_coeffs().items():
+        t = c
+        for x, e in zip(row, m):
+            if e:
+                p = x
+                for _ in range(e - 1):
+                    p *= x
+                t *= p
+        acc += t
+    return acc
+
+
+@pytest.mark.parametrize("dim, degree", [(2, 5), (5, 1)])
+def test_evaluate_equals_python_floats(dim, degree):
+    """evaluate is bit for bit the IEEE products and sums of plain Python
+    floats, on rows with zeros of both signs and negative values."""
+    rng = np.random.default_rng(8)
+    h = _random_observable(rng, dim, degree)
+    rows = rng.uniform(-1.7, 1.7, (200, dim))
+    rows[:20] = rng.choice([0.0, -0.0, -1.0, -1.3, 0.9], (20, dim))
+    got = evaluate(h, rows)
+    want = np.array([_python_evaluate(h, row) for row in rows.tolist()])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def _avx512_dispatch():
+    """The AVX-512-class SIMD targets that numpy dispatches on this CPU."""
+    umath = getattr(np, "_core", None) or np.core
+    features = umath._multiarray_umath.__cpu_features__
+    return [t for t in umath._multiarray_umath.__cpu_dispatch__
+            if features.get(t) and (t.startswith("AVX512") or t == "X86_V4")]
+
+
+def _evaluate_digest():
+    """sha256 of a degree-5 observable evaluated on 10^5 rows."""
+    rng = np.random.default_rng(9)
+    h = _random_observable(rng, 2, 5)
+    return hashlib.sha256(evaluate(h, rng.uniform(-1.5, 1.5, (2, 10 ** 5)).T).tobytes()).hexdigest()
+
+
+def test_evaluate_independent_of_numpy_dispatch():
+    """A process with numpy's AVX-512 targets switched off evaluates a degree-5
+    observable to the same bytes as this one."""
+    targets = _avx512_dispatch()
+    if not targets:
+        pytest.skip("numpy dispatches no AVX-512 target on this CPU")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    code = "from test_observables import _evaluate_digest; print(_evaluate_digest())"
+    there = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True).stdout.strip()
+    assert there == _evaluate_digest()

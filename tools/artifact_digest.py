@@ -4,16 +4,20 @@
 
 Each experiment writes into OUT/<experiment id>.  The lines name each file
 relative to OUT, in sorted order, so two trees' artifacts compare byte for
-byte with a ``diff`` of their outputs.  After the runs, ``backend=c`` or
-``backend=python`` on stderr names the orbit, bin and shell code that ran,
-so a claim that two backends agree shows which ones did.  The package is
-imported from the checkout that holds this script.
+byte with a ``diff`` of their outputs.  After the runs, one line on stderr
+names what ran: ``backend=c`` or ``backend=python`` (the orbit, bin and
+shell code), the numpy version, and the SIMD targets numpy dispatches on
+this CPU (after any ``NPY_DISABLE_CPU_FEATURES``), so a claim that two
+backends or two hosts agree shows which ones did.  The package is imported
+from the checkout that holds this script.
 """
 
 import argparse
 import hashlib
 import sys
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -29,7 +33,10 @@ def main(argv=None):
 
     for eid in EXPERIMENT_IDS:
         run_experiment(ExperimentConfig(eid, args.seed), args.out / eid)
-    print(f"backend={_kernels.BACKEND}", file=sys.stderr)
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
+    simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    print(f"backend={_kernels.BACKEND} numpy={np.__version__} simd={','.join(simd) or 'none'}",
+          file=sys.stderr)
     for eid in EXPERIMENT_IDS:
         for path in sorted((args.out / eid).iterdir()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
