@@ -1,5 +1,5 @@
 """Scalar map cores and the compiled loops: the long orbits, the k = 1 bin
-search, and the k-d tree of the k >= 2 engine and of E6's ball counts.
+search, and the k-d tree of the k >= 2 engine and of E6's ball masses.
 
 dynamics.step_state calls the cores one step at a time; it is the one Python
 definition of each map.  ``_orbits.c`` repeats the cores and iterates them
@@ -13,8 +13,8 @@ values; searchsorted bins the last n % 16.  ``_tree`` builds one k-d tree
 over a point set, each node with its tight box and its successors' cached
 moments; ``_tree_shells`` walks it once per reference, taking each shell's
 moments from the nodes wholly inside it and from the points of the leaves
-a sphere cuts.  ``_ball_counts`` is the same build and walk for counts
-alone.  Why the tree's counts are exact is in the predictability module
+a sphere cuts; with no successors (ks = 0) the same walk counts E6's
+balls.  Why the tree's counts are exact is in the predictability module
 docstring.
 
 The first call to any of them compiles ``_orbits.c`` with gcc into
@@ -442,29 +442,3 @@ def _walk(tree, ys, cuts):
     return [(c.reshape(m, slots)[:, 1:], mu.reshape(m, slots, ks)[:, 1:],
              q.reshape(m, slots)[:, 1:]) for c, mu, q in (w, p)]
 
-
-def _ball_counts(points, centers, ladder):
-    """(m, L) int64 counts of the rows of the (n, d) finite points, n >= 1,
-    in the closed balls around the m finite centres, the rows of an (m, d)
-    block, with the L non-increasing radii of ladder: s <= eps * eps, s =
-    ((x0 - y0)^2 + (x1 - y1)^2) + ..., is s below nextafter(eps * eps, inf)
-    in _tree_shells, or, when eps * eps overflows to inf, always true."""
-    points = np.asarray(points, dtype=float)
-    centers, ladder = np.asarray(centers, dtype=float), np.asarray(ladder, dtype=float)
-    if (points.ndim != 2 or not points.size or centers.ndim != 2
-            or centers.shape[1] != points.shape[1] or ladder.ndim != 1 or not len(ladder)
-            or not (ladder[1:] <= ladder[:-1]).all() or not np.isfinite(points).all()
-            or not np.isfinite(centers).all()):
-        raise ValueError(f"need (n >= 1, d >= 1) finite points, (m, d) finite centres and a "
-                         f"non-empty, non-increasing 1-D ladder, not {points.shape}, "
-                         f"{centers.shape} and {ladder.shape}")
-    with np.errstate(over="ignore"):
-        square = ladder * ladder
-    full = np.count_nonzero(square == np.inf)
-    out = np.full((len(centers), len(ladder)), len(points), dtype=np.int64)
-    if full < len(ladder):
-        tree = _tree(points, np.empty((len(points), 0)))
-        whole, scanned = _tree_shells(tree, centers, np.nextafter(square[full:], np.inf))
-        shells = (whole[0] + scanned[0])[:, ::-1]
-        out[:, full:] = np.cumsum(shells, axis=1)[:, ::-1]
-    return out

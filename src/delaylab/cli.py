@@ -40,7 +40,7 @@ def main(argv=None):
         print("error: --experiment or --config required", file=sys.stderr)
         return 2
     experiment, seed, overrides = args.experiment, 0, {}
-    try:  # input rejected before the run exits 2; a failed pass flag exits 1
+    try:  # input rejected before the run exits 2, a failed run 3 and a failed pass flag 1
         if args.config is not None:
             base = parse_config(args.config.read_text())
             experiment = base.experiment_id if experiment is None else experiment
@@ -52,7 +52,11 @@ def main(argv=None):
         return 2
 
     out = args.out if args.out is not None else Path("out") / f"{cfg.experiment_id}_seed{cfg.seed}"
-    summary = run_experiment(cfg, out)
+    try:
+        summary = run_experiment(cfg, out)
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     backend = _kernels.BACKEND or "none"  # None: the experiment reached no compiled loop
     print(f"{cfg.experiment_id} seed={cfg.seed} wall={summary.wall_time:.1f}s "
           f"backend={backend} -> {out}")

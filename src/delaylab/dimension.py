@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _ball_counts
 from .dynamics import _integer, ambient_of_states, sample_model_states, SystemConfig
+from .predictability import _check_ladder, _tree_balls
 
 
 @dataclass(frozen=True)
@@ -56,22 +56,6 @@ def _fit(log_eps, values):
     return slope, intercept, min(max(r2, 0.0), 1.0)
 
 
-def _check_ladder(ladder):
-    """The ladder as floats, non-empty, strictly decreasing and positive.
-
-    Written as comparisons that must hold, so a NaN level, which compares
-    false, is rejected; the error names the first level that breaks the
-    rule. Used by the dimension estimators and predictability.
-    """
-    ladder = [float(e) for e in ladder]
-    bad = [j for j, e in enumerate(ladder) if not (e > 0.0 and (j == 0 or e < ladder[j - 1]))]
-    if not ladder or bad:
-        at = f", level {bad[0]} = {ladder[bad[0]]!r}" if bad else ""
-        raise ValueError(f"ladder must be strictly decreasing and positive, got {len(ladder)} "
-                         f"levels{at}")
-    return ladder
-
-
 def _check_points(points):
     """points as an (n, d) float array with at least one row, every value finite."""
     pts = np.asarray(points, dtype=float)
@@ -101,10 +85,9 @@ def ball_mass_dimension(points, ladder, n_centers, seed):
     value is the center average of log mu(B(x, eps)) / log eps (the
     pointwise-dimension form), while the returned estimate is the slope of
     the averaged log-mass against log eps over the ladder.  Balls are
-    closed: a point x is in B(y, eps) when s <= eps * eps, s the squared
-    distance ((x0 - y0)^2 + (x1 - y1)^2) + ... summed in coordinate order
-    (_kernels._ball_counts, which counts every level from one k-d tree walk
-    per center).
+    open, as in the predictability engines, whose k-d tree walk
+    (predictability._tree_balls, with no successors) counts every level
+    per center.
     """
     points = _check_points(points)
     ladder = _check_ladder(ladder)
@@ -113,11 +96,11 @@ def ball_mass_dimension(points, ladder, n_centers, seed):
     rng = np.random.default_rng(seed)
     # an explicit uniform p: p=None draws another stream
     idx = rng.choice(n, size=n_centers, replace=True, p=np.full(n, 1.0 / n))
-    counts = _ball_counts(points, points[idx], ladder)
+    counts = _tree_balls(points, np.empty((n, 0)), points[idx], ladder)[0]
     values = []
     log_eps, log_mass = [], []
     for eps, count in zip(ladder, counts.T):
-        # mass > 0: each center lies in its own closed ball
+        # mass > 0: each center lies in its own open ball
         logm = np.log(count / n)
         values.append((eps, float(np.mean(logm / math.log(eps)))))
         log_eps.append(math.log(eps))

@@ -134,6 +134,8 @@ class ExperimentConfig:
             if lo - hi < 1:  # the ladder 2^-hi .. 2^-lo needs two levels for a slope
                 raise ValueError(f"keys 'eps_hi_exp' = {hi} and 'eps_lo_exp' = {lo} give fewer than "
                                  "two ladder levels; eps_lo_exp must exceed eps_hi_exp")
+            if lo > 62:  # the atom's coordinate 1 over 2^-63 is past the int64 cube indices
+                raise ValueError(f"key 'eps_lo_exp' must be at most 62, got {lo}")
 
     def param(self, key):
         defaults = DEFAULTS[self.experiment_id]

@@ -11,17 +11,18 @@ predictability_report is the one entry to the engines: it takes a built
 series and its reference vectors, so the caller owns the orbit, the
 observable and the reference draw.  Both engines are built as
 Engine(series, ys, ladder) into one (references x levels) table of count,
-chi and sigma, and their one profile function reads a reference's row.
-The engine depends on k alone, and both count a point inside a ball
-exactly when its squared distance s = (x - y)^2 + ... is below the level's
-exact cut T = _square_cut(eps), the smallest float with sqrt(T) >= eps, so
-exactly when sqrt(s) < eps, with no sqrt taken:
+chi and sigma by a ball function (pred, succ, ys, ladder), and their one
+profile function reads a reference's row.  The engine depends on k alone;
+both, and E6's ball masses, count a point inside a ball exactly when its
+squared distance s = (x - y)^2 + ... is below the level's exact cut
+T = _square_cut(eps), the smallest float with sqrt(T) >= eps, so exactly
+when sqrt(s) < eps, with no sqrt taken:
 
-- BruteEngine (k >= 2) builds one k-d tree over the series
-  (_kernels._tree), each node with its tight bounding box and its
-  successors' count, mean and centred M2.  The nested balls cut the top
-  ball into shells.  Per reference (_kernels._tree_shells) the walk skips
-  a node beyond the top sphere, adds a node inside one shell through its
+- _tree_balls (BruteEngine, k >= 2; E6 with no successors) builds one k-d
+  tree over the points (_kernels._tree), each node with its tight box and
+  its successors' count, mean and centred M2.  The nested balls cut the top
+  ball into shells.  Per reference (_kernels._tree_shells) the walk skips a
+  node beyond the top sphere, adds a node inside one shell through its
   cached moments, and scans only the leaves a sphere cuts, so the cost
   follows the spheres, not the balls.  Counts stay exact: rounded
   subtraction, squaring and addition are monotone, so a point's s lies
@@ -30,9 +31,9 @@ exactly when sqrt(s) < eps, with no sqrt taken:
   merged with its scanned points, and the balls are the shells merged from
   the innermost outward, one level at a time over all references; sigma's
   last digits depend on that merge order, the same on both backends.
-- Sorted1DEngine (k = 1) bins the series once between the exact float
-  edges of every ball, the floats where (x - y)^2 < T flips, with no sort,
-  and merges each ball's bins from per-bin count, mean and centred M2
+- _bin_balls (Sorted1DEngine, k = 1) bins the series once between the exact
+  float edges of every ball, the floats where (x - y)^2 < T flips, with no
+  sort, and merges each ball's bins from per-bin count, mean and centred M2
   (_kernels._moments, which the tree's leaves and shells share).  The
   binning is _kernels.bin_right, a compiled lockstep binary search equal to
   searchsorted (searchsorted itself without gcc).
@@ -50,7 +51,6 @@ import numpy as np
 
 from . import _kernels as _k
 from ._kernels import _merge
-from .dimension import _check_ladder
 from .dynamics import _integer
 
 DEFAULT_MIN_COUNT = 20
@@ -116,6 +116,22 @@ def default_ladder(series, levels=DEFAULT_LADDER_LEVELS, top=DEFAULT_LADDER_TOP)
     return [top * (diam or 1.0) * 0.5**j for j in range(levels)]
 
 
+def _check_ladder(ladder):
+    """The ladder as floats, non-empty, strictly decreasing and positive.
+
+    Written as comparisons that must hold, so a NaN level, which compares
+    false, is rejected; the error names the first level that breaks the
+    rule.  Used by the engines and the dimension estimators.
+    """
+    ladder = [float(e) for e in ladder]
+    bad = [j for j, e in enumerate(ladder) if not (e > 0.0 and (j == 0 or e < ladder[j - 1]))]
+    if not ladder or bad:
+        at = f", level {bad[0]} = {ladder[bad[0]]!r}" if bad else ""
+        raise ValueError(f"ladder must be strictly decreasing and positive, got {len(ladder)} "
+                         f"levels{at}")
+    return ladder
+
+
 def _estimate(ladder, count, chi, sigma, min_count, threshold):
     """SigmaEstimate of one reference from its per-level arrays: count (L,),
     chi (L, k) and sigma (L,).
@@ -151,7 +167,7 @@ def _init(self, series, ys, ladder):
         raise ValueError(f"reference {bad[0]} = {ys[bad[0]].tolist()} is not finite")
     self._rows = {y: i for i, y in enumerate(map(tuple, ys.tolist()))}
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, once for both engines
-        self._table = self._balls(series, ys)
+        self._table = self._balls(self.pred, series.successors, ys, self.ladder)
     if not all(np.isfinite(t).all() for t in self._table[1:]):
         raise ValueError(f"successors of magnitude up to {np.abs(series.successors).max():.3g} "
                          "overflow the ball moments: a chi or sigma is not finite")
@@ -166,6 +182,20 @@ def _profile(self, y, ladder, min_count=DEFAULT_MIN_COUNT, threshold=DEFAULT_THR
     return _estimate(self.ladder, *(t[row] for t in self._table), min_count, threshold)
 
 
+def _tree_balls(pred, succ, ys, ladder):
+    """count (m, L), mean (m, L, ks) and sigma (m, L) of the (n, ks) successors
+    succ of the (n, k) points pred in the balls around the (m, k) references
+    ys; the module docstring says how, and why the counts are exact."""
+    tree = _k._tree(pred, succ)
+    whole, scanned = _k._tree_shells(tree, ys, _square_cut(ladder))
+    n, mean, m2 = _merge(whole, scanned)
+    ball = (np.zeros(len(ys)), np.zeros((len(ys), tree.succ.shape[1])), np.zeros(len(ys)))
+    for j in reversed(range(len(ladder))):  # shell j's moments become ball j's
+        ball = _merge(ball, (n[:, j], mean[:, j], m2[:, j]))
+        n[:, j], mean[:, j], m2[:, j] = ball
+    return n.astype(np.int64), mean, np.sqrt(m2 / np.maximum(n, 1.0))
+
+
 class BruteEngine:
     """Exact ball statistics from a k-d tree with cached moments (Moore,
     NIPS 1999), for any k; predictability_report uses it for k >= 2.
@@ -173,24 +203,11 @@ class BruteEngine:
     The name is older than the tree.  It stays because the benchmark's
     tracer wraps BruteEngine by name, until ROADMAP item 1b lets the
     benchmark follow a rename.
-
-    The series is built once into _kernels._tree, each reference's shells
-    are read from it by _kernels._tree_shells and merged into balls; the
-    module docstring says how, and why the counts are exact.
     """
 
     __init__ = _init
     profile = _profile
-
-    def _balls(self, series, ys):
-        tree = _k._tree(series.predecessors, series.successors)
-        whole, scanned = _k._tree_shells(tree, ys, _square_cut(self.ladder))
-        n, mean, m2 = _merge(whole, scanned)
-        ball = (np.zeros(len(ys)), np.zeros((len(ys), self.k)), np.zeros(len(ys)))
-        for j in reversed(range(len(self.ladder))):  # shell j's moments become ball j's
-            ball = _merge(ball, (n[:, j], mean[:, j], m2[:, j]))
-            n[:, j], mean[:, j], m2[:, j] = ball
-        return n.astype(np.int64), mean, np.sqrt(m2 / np.maximum(n, 1.0))
+    _balls = staticmethod(_tree_balls)
 
 
 def _square_cut(eps):
@@ -271,42 +288,46 @@ def _ball_edges(ys, ladder):
     return _floats(lo), _floats(hi)
 
 
-class Sorted1DEngine:
-    """Scalar-series engine: one binning of the series at its references' ball edges.
+def _bin_balls(pred, succ, ys, ladder):
+    """_tree_balls' table for k = 1: one binning of the series at its
+    references' ball edges.
 
     It bins the series once between the exact float edges of every
     (reference, level) ball, takes each bin's count, mean and centred M2,
     and merges each ball's contiguous run of bins, about log2(bins)
     vectorised merges over all balls.
     """
+    if pred.shape[1] != 1:
+        raise ValueError("Sorted1DEngine requires k = 1")
+    x = pred[:, 0]
+    a, b = _ball_edges(ys[:, 0], ladder)
+    cuts = np.unique(np.concatenate([a, b]))
+    pos = cuts.searchsorted(a) + 1  # bin j holds cuts[j - 1] <= x < cuts[j]
+    length = cuts.searchsorted(b) + 1 - pos
+    table = [_k._moments(_k.bin_right(cuts, x), succ, len(cuts) + 1)]
+    while 2 ** len(table) <= len(cuts) + 1:  # level j: runs of 2^j bins from each bin
+        w = 2 ** (len(table) - 1)
+        table.append(_merge([m[:-w] for m in table[-1]], [m[w:] for m in table[-1]]))
+
+    acc = [np.zeros(len(pos)), np.zeros((len(pos), 1)), np.zeros(len(pos))]
+    for j in reversed(range(len(table))):  # the binary digits of each run's length
+        sel = np.flatnonzero((length >> j) & 1)
+        merged = _merge([m[sel] for m in acc], [m[pos[sel]] for m in table[j]])
+        for m, v in zip(acc, merged):
+            m[sel] = v
+        pos[sel] += 2**j
+    n, chi, q = acc
+    sigma = np.sqrt(q / np.maximum(n, 1.0))
+    shape = (len(ys), len(ladder))
+    return n.astype(np.int64).reshape(shape), chi.reshape(shape + (1,)), sigma.reshape(shape)
+
+
+class Sorted1DEngine:
+    """Scalar-series engine: the table of _bin_balls."""
 
     __init__ = _init
     profile = _profile
-
-    def _balls(self, series, ys):
-        if self.k != 1:
-            raise ValueError("Sorted1DEngine requires k = 1")
-        x = series.predecessors[:, 0]
-        a, b = _ball_edges(ys[:, 0], self.ladder)
-        cuts = np.unique(np.concatenate([a, b]))
-        pos = cuts.searchsorted(a) + 1  # bin j holds cuts[j - 1] <= x < cuts[j]
-        length = cuts.searchsorted(b) + 1 - pos
-        table = [_k._moments(_k.bin_right(cuts, x), series.successors, len(cuts) + 1)]
-        while 2 ** len(table) <= len(cuts) + 1:  # level j: runs of 2^j bins from each bin
-            w = 2 ** (len(table) - 1)
-            table.append(_merge([m[:-w] for m in table[-1]], [m[w:] for m in table[-1]]))
-
-        acc = [np.zeros(len(pos)), np.zeros((len(pos), 1)), np.zeros(len(pos))]
-        for j in reversed(range(len(table))):  # the binary digits of each run's length
-            sel = np.flatnonzero((length >> j) & 1)
-            merged = _merge([m[sel] for m in acc], [m[pos[sel]] for m in table[j]])
-            for m, v in zip(acc, merged):
-                m[sel] = v
-            pos[sel] += 2**j
-        n, chi, q = acc
-        sigma = np.sqrt(q / np.maximum(n, 1.0))
-        shape = (len(ys), len(self.ladder))
-        return n.astype(np.int64).reshape(shape), chi.reshape(shape + (1,)), sigma.reshape(shape)
+    _balls = staticmethod(_bin_balls)
 
 
 def predictability_report(series, ys, levels=DEFAULT_LADDER_LEVELS, top=DEFAULT_LADDER_TOP,

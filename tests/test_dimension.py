@@ -10,8 +10,8 @@ import pytest
 from scipy.spatial import cKDTree
 
 import delaylab
-from delaylab import _kernels as _k
 from delaylab.dynamics import ambient_of_states, SystemConfig, trajectory
+from delaylab.predictability import _tree_balls
 from delaylab.dimension import (
     _cell_entropy,
     ball_mass_dimension,
@@ -202,11 +202,15 @@ def skew_orbit_measure(n, stride):
 ])
 def test_ball_counts_equal_ckdtree(name, points):
     """E6's four kinds of measure: the k-d tree walk counts what cKDTree's
-    closed-ball queries count, on every (center, level)."""
+    closed-ball queries count, on every (center, level).  No (center, point)
+    pair lies within 1e-12 of a sphere, so the closed counts pin the open
+    ones."""
     centers = points[np.random.default_rng(53).integers(0, len(points), 300)]
+    s = sum(np.square(points[:, c] - centers[:, c, None]) for c in range(points.shape[1]))
+    assert all((np.abs(s / (eps * eps) - 1.0) > 1e-12).all() for eps in LADDER)
     tree = cKDTree(points)
     want = np.stack([tree.query_ball_point(centers, eps, return_length=True) for eps in LADDER], 1)
-    assert np.array_equal(_k._ball_counts(points, centers, LADDER), want)
+    assert np.array_equal(_tree_balls(points, np.empty((len(points), 0)), centers, LADDER)[0], want)
 
 
 def test_e6_loads_no_scipy(tmp_path):

@@ -86,6 +86,8 @@ def test_config_override_type_check():
     with pytest.raises(ValueError, match="'eps_hi_exp' = 9 and 'eps_lo_exp' = 8"):
         parse_config("experiment = E6\neps_hi_exp = 9\n")
     assert ExperimentConfig("E6_idim", 0, {"eps_hi_exp": 5, "eps_lo_exp": 6}).param("eps_lo_exp") == 6
+    with pytest.raises(ValueError, match="key 'eps_lo_exp' must be at most 62, got 63$"):
+        ExperimentConfig("E6_idim", 0, {"eps_lo_exp": 63})
     # the E1 slope fit needs two points in [rho_fit_lo, min(rho_fit_hi, rho_n)]
     for bad in ({"rho_n": 5000, "rho_fit_lo": 6000}, {"rho_fit_lo": 5000, "rho_fit_hi": 5000},
                 {"rho_n": 1000}):
@@ -421,6 +423,16 @@ def test_e4_measures_the_orbit_once(tmp_path, monkeypatch):
     assert set(summary.pass_flags) == {"atom_predictable", "fiber_nonpredictable"}
 
 
+def test_e6_finest_level_62_runs(tmp_path):
+    # the model atom p has a coordinate 1: 1 / 2^-62 is still an int64 cube index
+    cfg = ExperimentConfig("E6_idim", 0, {"n_samples": 2_000, "n_centers": 50, "point_n": 100,
+                                          "skew_orbit_n": 3_000, "skew_stride": 1,
+                                          "eps_lo_exp": 62})
+    summary = run_experiment(cfg, tmp_path)
+    assert summary.pass_flags["point_ball_zero"] and summary.pass_flags["point_box_zero"]
+    assert f"{2.0**-62!r}" in (tmp_path / "idim.csv").read_text()
+
+
 def test_cli_list(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
@@ -462,6 +474,16 @@ def test_cli_rejected_input_exits_2(tmp_path, capsys, args, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "run").exists()
+
+
+def test_cli_failed_run_exits_3(tmp_path, capsys):
+    # a stage that raises is neither rejected input (2) nor a failed pass flag (1)
+    cfg_file = tmp_path / "cfg.txt"
+    cfg_file.write_text("experiment = E4\norbit_n = 1000\n")
+    assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'counterexample' of E4_counterexample failed: empty "
+                          "reference pools")
 
 
 def test_readme_api_matches_all():

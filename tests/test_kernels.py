@@ -14,7 +14,7 @@ from delaylab.dynamics import (DivergenceError, GOLDEN_ROTATION, HENON_A, HENON_
                                _iterate, step_state, trajectory)
 from delaylab.embedding import delay_series, PairedVectors
 from delaylab.experiments import ExperimentConfig, run_experiment
-from delaylab.predictability import _merge, _square_cut, BruteEngine, Sorted1DEngine
+from delaylab.predictability import _merge, _square_cut, _tree_balls, BruteEngine, Sorted1DEngine
 
 HAVE_GCC = shutil.which("gcc") is not None
 needs_c = pytest.mark.skipif(not HAVE_GCC, reason="no C compiler on PATH")
@@ -565,11 +565,11 @@ def test_tree_peeling_one_point_per_split():
     assert len(tree.start) == 2 * (n - _k.LEAF) + 1
     peeled = tree.right[tree.right > 0]
     assert (tree.stop[peeled] - tree.start[peeled] == 1).all()
-    ladder = [1.0, 2.0**-3, 2.0**-40, 2.0**-900, 0.0]
+    ladder = [1.0, 2.0**-3, 2.0**-40, 2.0**-900]
     with np.errstate(under="ignore"):
-        want = [[np.count_nonzero(np.square(pred[:, 0] - y) <= eps * eps) for eps in ladder]
+        want = [[np.count_nonzero(np.sqrt(np.square(pred[:, 0] - y)) < eps) for eps in ladder]
                 for y in pred[::97, 0]]
-    assert _k._ball_counts(pred, pred[::97], ladder).tolist() == want
+    assert ball_counts(pred, pred[::97], ladder).tolist() == want
 
 
 def _check_tree(pred, succ):
@@ -612,19 +612,24 @@ def test_ball_shells_reject_bad_shapes(backend):
             _k._tree_shells(tree, ys, cuts)
 
 
-# -- E6's closed-ball counts: a k-d tree walk per centre against enumeration -----
+# -- E6's ball counts: a k-d tree walk per centre against enumeration ----------
+
+
+def ball_counts(points, centers, ladder):
+    """E6's (m, L) ball counts: the shared tree walk with no successors."""
+    return _tree_balls(points, np.empty((len(points), 0)), centers, ladder)[0]
 
 
 def enumerated_counts(points, centers, ladder):
-    """(m, L) ball counts in Python floats: x is in the ball of (y, eps) when
-    ((x0 - y0)^2 + (x1 - y1)^2) + ... <= eps * eps."""
+    """(m, L) ball counts in Python floats: x is in the open ball of (y, eps)
+    when sqrt(((x0 - y0)^2 + (x1 - y1)^2) + ...) < eps."""
     out = np.zeros((len(centers), len(ladder)), dtype=np.int64)
     for r, y in enumerate(centers.tolist()):
         for x in points.tolist():
             s = 0.0
             for a, b in zip(x, y):
                 s += (a - b) * (a - b)
-            out[r] += [s <= eps * eps for eps in ladder]
+            out[r] += [math.sqrt(s) < eps for eps in ladder]
     return out
 
 
@@ -672,7 +677,7 @@ def ball_case(case, d):
         points[::3] = points[1]
         centers = points[rng.integers(0, len(points), 25)]
         ladder = [4.0, 2.0, 1.0, 0.5, 0.25, 0.125]
-    else:  # rows 1e160 apart: their squares overflow to inf, which is <= 1e200 * 1e200 == inf
+    else:  # rows 1e160 apart: their squares overflow to inf, outside even the ball of 1e200
         points = 1e160 * rng.integers(-2, 3, (60, d)).astype(float)
         centers = np.concatenate([points[:5], points[:1] + 1e150])
         ladder = [1e200, 1e154, 1.0]
@@ -684,26 +689,25 @@ def ball_case(case, d):
 def test_ball_counts_equal_enumeration(backend, case, d):
     points, centers, ladder = ball_case(case, d)
     before = points.tobytes()
-    got = _k._ball_counts(points, centers, ladder)
+    got = ball_counts(points, centers, ladder)
     assert got.dtype == np.int64 and np.array_equal(got, enumerated_counts(points, centers, ladder))
     assert points.tobytes() == before  # the tree permutes a copy
     if case == "pure atom":
         assert got.tolist()[:2] == [[700] * 5] * 2 and got[2].tolist() == [700, 700, 700, 0, 0]
     elif case == "one point":
         assert got[0].tolist() == [1] * 5
-    elif case == "squares past the float range":
-        assert (got[:, 0] == 60).all() and (got[:, 1] < 60).all()
+    elif case == "squares past the float range":  # only s = 0 and s = d * 1e300 stay finite
+        assert (got[:, 0] == got[:, 1]).all() and (got[:, 0] < 60).all()
 
 
-def test_ball_counts_reject_bad_input(backend):
-    points, centers = np.zeros((5, 2)), np.zeros((3, 2))
-    for args in [(points[0], centers, [1.0]), (points[:0], centers, [1.0]),
-                 (points[:, :0], centers[:, :0], [1.0]), (points, centers[:, :1], [1.0]),
-                 (points, centers[0], [1.0]), (points, centers, []), (points, centers, [[1.0]]),
-                 (points, centers, [0.5, 1.0]), (points, centers, [1.0, math.nan]),
-                 (np.full((5, 2), math.inf), centers, [1.0]), (points, centers + math.nan, [1.0])]:
-        with pytest.raises(ValueError, match="need"):
-            _k._ball_counts(*args)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_ball_rule_for_e6_and_the_engines(backend, d):
+    """Rows on and beside the spheres around the centre 0: E6 counts the
+    open balls that BruteEngine counts, and at d = 1 Sorted1DEngine too."""
+    points, centers, ladder = ball_case("on the spheres", d)
+    series, got = PairedVectors(d, points, points), ball_counts(points, centers, ladder)
+    for engine in [BruteEngine] + [Sorted1DEngine] * (d == 1):
+        assert np.array_equal(engine(series, centers, ladder)._table[0], got)
 
 
 @pytest.mark.parametrize("engine,k", [(Sorted1DEngine, 1), (BruteEngine, 1), (BruteEngine, 2)])

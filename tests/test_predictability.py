@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from delaylab.dimension import _check_ladder, ball_mass_dimension, box_counting_idim
+from delaylab.dimension import ball_mass_dimension, box_counting_idim
 from delaylab.dynamics import ambient_of_states, GOLDEN_ROTATION, SystemConfig, trajectory
 from delaylab.embedding import delay_series, PairedVectors
 from delaylab.experiments import _draw, ExperimentConfig, run_experiment
 from delaylab.observables import evaluate, Observable
 from delaylab.predictability import (
+    _check_ladder,
     _square_cut,
     BruteEngine,
     chi_sigma,

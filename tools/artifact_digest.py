@@ -1,6 +1,6 @@
 """Run E1-E6 at default scale and print one ``sha256  path`` line per artifact.
 
-    python tools/artifact_digest.py OUT [--seed 7]
+    python tools/artifact_digest.py OUT [--seed 7] [--python-backend]
 
 Each experiment writes into OUT/<experiment id>.  The lines name each file
 relative to OUT, in sorted order, so two trees' artifacts compare byte for
@@ -9,7 +9,9 @@ names what ran: ``backend=c`` or ``backend=python`` (the orbit, bin and
 shell code), the numpy version, and the SIMD targets numpy dispatches on
 this CPU (after any ``NPY_DISABLE_CPU_FEATURES``), so a claim that two
 backends or two hosts agree shows which ones did.  The package is imported
-from the checkout that holds this script.
+from the checkout that holds this script.  ``--python-backend`` runs
+without the compiled loops, as if gcc were missing, so one host checks
+that both backends give the same bytes.
 """
 
 import argparse
@@ -26,11 +28,15 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("out", type=Path, help="artifact directory")
     parser.add_argument("--seed", type=int, default=7, help="base seed (default 7)")
+    parser.add_argument("--python-backend", action="store_true",
+                        help="run the numpy fallbacks in place of the compiled loops")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(SRC))
     from delaylab import _kernels
     from delaylab.experiments import EXPERIMENT_IDS, ExperimentConfig, run_experiment
 
+    if args.python_backend:
+        _kernels._lib, _kernels.BACKEND = None, "python"
     for eid in EXPERIMENT_IDS:
         run_experiment(ExperimentConfig(eid, args.seed), args.out / eid)
     umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
