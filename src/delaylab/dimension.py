@@ -6,6 +6,16 @@ Two routes: averaged log ball mass at sampled centers, and the entropy of
 grid-cube masses.  Both report per-scale values and take the dimension
 estimate from the least-squares slope over the scale ladder, where the
 constant prefactors cancel.
+
+Box counting sorts one int64 key per point and level, not the d columns of
+cube indices.  The key reads a point's cube offsets from the column minima
+as a mixed-radix number, column 0 most significant; where it would reach
+2^63, the key so far, and then the column, is replaced by its dense rank.
+Division by eps is monotone, so each column's min and max stand for all
+its values in the check that no cube index reaches 2^63.  The sorted keys
+give the cubes in the lexicographic order of their index tuples, and each
+mass is 1/n added once per point, so the entropy (a pairwise sum, whose
+last bits follow the cubes' order) equals that of sorting the tuples.
 """
 
 import math
@@ -78,6 +88,14 @@ def sample_model_measure(n, seed):
     return ambient_of_states(SystemConfig("model_T0"), states)
 
 
+def _finite_ladder(ladder):
+    """_check_ladder's ladder, whose first level must also be finite."""
+    ladder = _check_ladder(ladder)
+    if math.isinf(ladder[0]):
+        raise ValueError(f"ladder must be finite, got {len(ladder)} levels, level 0 = inf")
+    return ladder
+
+
 def ball_mass_dimension(points, ladder, n_centers, seed):
     """Scaling exponent of the averaged log ball mass of an (n, d) point array.
 
@@ -90,7 +108,7 @@ def ball_mass_dimension(points, ladder, n_centers, seed):
     per center.
     """
     points = _check_points(points)
-    ladder = _check_ladder(ladder)
+    ladder = _finite_ladder(ladder)
     n_centers = _integer("n_centers", n_centers, 1)
     n = len(points)
     rng = np.random.default_rng(seed)
@@ -119,19 +137,53 @@ def pointwise_dim_quantiles(pointwise):
     return {q: float(np.quantile(arr, q)) for q in (0.05, 0.1, 0.25, 0.5)}
 
 
-def _cell_entropy(points, eps):
-    """(sum of mass * log(mass), occupied-cube count) for side-eps origin-grid cubes."""
+def _dense_rank(values):
+    """(rank of each value among the distinct values, number of distinct values)."""
+    distinct, rank = np.unique(values, return_inverse=True)
+    return rank, len(distinct)
+
+
+def _cell_entropy(cols, lo, hi, eps):
+    """(sum of mass * log(mass), occupied-cube count) for side-eps origin-grid cubes.
+
+    cols is the (d, n) C-contiguous transpose of the points, lo and hi the
+    min and max of its rows.  x -> x / eps is correctly rounded and monotone
+    for eps > 0, so every x / eps lies between lo / eps and hi / eps: those
+    2d quotients below 2^63 in size put every cube index in int64, and
+    floor(lo / eps) and floor(hi / eps) are each column's least and greatest
+    index.  A point's key is its offsets from the least indices read as a
+    mixed-radix number, column 0 most significant, radix the column's span
+    of indices, so sorted keys list the cubes in lexicographic order.
+    Where the product of the spans would reach 2^63, the key so far is
+    replaced by its dense rank, and the column's indices too if the product
+    still would; ranks keep the order.  Each mass is 1/n added once per
+    point of the cube (np.bincount), not count / n, which rounds differently.
+    """
+    n = cols.shape[1]
     with np.errstate(over="ignore"):  # an infinite quotient is rejected below
-        scaled = points / eps
-    if not np.all(np.abs(scaled) < 2.0**63):  # NaN fails too; int64 cube indices would wrap
+        first, last = lo / eps, hi / eps
+    if not (np.all(np.abs(first) < 2.0**63) and np.all(np.abs(last) < 2.0**63)):
         raise ValueError(f"eps = {eps!r}: a coordinate / eps is not finite or reaches 2^63")
-    cells = np.floor(scaled).astype(np.int64)
-    order = np.lexsort(cells.T[::-1])
-    sorted_cells = cells[order]
-    boundaries = np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1)
-    group_id = np.concatenate([[0], np.cumsum(boundaries)])
-    # summing 1/n per point, not counts / n, which rounds differently
-    masses = np.bincount(group_id, weights=np.full(len(points), 1.0 / len(points)))
+    first, last = np.floor(first).astype(np.int64), np.floor(last).astype(np.int64)
+    key, radix = None, 1
+    for col, low, high in zip(cols, first.tolist(), last.tolist()):
+        cells = np.floor(col / eps).astype(np.int64)
+        span = high - low + 1
+        if radix * span >= 2**63:
+            if key is not None:
+                key, radix = _dense_rank(key)
+            if radix * span >= 2**63:
+                (cells, span), low = _dense_rank(cells), 0
+        cells -= low
+        if key is None:
+            key = cells
+        else:
+            key *= span
+            key += cells
+        radix *= span
+    key.sort()
+    group_id = np.concatenate([[0], np.cumsum(key[1:] != key[:-1])])
+    masses = np.bincount(group_id, weights=np.full(n, 1.0 / n))
     return float(np.sum(masses * np.log(masses))), int(len(masses))
 
 
@@ -140,14 +192,20 @@ def box_counting_idim(points, ladder):
 
     mu puts mass 1/n on each row of the (n, d) point array.  Cubes have side
     eps and are anchored at the origin lattice; the estimate is the slope of
-    H(eps) against log eps.
+    H(eps) against log eps.  The columns and their min and max are taken
+    once; each level then sorts one int64 key per point, ranked where the
+    mixed-radix key would reach 2^63, and checks only the 2d bounds against
+    2^63 (_cell_entropy says why both are exact).  A ValueError names a
+    level where a coordinate / eps reaches 2^63, and an infinite level.
     """
     points = _check_points(points)
-    ladder = _check_ladder(ladder)
+    ladder = _finite_ladder(ladder)
+    cols = np.ascontiguousarray(points.T)
+    lo, hi = cols.min(axis=1), cols.max(axis=1)
     values = []
     used = []
     for eps in ladder:
-        h, n_cells = _cell_entropy(points, eps)
+        h, n_cells = _cell_entropy(cols, lo, hi, eps)
         values.append((eps, h))
         used.append(n_cells)
     slope, intercept, r2 = _fit([math.log(e) for e, _ in values], [v for _, v in values])

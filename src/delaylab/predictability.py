@@ -45,6 +45,7 @@ Both merge moments with the pairwise formulas of Chan, Golub and LeVeque
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,9 +122,16 @@ def _check_ladder(ladder):
 
     Written as comparisons that must hold, so a NaN level, which compares
     false, is rejected; the error names the first level that breaks the
-    rule.  Used by the engines and the dimension estimators.
+    rule, or the ladder itself when it is not a 1-D sequence of numbers.
+    Used by the engines and the dimension estimators.
     """
-    ladder = [float(e) for e in ladder]
+    try:
+        levels = np.asarray(list(ladder), dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        levels = None
+    if levels is None or levels.ndim != 1:
+        raise ValueError(f"ladder must be a 1-D sequence of numbers, got {reprlib.repr(ladder)}")
+    ladder = levels.tolist()
     bad = [j for j, e in enumerate(ladder) if not (e > 0.0 and (j == 0 or e < ladder[j - 1]))]
     if not ladder or bad:
         at = f", level {bad[0]} = {ladder[bad[0]]!r}" if bad else ""

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 import delaylab
+from delaylab import dimension
 from delaylab.dynamics import ambient_of_states, SystemConfig, trajectory
 from delaylab.predictability import _tree_balls
 from delaylab.dimension import (
@@ -23,6 +25,22 @@ from delaylab.dimension import (
 )
 
 LADDER = [2.0 ** (-j) for j in range(4, 9)]
+
+
+def cell_entropy(pts, eps):
+    """_cell_entropy of an (n, d) array, with the columns and bounds box_counting_idim takes."""
+    cols = np.ascontiguousarray(np.asarray(pts, dtype=float).T)
+    return _cell_entropy(cols, cols.min(axis=1), cols.max(axis=1), eps)
+
+
+def dict_entropy(pts, eps):
+    """The cube entropy as a Python loop takes it: 1/n added per point into a dict
+    keyed by the cube's index tuple, the cubes then read in sorted order."""
+    masses = {}
+    for cell in map(tuple, np.floor(pts / eps).astype(np.int64).tolist()):
+        masses[cell] = masses.get(cell, 0.0) + 1.0 / len(pts)
+    m = np.array([masses[c] for c in sorted(masses)])
+    return float(np.sum(m * np.log(m))), len(m)
 
 
 def test_sample_model_measure_reproducible():
@@ -75,21 +93,21 @@ def test_cell_entropy_matches_manual_three_points():
     eps = 0.5
     # cells: (0,0) holds mass 0.5, (1,1) holds mass 0.5
     manual = 0.5 * math.log(0.5) + 0.5 * math.log(0.5)
-    assert _cell_entropy(pts, eps)[0] == pytest.approx(manual, abs=1e-15)
+    assert cell_entropy(pts, eps)[0] == pytest.approx(manual, abs=1e-15)
     eps = 0.02
     # cells [0.1, 0.12) and [0.12, 0.14) split the first two points
     pts2 = np.array([[0.11, 0.11], [0.13, 0.11], [0.9, 0.9], [0.9, 0.9]])
     manual = 2 * (0.25 * math.log(0.25)) + 0.5 * math.log(0.5)
-    assert _cell_entropy(pts2, eps)[0] == pytest.approx(manual, abs=1e-15)
+    assert cell_entropy(pts2, eps)[0] == pytest.approx(manual, abs=1e-15)
 
 
 def test_cell_entropy_rejects_cube_index_beyond_int64():
     # 1.0 / 2^-63 = 2^63 would wrap to int64's -2^63 and merge cubes
     pts = np.array([[1.0, 0.0], [0.0, 0.0]])
-    assert _cell_entropy(pts, 2.0**-62) == (math.log(0.5), 2)
+    assert cell_entropy(pts, 2.0**-62) == (math.log(0.5), 2)
     for eps in (2.0**-63, 1e-320):
         with pytest.raises(ValueError, match=f"eps = {eps!r}"):
-            _cell_entropy(pts, eps)
+            cell_entropy(pts, eps)
     with pytest.raises(ValueError, match="eps = "):
         box_counting_idim(pts, [2.0**-60, 2.0**-64])
 
@@ -100,7 +118,7 @@ def test_atom_weight_moves_entropy_exactly():
     for w_atom, n_rows, atom_rows in ((0.2, 10, 2), (0.5, 4, 2)):
         base_rows = (n_rows - atom_rows) // 2
         pts = np.vstack([np.repeat(base, base_rows, axis=0), np.tile([5.0, 5.0], (atom_rows, 1))])
-        h, _ = _cell_entropy(pts, 0.5)
+        h, _ = cell_entropy(pts, 0.5)
         manual = 2 * ((1 - w_atom) / 2) * math.log((1 - w_atom) / 2) + w_atom * math.log(w_atom)
         assert h == pytest.approx(manual, abs=1e-15)
 
@@ -234,8 +252,61 @@ def test_cell_entropy_sums_one_over_n_per_point():
     rng = np.random.default_rng(41)
     pts = rng.random((997, 2))
     for eps in (0.5, 0.1, 0.02):
-        masses = {}
-        for cell in map(tuple, np.floor(pts / eps).astype(np.int64)):
-            masses[cell] = masses.get(cell, 0.0) + 1.0 / len(pts)
-        m = np.array([masses[c] for c in sorted(masses)])
-        assert _cell_entropy(pts, eps) == (float(np.sum(m * np.log(m))), len(m))
+        assert cell_entropy(pts, eps) == dict_entropy(pts, eps)
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """The lengths of the arrays _cell_entropy replaces by their dense rank."""
+    calls = []
+
+    def spy(values):
+        calls.append(len(values))
+        return rank(values)
+
+    rank = dimension._dense_rank
+    monkeypatch.setattr(dimension, "_dense_rank", spy)
+    return calls
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_cell_entropy_key_equals_dict_oracle(d, rank_calls):
+    """The int64 key groups and orders the cubes as the index tuples do, in every
+    dimension, across the origin, on an atom, on one point, and where the
+    spans' product passes 2^63 and the rank step runs."""
+    rng = np.random.default_rng(100 + d)
+    spread = rng.random((500, d)) * 4.0 - 2.0
+    atom = np.vstack([spread[:200], np.tile(spread[0], (300, 1))])
+    ranked = 0
+    for pts in (spread, atom, spread[:1]):
+        for eps in (3.0, 0.5, 0.013, 1e-4, 1e-9, 2.0**-62):
+            rank_calls.clear()
+            assert cell_entropy(pts, eps) == dict_entropy(pts, eps)
+            cells = np.floor(pts / eps).astype(np.int64).tolist()
+            spans = [max(c) - min(c) + 1 for c in zip(*cells)]
+            assert bool(rank_calls) == (math.prod(spans) >= 2**63)
+            ranked += bool(rank_calls)
+    # from 2^64 cubes across one column at d = 1 to 4e4 per column at d = 5
+    assert ranked == {1: 2, 2: 4, 3: 4, 4: 4, 5: 6, 6: 6}[d]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cell_entropy_property(data):
+    n = data.draw(st.integers(1, 40))
+    d = data.draw(st.integers(1, 6))
+    # few distinct coordinates, so points share cubes and repeat as atoms
+    values = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8))
+    pts = np.array(data.draw(st.lists(st.lists(st.sampled_from(values), min_size=d, max_size=d),
+                                      min_size=n, max_size=n)))
+    eps = data.draw(st.floats(1e-12, 1e4))
+    assert cell_entropy(pts, eps) == dict_entropy(pts, eps)
+
+
+@pytest.mark.parametrize("call", [lambda pts, ladder: box_counting_idim(pts, ladder),
+                                  lambda pts, ladder: ball_mass_dimension(pts, ladder, 5, 0)])
+def test_estimators_reject_infinite_level(call):
+    # the engines take an infinite level as an infinite cut; a dimension slope cannot
+    pts = uniform_segment_measure(100, 8)
+    with pytest.raises(ValueError, match=r"^ladder must be finite, got 3 levels, level 0 = inf$"):
+        call(pts, [math.inf, 0.5, 0.25])

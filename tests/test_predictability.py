@@ -166,6 +166,21 @@ def test_nan_ladder_level_rejected(ladder):
             call()
 
 
+@pytest.mark.parametrize("ladder", [[[1.0]], 0.5, ["x"]])
+def test_ladder_not_1d_numbers_rejected(ladder):
+    # a nested list, a scalar and a text level: one ValueError naming the ladder, not a TypeError
+    s = delay_series(np.arange(10.0), 1)
+    points = np.arange(20.0).reshape(10, 2)
+    want = f"^ladder must be a 1-D sequence of numbers, got {re.escape(repr(ladder))}$"
+    for call in (lambda: _check_ladder(ladder),
+                 lambda: BruteEngine(s, [[1.0]], ladder),
+                 lambda: Sorted1DEngine(s, [[1.0]], ladder),
+                 lambda: ball_mass_dimension(points, ladder, 5, 0),
+                 lambda: box_counting_idim(points, ladder)):
+        with pytest.raises(ValueError, match=want):
+            call()
+
+
 def test_ladder_error_names_first_bad_level():
     # 2000 halvings underflow to 0 near level 1,075: name that level, not all 2000
     s = delay_series(np.arange(10.0), 1)
